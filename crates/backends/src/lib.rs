@@ -44,9 +44,10 @@ pub use kind::{BackendKind, UnknownBackend};
 pub use matchstats::{order_consistent_stats, robust_order_consistent_stats, MatchStats};
 pub use mode::{DecodeMode, DecodeOptions, UnknownDecodeMode};
 pub use outcome::{Correlation, RobustOutcome};
+pub use stepstone_matching::{Screen, ScreenState};
 pub use stream::StreamState;
 
-use stepstone_flow::Flow;
+use stepstone_flow::{Flow, SlidingWindow};
 
 /// The contract every correlator backend implements: one watched
 /// upstream flow, judged against many suspicious flows.
@@ -82,6 +83,19 @@ pub trait CorrelatorBackend: Send + Sync {
     /// input — empty flows, chaff floods and fault-mutated timestamps
     /// included.
     fn decode(&self, suspicious: &Flow) -> Correlation;
+
+    /// What can be known about the decode of `window` without running
+    /// it, resuming from the pair's `state`. The monitor calls this at
+    /// every decode boundary and skips the decode unless it returns
+    /// [`Screen::Decode`].
+    ///
+    /// The default proves nothing. An override must be sound:
+    /// [`Screen::Unmatched`] only when [`decode`](Self::decode) of the
+    /// window's snapshot is uncorrelated with no Hamming distance.
+    fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
+        let _ = (window, state);
+        Screen::Decode
+    }
 
     /// Incremental decode over a sliding-window prefix, accumulating
     /// cost accounting in `state`.

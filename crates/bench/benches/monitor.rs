@@ -80,13 +80,15 @@ fn replay_hooked(
     shards: usize,
     hook: Option<FaultHook>,
 ) -> u64 {
-    // Queue capacity is sized so no decode is ever dropped: both shard
-    // counts then run the same decode work and the comparison isolates
-    // scheduling overhead vs. parallelism.
+    // The deterministic schedule decodes every boundary and never drops
+    // one, so every shard count, with or without a hook, runs the same
+    // decode work and the comparison isolates scheduling overhead vs.
+    // parallelism. The queue is sized so its blocking push rarely waits.
     let mut config = MonitorConfig::default()
         .with_shards(shards)
         .with_decode_batch(64)
-        .with_queue_capacity(256);
+        .with_queue_capacity(256)
+        .with_deterministic_schedule();
     if let Some(hook) = hook {
         config = config.with_fault_hook(hook);
     }
@@ -117,6 +119,10 @@ fn monitor_throughput(c: &mut Criterion) {
                 BenchmarkId::new(format!("pairs{pairs}"), format!("shards{shards}")),
                 &(pairs, shards),
                 |b, &(_, shards)| b.iter(|| replay(&bound, &events, shards)),
+            );
+            println!(
+                "monitor_throughput: pairs{pairs}/shards{shards} decodes_run = {}/iter",
+                replay(&bound, &events, shards)
             );
         }
         println!(
@@ -149,6 +155,12 @@ fn chaos_seam_overhead(c: &mut Criterion) {
             replay_hooked(&bound, &events, 1, Some(idle))
         })
     });
+    let idle = FaultHook::new(|_, _| DecodeFault::None);
+    println!(
+        "chaos_seam_overhead: pairs8 decodes_run = {}/iter off, {}/iter armed",
+        replay_hooked(&bound, &events, 1, None),
+        replay_hooked(&bound, &events, 1, Some(idle))
+    );
     // The seam in isolation: one armed-but-idle oracle consultation,
     // exactly what each decode pays over the unarmed `Option` check.
     // The end-to-end pair above sits inside worker spawn/join noise, so

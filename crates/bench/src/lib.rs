@@ -1,6 +1,7 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Each bench target regenerates part of the paper's evaluation:
+//! The first four bench targets regenerate part of the paper's
+//! evaluation; the other four measure the online system around it:
 //!
 //! * `figures` — every table/figure runner (Figs 3–10, §4.2, Table 1);
 //! * `algorithms` — per-algorithm correlation micro-benchmarks
@@ -8,7 +9,15 @@
 //! * `ablations` — design-choice sweeps (phase-1 scope, adjustment `a`,
 //!   redundancy `r`, Optimal cost bound);
 //! * `substrates` — traffic generation, the chain simulator, matching,
-//!   embedding and decoding in isolation.
+//!   embedding and decoding in isolation;
+//! * `monitor` — online-engine throughput at 1, 8 and 64 candidate
+//!   pairs and one or all cores, plus the chaos fault seam's overhead;
+//!   prints the decodes each configuration runs;
+//! * `backends` — one full-window decode per candidate pair for every
+//!   correlator backend;
+//! * `ingest` — pcap parsing and flow demultiplexing, separately;
+//! * `telemetry` — counter, histogram and `time!`/`span!` hot-path cost
+//!   against an uninstrumented baseline.
 //!
 //! Run with `cargo bench -p stepstone-bench [--bench <target>]`.
 

@@ -3,9 +3,9 @@
 
 use stepstone_backends::{
     BackendKind, CorrelatorBackend, DecodeMode, DecodeOptions, ElicesBackend, ElicesConfig,
-    GameBackend, GameConfig, RobustOutcome, StreamState,
+    GameBackend, GameConfig, RobustOutcome, Screen, ScreenState, StreamState,
 };
-use stepstone_flow::{Flow, TimeDelta};
+use stepstone_flow::{Flow, SlidingWindow, TimeDelta};
 use stepstone_matching::{CostMeter, GappedSets, Matcher, MatchingSets};
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkError};
 
@@ -237,6 +237,16 @@ impl WatermarkCorrelator {
         }
     }
 
+    /// The matcher every strict decode runs: `Δ` plus the optional
+    /// size quantum.
+    fn matcher(&self) -> Matcher {
+        let matcher = Matcher::new(self.delta);
+        match self.size_quantum {
+            Some(q) => matcher.with_size_quantum(q),
+            None => matcher,
+        }
+    }
+
     fn plan_for(&self, original: &Flow, marked: &Flow) -> Result<EndpointPlan, WatermarkError> {
         if original.len() != marked.len() {
             return Err(WatermarkError::LengthMismatch {
@@ -331,6 +341,17 @@ impl CorrelatorBackend for PaperBackend {
     fn decode(&self, suspicious: &Flow) -> Correlation {
         self.correlate(suspicious)
     }
+
+    /// Strict decodes abort on an empty matching set, so the matcher's
+    /// screen applies. Robust decodes do not: they absorb empty sets as
+    /// erasures and can correlate on a window that has not yet reached
+    /// the upstream's last packet.
+    fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
+        if self.cfg.decode.is_robust() {
+            return Screen::Decode;
+        }
+        self.cfg.matcher().screen(&self.upstream, window, state)
+    }
 }
 
 /// An owned, thread-shareable correlator bound to one upstream flow:
@@ -395,6 +416,12 @@ impl BoundCorrelator {
         self.as_backend().decode_stream(window, state)
     }
 
+    /// Screens the decode of `window` before it is scheduled (see
+    /// [`CorrelatorBackend::screen`]).
+    pub fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
+        self.as_backend().screen(window, state)
+    }
+
     /// The active arm as a trait object — the single dispatch point.
     pub fn as_backend(&self) -> &dyn CorrelatorBackend {
         match self {
@@ -440,11 +467,10 @@ impl Engine<'_> {
         let threshold = cfg.marker.params().threshold;
         let wanted = &cfg.watermark;
         let mut meter = CostMeter::new();
-        let mut matcher = Matcher::new(cfg.delta);
-        if let Some(q) = cfg.size_quantum {
-            matcher = matcher.with_size_quantum(q);
-        }
-        let Some(mut sets) = matcher.matching_sets(self.upstream, suspicious, &mut meter) else {
+        let Some(mut sets) = cfg
+            .matcher()
+            .matching_sets(self.upstream, suspicious, &mut meter)
+        else {
             // Greedy never gets to decode, so under the paper's cost
             // convention (matching is not charged to Greedy) a failed
             // matching costs it nothing.
@@ -582,11 +608,7 @@ impl Engine<'_> {
         let threshold = cfg.marker.params().threshold;
         let wanted = &cfg.watermark;
         let mut meter = CostMeter::new();
-        let mut matcher = Matcher::new(cfg.delta);
-        if let Some(q) = cfg.size_quantum {
-            matcher = matcher.with_size_quantum(q);
-        }
-        let mut sets = GappedSets::compute(&matcher, self.upstream, suspicious, &mut meter);
+        let mut sets = GappedSets::compute(&cfg.matcher(), self.upstream, suspicious, &mut meter);
         let _ = sets.tighten(&mut meter);
         let matching_cost = meter.count();
         let g = decode_gapped(self.plan, &sets, suspicious, &mut meter);

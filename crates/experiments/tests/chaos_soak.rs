@@ -25,6 +25,7 @@ use stepstone_core::BackendKind;
 use stepstone_experiments::live::{export_pcap, replay_pcap_chaos, LiveScenario, PcapReport};
 use stepstone_experiments::scenario_run::{run_spec, ScenarioOutcome};
 use stepstone_experiments::{ExperimentConfig, Scale};
+use stepstone_flow::TimeDelta;
 use stepstone_ingest::ReplayClock;
 use stepstone_monitor::{PairId, TerminalKind};
 use stepstone_scenario::{preset, Decode, ScenarioSpec};
@@ -39,9 +40,14 @@ const SOAK_SEEDS: [u64; 3] = [44, 116, 225];
 
 /// The soak scenario: the scale-independent wire corpus, decoding on
 /// every accepted packet once a window fills, so the harsh profile's
-/// per-decode fault rates get plenty of draws.
+/// per-decode fault rates get plenty of draws. `Δ` is 2 s rather than
+/// the wire corpus's 1 s: at 1 s the harsh deletions leave a matching
+/// set of the true downstream empty, the engine's screen proves every
+/// strict paper decode unmatched, and no decode is left for the pinned
+/// kill to hit. At 2 s the strict decodes of the true pair still run.
 fn soak_scenario() -> LiveScenario {
     let mut scenario = LiveScenario::wire(&ExperimentConfig::new(Scale::Quick));
+    scenario.delta = TimeDelta::from_secs(2);
     scenario.decode_batch = 1;
     scenario
 }
@@ -90,6 +96,10 @@ fn harsh_soak_survives_pinned_seeds() {
             stats.queue_dequeued,
             "seed {seed}: {stats}"
         );
+        // The strict paper path runs under fire: some boundaries are
+        // screened, the rest decode.
+        assert!(stats.decodes_screened > 0, "seed {seed}: {stats}");
+        assert!(stats.decodes_run > 0, "seed {seed}: {stats}");
 
         // The harsh profile schedules kills and these seeds are pinned
         // to hit at least one: the supervisor must have restarted.
@@ -161,6 +171,12 @@ fn every_backend_survives_identical_fault_plans() {
         assert_eq!(
             stats.decodes_run + stats.jobs_lost,
             stats.queue_dequeued,
+            "{backend}: {stats}"
+        );
+        // Only the paper backend's strict decodes are screened.
+        assert_eq!(
+            stats.decodes_screened > 0,
+            backend == BackendKind::Paper,
             "{backend}: {stats}"
         );
         assert!(

@@ -33,11 +33,24 @@ use crate::time::{TimeDelta, Timestamp};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
-    packets: VecDeque<Packet>,
+    /// The retained packets in fixed-size chunks, oldest first: every
+    /// chunk but the last is full, and the first `head` packets of the
+    /// first chunk are already evicted. Growing one chunk at a time
+    /// never reallocates what is stored, and every chunk has the same
+    /// size, so a monitor churning through many windows reuses freed
+    /// chunks instead of fragmenting its heap with doubling buffers.
+    chunks: VecDeque<Vec<Packet>>,
+    /// Packets per chunk: [`CHUNK`], or the capacity if smaller.
+    chunk: usize,
+    head: usize,
+    len: usize,
     capacity: usize,
     pushed: u64,
     evicted: u64,
 }
+
+/// Packets per window chunk, at most.
+const CHUNK: usize = 256;
 
 impl SlidingWindow {
     /// Creates an empty window holding at most `capacity` packets.
@@ -48,7 +61,10 @@ impl SlidingWindow {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         SlidingWindow {
-            packets: VecDeque::with_capacity(capacity.min(1024)),
+            chunks: VecDeque::new(),
+            chunk: CHUNK.min(capacity),
+            head: 0,
+            len: 0,
             capacity,
             pushed: 0,
             evicted: 0,
@@ -62,17 +78,17 @@ impl SlidingWindow {
 
     /// Packets currently in the window.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.len
     }
 
     /// `true` when no packets are retained.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.len == 0
     }
 
     /// `true` when the next push will evict the oldest packet.
     pub fn is_full(&self) -> bool {
-        self.packets.len() == self.capacity
+        self.len == self.capacity
     }
 
     /// Total packets ever accepted, including since-evicted ones.
@@ -87,12 +103,12 @@ impl SlidingWindow {
 
     /// Timestamp of the oldest retained packet.
     pub fn first_timestamp(&self) -> Option<Timestamp> {
-        self.packets.front().map(Packet::timestamp)
+        self.get(0).map(Packet::timestamp)
     }
 
     /// Timestamp of the newest retained packet.
     pub fn last_timestamp(&self) -> Option<Timestamp> {
-        self.packets.back().map(Packet::timestamp)
+        self.chunks.back()?.last().map(Packet::timestamp)
     }
 
     /// Appends a packet, evicting (and returning) the oldest packet if
@@ -114,14 +130,34 @@ impl SlidingWindow {
             }
         }
         let evicted = if self.is_full() {
-            self.evicted += 1;
-            self.packets.pop_front()
+            self.evict_front()
         } else {
             None
         };
-        self.packets.push_back(packet);
+        match self.chunks.back_mut() {
+            Some(chunk) if chunk.len() < self.chunk => chunk.push(packet),
+            _ => {
+                let mut chunk = Vec::with_capacity(self.chunk);
+                chunk.push(packet);
+                self.chunks.push_back(chunk);
+            }
+        }
+        self.len += 1;
         self.pushed += 1;
         Ok(evicted)
+    }
+
+    /// Drops the oldest packet, releasing its chunk once it is spent.
+    fn evict_front(&mut self) -> Option<Packet> {
+        let packet = *self.get(0)?;
+        self.head += 1;
+        self.len -= 1;
+        self.evicted += 1;
+        if self.head == self.chunk {
+            self.chunks.pop_front();
+            self.head = 0;
+        }
+        Some(packet)
     }
 
     /// Time since the newest packet arrived, saturating at zero if `now`
@@ -143,23 +179,39 @@ impl SlidingWindow {
         }
     }
 
+    /// The `index`-th retained packet, oldest first; `None` past the
+    /// end. Packet `index` is the `evicted() + index`-th ever pushed.
+    pub fn get(&self, index: usize) -> Option<&Packet> {
+        if index >= self.len {
+            return None;
+        }
+        let at = self.head + index;
+        self.chunks.get(at / self.chunk)?.get(at % self.chunk)
+    }
+
     /// Iterates over the retained packets, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.packets.iter()
+        self.chunks.iter().flatten().skip(self.head)
     }
 
     /// Materialises the retained packets as a [`Flow`] for batch
     /// decoding. Provenance is preserved.
     pub fn snapshot(&self) -> Flow {
-        Flow::from_packets(self.packets.iter().copied())
+        let mut packets = Vec::with_capacity(self.len);
+        for (k, chunk) in self.chunks.iter().enumerate() {
+            packets.extend_from_slice(if k == 0 { &chunk[self.head..] } else { chunk });
+        }
+        Flow::from_packets(packets)
             // lint: allow(no_panic) push() rejects out-of-order packets, so the retained buffer is always sorted
             .expect("window invariant: timestamps are non-decreasing")
     }
 
     /// Drops all retained packets; cumulative counters are kept.
     pub fn clear(&mut self) {
-        self.evicted += self.packets.len() as u64;
-        self.packets.clear();
+        self.evicted += self.len as u64;
+        self.chunks.clear();
+        self.head = 0;
+        self.len = 0;
     }
 }
 
@@ -213,6 +265,37 @@ mod tests {
         assert_eq!(flow.len(), 3);
         assert_eq!(flow.chaff_count(), 1);
         assert_eq!(flow[1], chaff);
+        assert_eq!(w.get(1), Some(&chaff));
+        assert_eq!(w.get(3), None);
+    }
+
+    #[test]
+    fn chunked_storage_matches_a_plain_model() {
+        // Capacities on both sides of the chunk size, pushed far past
+        // several chunk boundaries.
+        for capacity in [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let mut w = SlidingWindow::new(capacity);
+            let mut model: VecDeque<Packet> = VecDeque::new();
+            for i in 0..(5 * CHUNK + 3) {
+                let packet = Packet::new(Timestamp::from_micros(i as i64), i as u32);
+                let evicted = w.push(packet).unwrap();
+                model.push_back(packet);
+                let expected = (model.len() > capacity)
+                    .then(|| model.pop_front())
+                    .flatten();
+                assert_eq!(evicted, expected, "capacity {capacity}, push {i}");
+                assert_eq!(w.len(), model.len());
+                assert_eq!(w.evicted() + w.len() as u64, w.pushed());
+                assert_eq!(w.get(0), model.front());
+                assert_eq!(w.get(w.len() - 1), model.back());
+                assert_eq!(w.get(w.len()), None);
+                assert_eq!(w.last_timestamp(), model.back().map(Packet::timestamp));
+            }
+            assert!(w.iter().eq(model.iter()), "capacity {capacity}");
+            assert_eq!(w.snapshot().packets(), model.make_contiguous());
+            w.clear();
+            assert!(w.is_empty() && w.iter().next().is_none() && w.get(0).is_none());
+        }
     }
 
     #[test]

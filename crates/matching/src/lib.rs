@@ -42,9 +42,11 @@
 mod cost;
 mod gaps;
 mod order;
+mod screen;
 mod sets;
 
 pub use cost::CostMeter;
 pub use gaps::GappedSets;
 pub use order::{is_order_consistent, latest_before, Selection};
+pub use screen::{Screen, ScreenState};
 pub use sets::{Matcher, MatchingSets};

@@ -69,13 +69,8 @@ impl Matcher {
     ) -> Option<MatchingSets> {
         let n = upstream.len();
         let m = suspicious.len();
-        if n == 0 {
-            return Some(MatchingSets {
-                sets: Vec::new(),
-                suspicious_len: m,
-            });
-        }
-        let mut sets = Vec::with_capacity(n);
+        let mut candidates: Vec<u32> = Vec::new();
+        let mut bounds = Vec::with_capacity(n);
         let (mut lo, mut hi) = (0usize, 0usize);
         for i in 0..n {
             let t = upstream.timestamp(i);
@@ -91,26 +86,27 @@ impl Matcher {
                 meter.charge_one();
                 hi += 1;
             }
-            let mut set: Vec<u32> = Vec::with_capacity(hi - lo);
-            let class = self
-                .size_quantum
-                .map(|q| (upstream[i].size().div_ceil(q), q));
-            for j in lo..hi {
-                meter.charge_one();
-                if let Some((c, q)) = class {
-                    if suspicious[j].size().div_ceil(q) != c {
-                        continue;
-                    }
+            meter.charge((hi - lo) as u64);
+            let start = candidates.len();
+            match self.size_quantum {
+                None => candidates.extend(lo as u32..hi as u32),
+                Some(q) => {
+                    let class = upstream[i].size().div_ceil(q);
+                    candidates.extend(
+                        (lo..hi)
+                            .filter(|&j| suspicious[j].size().div_ceil(q) == class)
+                            .map(|j| j as u32),
+                    );
                 }
-                set.push(j as u32);
             }
-            if set.is_empty() {
+            if candidates.len() == start {
                 return None;
             }
-            sets.push(set);
+            bounds.push((start, candidates.len()));
         }
         Some(MatchingSets {
-            sets,
+            candidates,
+            bounds,
             suspicious_len: m,
         })
     }
@@ -118,11 +114,29 @@ impl Matcher {
 
 /// The matching sets `M(p₁)…M(pₙ)`, each a sorted list of candidate
 /// downstream indices.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Stored flat: every set's candidates sit back to back in one buffer,
+/// in upstream order, and each set is a `[start, end)` range into it.
+/// Tightening only ever drops candidates from the ends of a set, so it
+/// moves the bounds and never touches the buffer.
+#[derive(Debug, Clone)]
 pub struct MatchingSets {
-    sets: Vec<Vec<u32>>,
+    candidates: Vec<u32>,
+    bounds: Vec<(usize, usize)>,
     suspicious_len: usize,
 }
+
+/// Two matching sets are equal when they list the same candidates per
+/// upstream packet, whatever was tightened away in the buffer.
+impl PartialEq for MatchingSets {
+    fn eq(&self, other: &Self) -> bool {
+        self.suspicious_len == other.suspicious_len
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| self.set(i) == other.set(i))
+    }
+}
+
+impl Eq for MatchingSets {}
 
 impl MatchingSets {
     /// Builds matching sets directly (tests and simulation helpers).
@@ -132,6 +146,8 @@ impl MatchingSets {
     /// Panics if any set is empty, unsorted, contains duplicates, or
     /// references an index at or beyond `suspicious_len`.
     pub fn from_sets(sets: Vec<Vec<u32>>, suspicious_len: usize) -> Self {
+        let mut candidates = Vec::with_capacity(sets.iter().map(Vec::len).sum());
+        let mut bounds = Vec::with_capacity(sets.len());
         for (i, set) in sets.iter().enumerate() {
             assert!(!set.is_empty(), "matching set {i} is empty");
             assert!(
@@ -143,21 +159,25 @@ impl MatchingSets {
                 (*set.last().expect("nonempty") as usize) < suspicious_len,
                 "matching set {i} references an out-of-range packet"
             );
+            let start = candidates.len();
+            candidates.extend_from_slice(set);
+            bounds.push((start, candidates.len()));
         }
         MatchingSets {
-            sets,
+            candidates,
+            bounds,
             suspicious_len,
         }
     }
 
     /// Number of upstream packets `n`.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.bounds.len()
     }
 
     /// `true` when there are no upstream packets.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.bounds.is_empty()
     }
 
     /// Length of the suspicious flow `m`.
@@ -171,7 +191,8 @@ impl MatchingSets {
     ///
     /// Panics if `i` is out of range.
     pub fn set(&self, i: usize) -> &[u32] {
-        &self.sets[i]
+        let (start, end) = self.bounds[i];
+        &self.candidates[start..end]
     }
 
     /// The earliest candidate of upstream packet `i`.
@@ -180,7 +201,7 @@ impl MatchingSets {
     ///
     /// Panics if `i` is out of range.
     pub fn first(&self, i: usize) -> u32 {
-        self.sets[i][0]
+        self.candidates[self.bounds[i].0]
     }
 
     /// The latest candidate of upstream packet `i`.
@@ -189,13 +210,14 @@ impl MatchingSets {
     ///
     /// Panics if `i` is out of range.
     pub fn last(&self, i: usize) -> u32 {
-        // lint: allow(no_panic) the constructor asserts every set is nonempty
-        *self.sets[i].last().expect("sets are never empty")
+        // Every set holds at least one candidate (constructors and
+        // tightening both guarantee it), so `end - 1` is in the set.
+        self.candidates[self.bounds[i].1 - 1]
     }
 
     /// Total number of candidates across all sets (`Σ |M(pᵢ)|`).
     pub fn total_candidates(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.bounds.iter().map(|&(start, end)| end - start).sum()
     }
 
     /// The Greedy+ phase-1 simplification, generalized: since upstream
@@ -210,8 +232,7 @@ impl MatchingSets {
     /// matching exists, so the flows are not correlated.
     #[must_use]
     pub fn tighten(&mut self, meter: &mut CostMeter) -> bool {
-        let all: Vec<usize> = (0..self.sets.len()).collect();
-        self.tighten_subset(&all, meter)
+        self.tighten_over(0..self.bounds.len(), meter)
     }
 
     /// [`tighten`](Self::tighten) restricted to a strictly increasing
@@ -234,38 +255,47 @@ impl MatchingSets {
             "subset indices must be strictly increasing"
         );
         if let Some(&last) = indices.last() {
-            assert!(last < self.sets.len(), "subset index out of range");
+            assert!(last < self.bounds.len(), "subset index out of range");
         }
+        self.tighten_over(indices.iter().copied(), meter)
+    }
+
+    /// The forward and backward passes over the sets `order` lists, in
+    /// increasing upstream order.
+    fn tighten_over<I>(&mut self, order: I, meter: &mut CostMeter) -> bool
+    where
+        I: DoubleEndedIterator<Item = usize> + Clone,
+    {
         // Forward: candidate of packet i must be > min candidate of the
         // previous listed packet.
         let mut min_excl: Option<u32> = None;
-        for &i in indices {
-            let set = &mut self.sets[i];
+        for i in order.clone() {
+            let (start, end) = &mut self.bounds[i];
             if let Some(bound) = min_excl {
-                let keep_from = set.partition_point(|&c| c <= bound);
+                let keep_from = self.candidates[*start..*end].partition_point(|&c| c <= bound);
                 meter.charge(keep_from as u64);
-                set.drain(..keep_from);
-                if set.is_empty() {
+                *start += keep_from;
+                if start == end {
                     return false;
                 }
             }
-            min_excl = Some(set[0]);
+            min_excl = Some(self.candidates[*start]);
         }
         // Backward: candidate of packet i must be < max candidate of the
         // next listed packet.
         let mut max_excl: Option<u32> = None;
-        for &i in indices.iter().rev() {
-            let set = &mut self.sets[i];
+        for i in order.rev() {
+            let (start, end) = &mut self.bounds[i];
             if let Some(bound) = max_excl {
+                let set = &self.candidates[*start..*end];
                 let keep_to = set.partition_point(|&c| c < bound);
                 meter.charge((set.len() - keep_to) as u64);
-                set.truncate(keep_to);
-                if set.is_empty() {
+                *end = *start + keep_to;
+                if start == end {
                     return false;
                 }
             }
-            // lint: allow(no_panic) the is_empty early-return above guarantees a last element
-            max_excl = Some(*set.last().expect("nonempty"));
+            max_excl = Some(self.candidates[*end - 1]);
         }
         true
     }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use stepstone_flow::{Flow, TimeDelta, Timestamp};
-use stepstone_matching::{is_order_consistent, CostMeter, Matcher, Selection};
+use stepstone_matching::{is_order_consistent, CostMeter, Matcher, MatchingSets, Selection};
 
 fn sorted_flow(max_len: usize, span_micros: i64) -> impl Strategy<Value = Flow> {
     proptest::collection::vec(0i64..span_micros, 1..max_len).prop_map(|mut v| {
@@ -11,8 +11,90 @@ fn sorted_flow(max_len: usize, span_micros: i64) -> impl Strategy<Value = Flow> 
     })
 }
 
+/// The tightening rule on the obvious nested layout, one `Vec` per set
+/// and candidates removed in place: the model the flat
+/// [`MatchingSets`] must agree with, charges included.
+fn naive_tighten(sets: &mut [Vec<u32>], indices: &[usize], meter: &mut CostMeter) -> bool {
+    let mut min_excl: Option<u32> = None;
+    for &i in indices {
+        if let Some(bound) = min_excl {
+            let keep_from = sets[i].iter().take_while(|&&c| c <= bound).count();
+            meter.charge(keep_from as u64);
+            sets[i].drain(..keep_from);
+            if sets[i].is_empty() {
+                return false;
+            }
+        }
+        min_excl = Some(sets[i][0]);
+    }
+    let mut max_excl: Option<u32> = None;
+    for &i in indices.iter().rev() {
+        if let Some(bound) = max_excl {
+            let keep_to = sets[i].iter().take_while(|&&c| c < bound).count();
+            meter.charge((sets[i].len() - keep_to) as u64);
+            sets[i].truncate(keep_to);
+            if sets[i].is_empty() {
+                return false;
+            }
+        }
+        max_excl = sets[i].last().copied();
+    }
+    true
+}
+
+/// Random non-empty sorted candidate sets over `0..m`.
+fn candidate_sets() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
+    (1usize..40).prop_flat_map(|m| {
+        let set = proptest::collection::vec(0..m as u32, 1..6).prop_map(|mut s| {
+            s.sort_unstable();
+            s.dedup();
+            s
+        });
+        (proptest::collection::vec(set, 1..20), Just(m))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat layout's `tighten` and `tighten_subset` drop exactly
+    /// the candidates the nested model drops, charge the same packet
+    /// accesses and report the same feasibility.
+    #[test]
+    fn flat_tightening_matches_the_nested_model(
+        (sets, m) in candidate_sets(),
+        subset_mask in proptest::collection::vec(proptest::bool::ANY, 20),
+    ) {
+        let all: Vec<usize> = (0..sets.len()).collect();
+        let subset: Vec<usize> = all.iter().copied().filter(|&i| subset_mask[i]).collect();
+        for indices in [&all, &subset] {
+            let mut model = sets.clone();
+            let mut model_meter = CostMeter::new();
+            let model_ok = naive_tighten(&mut model, indices, &mut model_meter);
+
+            let mut flat = MatchingSets::from_sets(sets.clone(), m);
+            let mut meter = CostMeter::new();
+            let ok = if indices.len() == sets.len() {
+                flat.tighten(&mut meter)
+            } else {
+                flat.tighten_subset(indices, &mut meter)
+            };
+            prop_assert_eq!(ok, model_ok);
+            prop_assert_eq!(meter.count(), model_meter.count());
+            if ok {
+                for (i, expected) in model.iter().enumerate() {
+                    prop_assert_eq!(flat.set(i), expected.as_slice(), "set {}", i);
+                    prop_assert_eq!(flat.first(i), expected[0]);
+                    prop_assert_eq!(flat.last(i), *expected.last().unwrap());
+                }
+                prop_assert_eq!(
+                    flat.total_candidates(),
+                    model.iter().map(Vec::len).sum::<usize>()
+                );
+                prop_assert_eq!(&flat, &MatchingSets::from_sets(model, m));
+            }
+        }
+    }
 
     /// Matching sets contain exactly the packets allowed by the timing
     /// constraint — checked against the O(n·m) definition.

@@ -5,7 +5,7 @@ use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
 
-use stepstone_core::{BackendKind, BoundCorrelator, Correlation};
+use stepstone_core::{BackendKind, BoundCorrelator, Correlation, Screen, ScreenState};
 use stepstone_flow::{Packet, SlidingWindow, Timestamp};
 use stepstone_telemetry::{span, Registry};
 
@@ -28,10 +28,15 @@ struct PairState {
     in_flight: bool,
     /// The flow's push count covered by the last scheduled decode.
     decoded_through: u64,
-    /// Completed decodes.
+    /// Completed decodes, screened boundaries included.
     decodes: u32,
-    /// Hamming distance of the most recent completed decode.
+    /// Hamming distance of the latest boundary's decode.
     last_hamming: Option<u32>,
+    /// Push count of the boundary `last_hamming` belongs to: an outcome
+    /// of an earlier boundary, arriving late, does not overwrite it.
+    hamming_at: u64,
+    /// The backend's screening frontier for this pair.
+    screen: ScreenState,
     /// A robust decode reported erasure demand beyond the budget. Once
     /// set, the pair can never end `Cleared` — the graceful-degradation
     /// ladder turns every would-be clean negative into
@@ -48,6 +53,41 @@ struct PairState {
 }
 
 impl PairState {
+    /// Counts one decode of the boundary at push count `at`, keeping its
+    /// Hamming distance unless a later boundary's is already recorded.
+    fn record(&mut self, at: u64, hamming: Option<u32>) {
+        self.decodes += 1;
+        if at >= self.hamming_at {
+            self.hamming_at = at;
+            self.last_hamming = hamming;
+        }
+    }
+
+    /// The push count at which this pair's next boundary falls: once
+    /// the window holds `min_window` packets, every `batch` pushes after
+    /// the last scheduled or screened decode.
+    fn due_at(&self, window: &SlidingWindow, min_window: usize, batch: u64) -> u64 {
+        let short = min_window.saturating_sub(window.len()) as u64;
+        self.decoded_through
+            .saturating_add(batch)
+            .max(window.pushed().saturating_add(short))
+    }
+
+    /// Screens this pair's decode of `window` at a boundary; `true` if
+    /// the decode must run. A screened boundary is recorded as the
+    /// unmatched decode it provably is, and nothing is left to schedule.
+    fn screen(&mut self, correlator: &BoundCorrelator, window: &SlidingWindow) -> bool {
+        match correlator.screen(window, &mut self.screen) {
+            Screen::Decode => true,
+            Screen::Unmatched => {
+                let pushed = window.pushed();
+                self.record(pushed, None);
+                self.decoded_through = pushed;
+                false
+            }
+        }
+    }
+
     /// Folds one robust decode outcome into the ladder state; a no-op
     /// for strict decodes (`outcome.robust` is `None`).
     fn note_robust(&mut self, outcome: &Correlation) {
@@ -83,10 +123,29 @@ impl PairState {
     }
 }
 
+/// How [`Monitor::submit`] hands jobs to the shard queues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Push {
+    /// `try_push`: a full queue drops the attempt (live schedule).
+    Try,
+    /// Blocking push, pumping completions while waiting (deterministic
+    /// schedule).
+    Block,
+    /// Blocking push at shutdown; a stalled shard's pair is degraded
+    /// instead of waited on.
+    Flush,
+}
+
 /// One tracked suspicious flow.
 struct Suspect {
     window: SlidingWindow,
     pairs: BTreeMap<UpstreamId, PairState>,
+    /// Push count at which some pair of this flow next reaches a decode
+    /// boundary. Ingest skips the per-upstream walk until then.
+    next_due: u64,
+    /// Tells this tracking of the flow apart from an earlier one under
+    /// the same [`FlowId`], ended by eviction, in the jobs it schedules.
+    instance: u64,
 }
 
 /// The final report returned by [`Monitor::finish`].
@@ -176,18 +235,30 @@ impl Control {
 
     /// Applies one completed decode to its pair.
     fn absorb(&mut self, done: Completion) {
-        let Completion { pair, outcome } = done;
+        let Completion {
+            pair,
+            outcome,
+            pushed,
+        } = done;
         let state = match self.suspects.get_mut(&pair.flow) {
             Some(s) => s.pairs.get_mut(&pair.upstream),
             None => None,
+        };
+        let Some(outcome) = outcome else {
+            // Answered without a decode: the pair latched on an earlier
+            // job, so its verdict is out and the job only releases it.
+            if let Some(state) = state {
+                state.in_flight = false;
+                state.decodes += 1;
+            }
+            return;
         };
         if let Some(r) = outcome.robust {
             self.metrics.decode_erasures.add(u64::from(r.erasures));
         }
         if let Some(state) = state {
             state.in_flight = false;
-            state.decodes += 1;
-            state.last_hamming = outcome.hamming;
+            state.record(pushed, outcome.hamming);
             state.note_robust(&outcome);
             if outcome.correlated && !state.resolved {
                 state.resolved = true;
@@ -204,8 +275,7 @@ impl Control {
             // The flow was evicted mid-decode: this completion is
             // the pair's terminal word. (The pair left the active
             // gauge when its flow was evicted.)
-            state.decodes += 1;
-            state.last_hamming = outcome.hamming;
+            state.record(pushed, outcome.hamming);
             state.note_robust(&outcome);
             if outcome.correlated {
                 self.metrics.pairs_latched.inc();
@@ -303,6 +373,8 @@ pub struct Monitor {
     /// Consecutive decode attempts dropped on full queues; trips the
     /// shedding policy when it reaches `config.shed_after_drops`.
     drop_streak: u64,
+    /// Flows tracked so far: the next [`Suspect::instance`].
+    flows_tracked: u64,
 }
 
 impl Monitor {
@@ -354,6 +426,7 @@ impl Monitor {
             supervisor,
             sweep_tick: 0,
             drop_streak: 0,
+            flows_tracked: 0,
         }
     }
 
@@ -376,6 +449,11 @@ impl Monitor {
         self.control.backends.insert(id, correlator.backend());
         let previous = self.upstreams.insert(id, Arc::new(correlator));
         assert!(previous.is_none(), "upstream {id} registered twice");
+        // Tracked flows have no pair with the new upstream yet: their
+        // next packet must walk the upstreams again to create it.
+        for suspect in self.control.suspects.values_mut() {
+            suspect.next_due = 0;
+        }
     }
 
     /// Feeds one packet of suspicious flow `flow` into the engine.
@@ -396,11 +474,15 @@ impl Monitor {
         // so the closure can bump the gauge exactly when the entry is
         // inserted — no second map lookup on the hot path.
         let metrics = &self.control.metrics;
+        let flows_tracked = &mut self.flows_tracked;
         let suspect = self.control.suspects.entry(flow).or_insert_with(|| {
             metrics.flows_active.inc();
+            *flows_tracked += 1;
             Suspect {
                 window: SlidingWindow::new(window_capacity),
                 pairs: BTreeMap::new(),
+                next_due: 0,
+                instance: *flows_tracked,
             }
         });
         if suspect.window.push(packet).is_err() {
@@ -508,6 +590,7 @@ impl Monitor {
             pairs_latched: m.pairs_latched.get(),
             decodes_scheduled: m.decodes_scheduled.get(),
             decodes_run: m.decodes_run.get(),
+            decodes_screened: m.decodes_screened.get(),
             decodes_dropped: self.gauges.iter().map(ShardGauges::dropped).sum(),
             queue_depths: self.gauges.iter().map(ShardGauges::depth).collect(),
             queue_enqueued: self.gauges.iter().map(ShardGauges::enqueued).sum(),
@@ -561,73 +644,32 @@ impl Monitor {
         // its last decode (or was never decoded at all).
         let flows: Vec<FlowId> = self.control.suspects.keys().copied().collect();
         for flow in flows {
-            let Some(suspect) = self.control.suspects.get(&flow) else {
+            let Some(suspect) = self.control.suspects.get_mut(&flow) else {
                 continue;
             };
             let mut jobs = Vec::new();
-            for (&upstream, state) in &suspect.pairs {
-                let Some(correlator) = self.upstreams.get(&upstream) else {
+            for (&upstream, correlator) in &self.upstreams {
+                let Some(state) = suspect.pairs.get_mut(&upstream) else {
                     continue;
                 };
                 if state.resolved
                     || state.in_flight
-                    || suspect.window.len() < self.min_window_for(correlator)
+                    || suspect.window.len() < min_window(&self.config, correlator)
                     || state.decoded_through >= suspect.window.pushed()
                 {
                     continue;
                 }
-                jobs.push((upstream, Arc::clone(correlator)));
-            }
-            for (upstream, correlator) in jobs {
-                let pair = PairId { upstream, flow };
-                let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
-                if self.supervisor.is_stalled(shard) {
-                    // Scheduling onto a wedged shard would hang the
-                    // flush; degraded is the honest terminal word.
-                    self.degrade_pair(pair, DegradeReason::Stalled);
-                    continue;
+                if state.screen(correlator, &suspect.window) {
+                    jobs.push((upstream, Arc::clone(correlator)));
+                } else {
+                    self.control.metrics.decodes_screened.inc();
                 }
-                let Some(suspect) = self.control.suspects.get_mut(&flow) else {
-                    continue;
-                };
-                let job = DecodeJob {
-                    pair,
-                    correlator,
-                    window: suspect.window.snapshot(),
-                    pushed: suspect.window.pushed(),
-                };
-                let pushed = job.pushed;
-                // Blocking push: the flush must not drop work. The
-                // pump callback keeps draining completions so a full
-                // queue and an undrained done stream cannot deadlock —
-                // and keeps respawning dead workers, so the queue is
-                // always eventually drained; the disjoint
-                // `control`/`shards`/`supervisor` borrows make this
-                // legal.
-                let sender = &self.shards[shard];
-                let control = &mut self.control;
-                let supervisor = &mut self.supervisor;
-                let done_rx = &self.done_rx;
-                let accepted = sender
-                    .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
-                    .is_ok();
-                if accepted {
-                    self.control.metrics.decodes_scheduled.inc();
-                    if let Some(state) = self
-                        .control
-                        .suspects
-                        .get_mut(&flow)
-                        .and_then(|s| s.pairs.get_mut(&upstream))
-                    {
-                        state.in_flight = true;
-                        state.decoded_through = pushed;
-                    }
-                }
-                // A push error means the shard's receiver is gone —
-                // impossible while the supervisor holds it, but if it
-                // ever happens the pair still resolves through the
-                // terminal sweep below.
             }
+            // A push error means the shard's receiver is gone —
+            // impossible while the supervisor holds it, but if it ever
+            // happens the pair still resolves through the terminal
+            // sweep below.
+            self.submit(flow, jobs, Push::Flush);
         }
         // Closing the job channels lets workers drain and exit; the
         // supervisor joins them, respawning as needed until every
@@ -736,42 +778,25 @@ impl Monitor {
         self.control.emit(Verdict::Degraded { pair, reason });
     }
 
-    /// The window size a pair needs before decoding is worthwhile: a
-    /// complete matching needs at least as many suspicious packets as
-    /// upstream packets, clamped to what the window can ever hold.
-    ///
-    /// Under `--decode robust` the requirement relaxes by the erasure
-    /// budget: deletions make a genuine downstream flow *shorter* than
-    /// its upstream, and the robust decode is built to absorb exactly
-    /// that many missing packets.
-    fn min_window_for(&self, correlator: &BoundCorrelator) -> usize {
-        let decode = correlator.decode_options();
-        let full = correlator.upstream().len();
-        let needed = if decode.is_robust() {
-            full.saturating_sub(decode.erasure_budget as usize)
-        } else {
-            full
-        };
-        needed
-            .min(self.config.window_capacity)
-            .max(self.config.min_window.min(self.config.window_capacity))
-            .max(1)
-    }
-
-    /// Schedules decodes for `flow`'s pairs that have accrued enough
-    /// new packets. Uses `try_push`; a full shard queue counts a drop
-    /// and the pair retries on a later packet. Sustained drop streaks
-    /// trip the load-shedding policy, if enabled.
+    /// Schedules decodes for `flow`'s pairs that have reached a decode
+    /// boundary, after screening each one. Between boundaries this is a
+    /// single comparison against the flow's `next_due`. Uses `try_push`
+    /// on the live schedule; a full shard queue counts a drop and the
+    /// pair retries on the next packet. Sustained drop streaks trip the
+    /// load-shedding policy, if enabled.
     fn schedule_pairs(&mut self, flow: FlowId) {
-        let upstream_ids: Vec<UpstreamId> = self.upstreams.keys().copied().collect();
-        for upstream in upstream_ids {
-            let Some(correlator) = self.upstreams.get(&upstream).map(Arc::clone) else {
-                continue;
-            };
-            let min_window = self.min_window_for(&correlator);
-            let Some(suspect) = self.control.suspects.get_mut(&flow) else {
-                return;
-            };
+        let Some(suspect) = self.control.suspects.get_mut(&flow) else {
+            return;
+        };
+        let pushed = suspect.window.pushed();
+        if pushed < suspect.next_due {
+            return;
+        }
+        let batch = self.config.decode_batch as u64;
+        let live = !self.config.deterministic_schedule;
+        let mut next_due = u64::MAX;
+        let mut jobs = Vec::new();
+        for (&upstream, correlator) in &self.upstreams {
             let state = match suspect.pairs.entry(upstream) {
                 btree_map::Entry::Vacant(entry) => {
                     // A fresh pair enters the active gauge (PairState
@@ -781,72 +806,80 @@ impl Monitor {
                 }
                 btree_map::Entry::Occupied(entry) => entry.into_mut(),
             };
+            if state.resolved {
+                continue;
+            }
+            let due = state.due_at(&suspect.window, min_window(&self.config, correlator), batch);
             // Deterministic mode never skips a boundary for an
             // in-flight decode: multiple jobs for one pair may queue,
             // and `absorb` tolerates completions in any order.
-            if state.resolved
-                || (state.in_flight && !self.config.deterministic_schedule)
-                || suspect.window.len() < min_window
-                || suspect.window.pushed() - state.decoded_through < self.config.decode_batch as u64
-            {
+            if due > pushed || (live && state.in_flight) {
+                // An overdue pair waiting on its in-flight decode
+                // retries on the next packet.
+                next_due = next_due.min(due.max(pushed + 1));
                 continue;
             }
+            if state.screen(correlator, &suspect.window) {
+                jobs.push((upstream, Arc::clone(correlator)));
+            } else {
+                self.control.metrics.decodes_screened.inc();
+            }
+            next_due = next_due.min(pushed.saturating_add(batch));
+        }
+        suspect.next_due = next_due;
+        let push = if live { Push::Try } else { Push::Block };
+        if self.submit(flow, jobs, push) {
+            if let Some(suspect) = self.control.suspects.get_mut(&flow) {
+                suspect.next_due = pushed + 1;
+            }
+        }
+    }
+
+    /// Pushes one boundary's jobs for `flow` onto their shards, all
+    /// sharing one snapshot of the flow's window. Returns `true` if a
+    /// [`Push::Try`] found its queue full and dropped an attempt.
+    fn submit(
+        &mut self,
+        flow: FlowId,
+        jobs: Vec<(UpstreamId, Arc<BoundCorrelator>)>,
+        push: Push,
+    ) -> bool {
+        if jobs.is_empty() {
+            return false;
+        }
+        let Some(suspect) = self.control.suspects.get(&flow) else {
+            return false;
+        };
+        let pushed = suspect.window.pushed();
+        let instance = suspect.instance;
+        let window = Arc::new(suspect.window.snapshot());
+        let mut dropped = false;
+        for (upstream, correlator) in jobs {
             let pair = PairId { upstream, flow };
-            let pushed = suspect.window.pushed();
+            let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
+            if push == Push::Flush && self.supervisor.is_stalled(shard) {
+                // Scheduling onto a wedged shard would hang the flush;
+                // degraded is the honest terminal word.
+                self.degrade_pair(pair, DegradeReason::Stalled);
+                continue;
+            }
             let job = DecodeJob {
                 pair,
                 correlator,
-                window: suspect.window.snapshot(),
+                window: Arc::clone(&window),
                 pushed,
+                instance,
             };
-            let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
-            if self.config.deterministic_schedule {
-                // Blocking push, as in the shutdown flush: the decoded
-                // windows must be a pure function of the event stream,
-                // so a full queue stalls ingest (while the pump keeps
-                // completions draining) instead of dropping the
-                // attempt. The disjoint `control`/`shards`/`supervisor`
-                // borrows make the callback legal.
-                let sender = &self.shards[shard];
-                let control = &mut self.control;
-                let supervisor = &mut self.supervisor;
-                let done_rx = &self.done_rx;
-                let accepted = sender
-                    .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
-                    .is_ok();
+            let accepted = if push == Push::Try {
+                let accepted = self.shards[shard].try_push(job).is_ok();
                 if accepted {
-                    self.control.metrics.decodes_scheduled.inc();
-                    if let Some(state) = self
-                        .control
-                        .suspects
-                        .get_mut(&flow)
-                        .and_then(|s| s.pairs.get_mut(&upstream))
-                    {
-                        state.in_flight = true;
-                        state.decoded_through = pushed;
-                    }
-                }
-                continue;
-            }
-            match self.shards[shard].try_push(job) {
-                Ok(()) => {
                     self.drop_streak = 0;
-                    self.control.metrics.decodes_scheduled.inc();
-                    if let Some(state) = self
-                        .control
-                        .suspects
-                        .get_mut(&flow)
-                        .and_then(|s| s.pairs.get_mut(&upstream))
-                    {
-                        state.in_flight = true;
-                        state.decoded_through = pushed;
-                    }
-                }
-                Err(_) => {
+                } else {
                     // The drop is already counted by the shard queue;
-                    // the pair retries when more packets arrive. A long
+                    // the pair retries on the next packet. A long
                     // enough streak means the engine is oversubscribed,
                     // and shedding one pair beats starving them all.
+                    dropped = true;
                     self.drop_streak += 1;
                     if let Some(limit) = self.config.shed_after_drops {
                         if self.drop_streak >= limit {
@@ -855,8 +888,39 @@ impl Monitor {
                         }
                     }
                 }
+                accepted
+            } else {
+                // Blocking push: the decoded windows must be a pure
+                // function of the event stream, and the flush must not
+                // drop work, so a full queue stalls instead of
+                // dropping. The pump callback keeps draining
+                // completions so a full queue and an undrained done
+                // stream cannot deadlock — and keeps respawning dead
+                // workers, so the queue is always eventually drained;
+                // the disjoint `control`/`shards`/`supervisor` borrows
+                // make this legal.
+                let sender = &self.shards[shard];
+                let control = &mut self.control;
+                let supervisor = &mut self.supervisor;
+                let done_rx = &self.done_rx;
+                sender
+                    .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
+                    .is_ok()
+            };
+            if accepted {
+                self.control.metrics.decodes_scheduled.inc();
+                if let Some(state) = self
+                    .control
+                    .suspects
+                    .get_mut(&flow)
+                    .and_then(|s| s.pairs.get_mut(&upstream))
+                {
+                    state.in_flight = true;
+                    state.decoded_through = pushed;
+                }
             }
         }
+        dropped
     }
 
     /// Sheds the lowest-priority pair — unresolved, not in flight, and
@@ -887,4 +951,26 @@ impl Monitor {
             self.degrade_pair(PairId { upstream, flow }, DegradeReason::Shed);
         }
     }
+}
+
+/// The window size a pair needs before decoding is worthwhile: a
+/// complete matching needs at least as many suspicious packets as
+/// upstream packets, clamped to what the window can ever hold.
+///
+/// Under `--decode robust` the requirement relaxes by the erasure
+/// budget: deletions make a genuine downstream flow *shorter* than its
+/// upstream, and the robust decode is built to absorb exactly that many
+/// missing packets.
+fn min_window(config: &MonitorConfig, correlator: &BoundCorrelator) -> usize {
+    let decode = correlator.decode_options();
+    let full = correlator.upstream().len();
+    let needed = if decode.is_robust() {
+        full.saturating_sub(decode.erasure_budget as usize)
+    } else {
+        full
+    };
+    needed
+        .min(config.window_capacity)
+        .max(config.min_window.min(config.window_capacity))
+        .max(1)
 }

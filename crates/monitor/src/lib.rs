@@ -17,6 +17,11 @@
 //! * **incremental scheduling**: a pair is re-decoded only after its
 //!   window accrues [`decode_batch`](MonitorConfig::decode_batch) new
 //!   packets, and never while an earlier decode is still in flight;
+//! * **decode screening**: at each boundary the backend's
+//!   [`screen`](stepstone_core::CorrelatorBackend::screen) may prove the
+//!   decode's outcome without running it — a strict paper decode whose
+//!   matching is already infeasible — and the boundary is then counted
+//!   ([`MonitorStats::decodes_screened`]) instead of decoded;
 //! * **explicit backpressure**: shard queues are bounded and ingest
 //!   never blocks — an attempt against a full queue is dropped and
 //!   counted, and the pair retries as more packets arrive;

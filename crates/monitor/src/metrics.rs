@@ -36,6 +36,9 @@ pub(crate) struct EngineMetrics {
     pub decodes_scheduled: Arc<Counter>,
     /// Decode jobs completed by workers.
     pub decodes_run: Arc<Counter>,
+    /// Decode boundaries whose outcome the backend's screen proved, so
+    /// no job was scheduled.
+    pub decodes_screened: Arc<Counter>,
     /// Decode panics caught in worker threads.
     pub worker_panics: Arc<Counter>,
     /// Shard workers respawned by the supervisor after a death.
@@ -104,6 +107,10 @@ impl EngineMetrics {
             decodes_run: r.counter(
                 "monitor_decodes_run_total",
                 "Decode jobs completed by shard workers",
+            ),
+            decodes_screened: r.counter(
+                "monitor_decodes_screened_total",
+                "Decode boundaries resolved by the backend's screen without a decode job",
             ),
             worker_panics: r.counter(
                 "monitor_worker_panics_total",

@@ -31,6 +31,10 @@ pub struct MonitorStats {
     pub decodes_scheduled: u64,
     /// Decode jobs completed by workers.
     pub decodes_run: u64,
+    /// Decode boundaries skipped because the backend's screen proved
+    /// their outcome: a strict decode whose matching is infeasible.
+    /// Each still counts as a decode in its pair's `Cleared` verdict.
+    pub decodes_screened: u64,
     /// Decode attempts dropped because the target shard queue was full
     /// (backpressure; the pair retries as more packets arrive).
     pub decodes_dropped: u64,
@@ -92,8 +96,12 @@ impl fmt::Display for MonitorStats {
         )?;
         writeln!(
             f,
-            "decodes: {} scheduled, {} run, {} dropped (backpressure), {} panicked",
-            self.decodes_scheduled, self.decodes_run, self.decodes_dropped, self.worker_panics
+            "decodes: {} scheduled, {} run, {} screened, {} dropped (backpressure), {} panicked",
+            self.decodes_scheduled,
+            self.decodes_run,
+            self.decodes_screened,
+            self.decodes_dropped,
+            self.worker_panics
         )?;
         writeln!(
             f,

@@ -19,6 +19,7 @@
 //!    those pairs instead of hanging on them.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -40,16 +41,26 @@ use crate::queue::{ShardGauges, ShardReceiver};
 pub(crate) struct DecodeJob {
     pub pair: PairId,
     pub correlator: Arc<BoundCorrelator>,
-    pub window: Flow,
+    /// The flow's window at the boundary, shared by every job the
+    /// boundary scheduled for the flow.
+    pub window: Arc<Flow>,
     /// The flow's cumulative push count at snapshot time; carried back
-    /// in the completion so staleness is observable.
+    /// in the completion so outcomes are ordered by boundary.
     pub pushed: u64,
+    /// Which tracking of the flow scheduled the job: a flow evicted
+    /// and tracked again under the same id gets a new instance.
+    pub instance: u64,
 }
 
 /// A finished decode, reported back to the control side.
 pub(crate) struct Completion {
     pub pair: PairId,
-    pub outcome: Correlation,
+    /// The decode's outcome; `None` when the job was answered without
+    /// a decode because its pair had already latched (see
+    /// [`LATCHED_CAP`]).
+    pub outcome: Option<Correlation>,
+    /// The job's `pushed`.
+    pub pushed: u64,
 }
 
 /// What a worker thread reports on the done channel.
@@ -148,6 +159,18 @@ fn panicked_outcome() -> Correlation {
     }
 }
 
+/// Pairs a worker remembers as latched, at most. A worker that decoded
+/// a correlating window for a pair answers that pair's later jobs (of
+/// the same flow instance) without decoding: the control side absorbs
+/// completions in the order the worker sends them, so it has latched
+/// the pair and emitted its verdict before it sees them, and it reads
+/// nothing from them but the release of the pair. Under the
+/// deterministic schedule a pair keeps getting jobs at every boundary
+/// until its first correlating decode completes, so a true pair can
+/// have many queued behind it. The set is cleared when full; a
+/// forgotten pair is simply decoded again.
+const LATCHED_CAP: usize = 4096;
+
 /// Runs one decode with panic containment: a panicking decode is
 /// counted and mapped to [`panicked_outcome`] so the job still yields a
 /// completion — otherwise the control side would wait on the pair
@@ -172,6 +195,7 @@ fn worker_loop(ctx: WorkerContext) {
         done: ctx.done.clone(),
         inflight: Cell::new(None),
     };
+    let mut latched: HashSet<(PairId, u64)> = HashSet::new();
     loop {
         ctx.touch_heartbeat();
         let job = {
@@ -201,27 +225,14 @@ fn worker_loop(ctx: WorkerContext) {
             }
             DecodeFault::None | DecodeFault::Panic => {}
         }
-        span!(ctx.metrics.registry.spans(), "decode");
-        let backend_latency =
-            Arc::clone(&ctx.metrics.backend_decode_latency[job.correlator.backend().index()]);
-        let mode_latency =
-            Arc::clone(&ctx.metrics.mode_decode_latency[job.correlator.decode_mode().index()]);
-        let outcome = time!(ctx.metrics.decode_latency, {
-            time!(backend_latency, {
-                time!(mode_latency, {
-                    run_contained(
-                        || {
-                            if matches!(fault, DecodeFault::Panic) {
-                                // Quiet unwind, caught by the containment.
-                                std::panic::resume_unwind(Box::new(InjectedPanic));
-                            }
-                            job.correlator.correlate(&job.window)
-                        },
-                        &ctx.metrics.worker_panics,
-                    )
-                })
-            })
-        });
+        let key = (job.pair, job.instance);
+        let outcome = (!latched.contains(&key)).then(|| decode(&ctx, &job, fault));
+        if outcome.as_ref().is_some_and(|o| o.correlated) {
+            if latched.len() >= LATCHED_CAP {
+                latched.clear();
+            }
+            latched.insert(key);
+        }
         ctx.metrics.decodes_run.inc();
         notice.inflight.set(None);
         ctx.touch_heartbeat();
@@ -230,6 +241,7 @@ fn worker_loop(ctx: WorkerContext) {
             .send(WorkerEvent::Done(Completion {
                 pair: job.pair,
                 outcome,
+                pushed: job.pushed,
             }))
             .is_err()
         {
@@ -237,6 +249,33 @@ fn worker_loop(ctx: WorkerContext) {
             break;
         }
     }
+}
+
+/// Decodes one job's window, timed into the decode-latency histograms
+/// and with panic containment; an injected [`DecodeFault::Panic`]
+/// fires inside the containment.
+fn decode(ctx: &WorkerContext, job: &DecodeJob, fault: DecodeFault) -> Correlation {
+    span!(ctx.metrics.registry.spans(), "decode");
+    let backend_latency =
+        Arc::clone(&ctx.metrics.backend_decode_latency[job.correlator.backend().index()]);
+    let mode_latency =
+        Arc::clone(&ctx.metrics.mode_decode_latency[job.correlator.decode_mode().index()]);
+    time!(ctx.metrics.decode_latency, {
+        time!(backend_latency, {
+            time!(mode_latency, {
+                run_contained(
+                    || {
+                        if matches!(fault, DecodeFault::Panic) {
+                            // Quiet unwind, caught by the containment.
+                            std::panic::resume_unwind(Box::new(InjectedPanic));
+                        }
+                        job.correlator.correlate(&job.window)
+                    },
+                    &ctx.metrics.worker_panics,
+                )
+            })
+        })
+    })
 }
 
 /// Per-shard supervision state.

@@ -5,9 +5,11 @@
 use std::collections::BTreeMap;
 
 use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
-use stepstone_core::{Algorithm, WatermarkCorrelator};
+use stepstone_core::{Algorithm, BoundCorrelator, DecodeOptions, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
-use stepstone_monitor::{FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict};
+use stepstone_monitor::{
+    DecodeFault, FaultHook, FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict,
+};
 use stepstone_traffic::{InteractiveProfile, Seed, SessionGenerator};
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
@@ -26,8 +28,8 @@ fn attack(marked: &Flow, seed: u64) -> Flow {
         .apply(marked, Seed::new(seed))
 }
 
-/// A monitor with one registered upstream built from `n` packets.
-fn monitor_with_upstream(config: MonitorConfig, n: usize, seed: u64) -> (Monitor, Flow) {
+/// A watermarked upstream flow of `n` packets and its bound correlator.
+fn upstream(n: usize, seed: u64, decode: DecodeOptions) -> (BoundCorrelator, Flow) {
     let original = interactive(n, seed);
     let marker = IpdWatermarker::new(WatermarkKey::new(seed ^ 0xABC), WatermarkParams::small());
     let watermark = Watermark::random(8, &mut WatermarkKey::new(seed).rng(1));
@@ -37,9 +39,16 @@ fn monitor_with_upstream(config: MonitorConfig, n: usize, seed: u64) -> (Monitor
         watermark,
         TimeDelta::from_secs(2),
         Algorithm::GreedyPlus,
-    );
+    )
+    .with_decode(decode);
+    (correlator.bind(&original, &marked).unwrap(), marked)
+}
+
+/// A monitor with one registered upstream built from `n` packets.
+fn monitor_with_upstream(config: MonitorConfig, n: usize, seed: u64) -> (Monitor, Flow) {
+    let (correlator, marked) = upstream(n, seed, DecodeOptions::strict());
     let mut monitor = Monitor::new(config);
-    monitor.register_upstream(UpstreamId(0), correlator.bind(&original, &marked).unwrap());
+    monitor.register_upstream(UpstreamId(0), correlator);
     (monitor, marked)
 }
 
@@ -102,20 +111,168 @@ fn finish_flushes_every_pair_through_full_single_slot_queues() {
     assert_eq!(stats.verdicts_emitted, report.verdicts.len() as u64);
 }
 
+/// An upstream registered while flows are already tracked must still
+/// pair with each of them. Ingest skips a flow's upstream walk until its
+/// next decode boundary, and with `decode_batch` above the stream length
+/// that boundary never comes, so registration has to re-arm the walk:
+/// every (upstream, flow) pair then gets exactly one terminal verdict,
+/// and the late upstream's true downstream is detected at the flush.
+#[test]
+fn upstream_registered_mid_stream_pairs_with_tracked_flows() {
+    const FLOWS: usize = 4;
+    let (mut monitor, marked) = monitor_with_upstream(
+        MonitorConfig::default().with_decode_batch(1_000_000),
+        200,
+        21,
+    );
+    let (late, late_marked) = upstream(200, 22, DecodeOptions::strict());
+    let flows: Vec<Flow> = (0..FLOWS)
+        .map(|i| match i {
+            0 => attack(&late_marked, 500),
+            _ => attack(&marked, 500 + i as u64),
+        })
+        .collect();
+    for (i, flow) in flows.iter().enumerate() {
+        for &p in &flow.packets()[..flow.len() / 2] {
+            monitor.ingest(FlowId(i as u64), p);
+        }
+    }
+    assert_eq!(monitor.stats().pairs_active, FLOWS);
+    monitor.register_upstream(UpstreamId(1), late);
+    for (i, flow) in flows.iter().enumerate() {
+        for &p in &flow.packets()[flow.len() / 2..] {
+            monitor.ingest(FlowId(i as u64), p);
+        }
+    }
+    assert_eq!(monitor.stats().pairs_active, 2 * FLOWS);
+    let report = monitor.finish();
+    assert_one_terminal_verdict_per_pair(&report.verdicts, 2 * FLOWS);
+    let late_pair = PairId {
+        upstream: UpstreamId(1),
+        flow: FlowId(0),
+    };
+    assert!(
+        report
+            .verdicts
+            .iter()
+            .any(|v| v.is_correlated() && v.pair() == Some(late_pair)),
+        "the late upstream's downstream must be detected: {:?}",
+        report.verdicts
+    );
+}
+
+/// Under the deterministic schedule a pair gets a job at every
+/// boundary, even while an earlier one is queued. Once a decode
+/// correlates, the worker answers the pair's later jobs without
+/// decoding them: with the first decode held up, a true downstream
+/// that keeps sending queues many jobs behind it, yet only the first is
+/// decoded, every job still completes, and the pair gets exactly one
+/// `Correlated` verdict.
+#[test]
+fn jobs_behind_a_latching_decode_are_not_decoded() {
+    let hook = FaultHook::new(|seq, _pair| match seq {
+        0 => DecodeFault::Sleep(50_000),
+        _ => DecodeFault::None,
+    });
+    let (mut monitor, marked) = monitor_with_upstream(
+        MonitorConfig::default()
+            .with_decode_batch(1)
+            .with_deterministic_schedule()
+            .with_fault_hook(hook),
+        200,
+        7,
+    );
+    let downstream = attack(&marked, 100);
+    let last = downstream.last().unwrap().timestamp();
+    let tail = (1..=40).map(|k| Packet::new(last + TimeDelta::from_secs(k), 64));
+    for p in downstream.iter().copied().chain(tail) {
+        monitor.ingest(FlowId(0), p);
+    }
+    let registry = monitor.registry();
+    let report = monitor.finish();
+    assert_one_terminal_verdict_per_pair(&report.verdicts, 1);
+    assert!(report.verdicts[0].is_correlated(), "{:?}", report.verdicts);
+    let stats = report.stats;
+    assert_eq!(stats.decodes_scheduled, stats.decodes_run, "{stats}");
+    assert!(stats.decodes_run >= 40, "{stats}");
+    let decoded = registry
+        .histogram("monitor_decode_latency_micros", "")
+        .snapshot()
+        .count();
+    assert_eq!(decoded, 1, "{stats}");
+}
+
+/// A flow evicted after its pair latched and then tracked again under
+/// the same id is judged afresh: the worker's memory of the latched
+/// pair belongs to the first tracking, so the second one's jobs are
+/// decoded and the true downstream latches again.
+#[test]
+fn a_flow_tracked_again_after_eviction_is_decoded_again() {
+    let (mut monitor, marked) = monitor_with_upstream(
+        MonitorConfig::default()
+            .with_decode_batch(8)
+            .with_deterministic_schedule()
+            .with_idle_timeout(TimeDelta::from_secs(60)),
+        200,
+        7,
+    );
+    let downstream = attack(&marked, 100);
+    let last = downstream.last().unwrap().timestamp();
+    let tail: Vec<Packet> = (1..=40)
+        .map(|k| Packet::new(last + TimeDelta::from_secs(k), 64))
+        .collect();
+    let pair = PairId {
+        upstream: UpstreamId(0),
+        flow: FlowId(0),
+    };
+    let mut verdicts = Vec::new();
+    for round in 0..2 {
+        for &p in downstream.iter().chain(&tail) {
+            monitor.ingest(FlowId(0), p);
+        }
+        // Wait for the latch, then let the flow go idle.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while verdicts
+            .iter()
+            .filter(|v: &&Verdict| v.is_correlated() && v.pair() == Some(pair))
+            .nth(round)
+            .is_none()
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "round {round}: {verdicts:?}"
+            );
+            verdicts.extend(monitor.drain_verdicts());
+            std::thread::yield_now();
+        }
+        let idle = last + TimeDelta::from_secs(3600);
+        assert_eq!(monitor.evict_idle(idle), 1);
+    }
+    verdicts.extend(monitor.finish().verdicts);
+    let latched = verdicts
+        .iter()
+        .filter(|v| v.is_correlated() && v.pair() == Some(pair))
+        .count();
+    assert_eq!(latched, 2, "{verdicts:?}");
+}
+
 /// Heavy backpressure: drops are counted, but accepted work is
 /// conserved — after `finish`, scheduled = run, the queues are empty,
-/// and no pair is left without a verdict.
+/// and no pair is left without a verdict. The decode is robust, which
+/// the engine never screens: strict decodes are screened until a
+/// window reaches the upstream's last packet, which leaves too few
+/// jobs to fill the queue reliably.
 #[test]
 fn drop_accounting_is_conserved_under_backpressure() {
     const FLOWS: usize = 6;
-    let (mut monitor, marked) = monitor_with_upstream(
+    let (correlator, marked) = upstream(200, 9, DecodeOptions::robust(8));
+    let mut monitor = Monitor::new(
         MonitorConfig::default()
             .with_shards(1)
             .with_queue_capacity(1)
             .with_decode_batch(1),
-        200,
-        9,
     );
+    monitor.register_upstream(UpstreamId(0), correlator);
     let mut total_packets = 0u64;
     for i in 0..FLOWS {
         let flow = attack(&marked, 300 + i as u64);

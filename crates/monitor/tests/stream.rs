@@ -2,7 +2,7 @@
 //! eviction and verdict plumbing.
 
 use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
-use stepstone_core::{Algorithm, WatermarkCorrelator};
+use stepstone_core::{Algorithm, DecodeOptions, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
 use stepstone_monitor::{FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict};
 use stepstone_traffic::{InteractiveProfile, Seed, SessionGenerator};
@@ -126,6 +126,9 @@ fn backpressure_drops_decodes_without_blocking_ingest() {
     let s = scenario(21, 200, 2);
     // One shard with a single-slot queue, re-decode after every packet:
     // once the worker is busy, concurrent flows must hit a full queue.
+    // The decode is robust, which the engine never screens: a strict
+    // decode of these unrelated flows is provably unmatched at almost
+    // every boundary, so it would schedule next to no jobs.
     let mut monitor = Monitor::new(
         MonitorConfig::default()
             .with_shards(1)
@@ -134,7 +137,11 @@ fn backpressure_drops_decodes_without_blocking_ingest() {
     );
     monitor.register_upstream(
         UpstreamId(0),
-        s.correlator.bind(&s.original, &s.marked).unwrap(),
+        s.correlator
+            .clone()
+            .with_decode(DecodeOptions::robust(8))
+            .bind(&s.original, &s.marked)
+            .unwrap(),
     );
     let flows: Vec<Flow> = (0..8)
         .map(|i| attack(&interactive(260, 700 + i), 2, 0.5, i))

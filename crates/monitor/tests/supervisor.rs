@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use rand::Rng;
-use stepstone_core::{Algorithm, WatermarkCorrelator};
+use stepstone_core::{Algorithm, DecodeOptions, WatermarkCorrelator};
 use stepstone_flow::{Flow, TimeDelta, Timestamp};
 use stepstone_monitor::{
     DecodeFault, FaultHook, FlowId, Monitor, MonitorConfig, MonitorReport, PairId, UpstreamId,
@@ -257,6 +257,9 @@ fn sustained_backpressure_sheds_the_smallest_pair() {
     // slot while the worker sleeps — the drop streak is guaranteed to
     // pass the shed threshold, and the smallest-window pair (a 12-packet
     // decoy that can never reach min_window) is the designated victim.
+    // The decode is robust with a zero erasure budget: the engine never
+    // screens a robust decode, so every boundary schedules a job, while
+    // min_window stays the upstream's full 24 packets.
     let original = seeded_flow(13, 24);
     let marker = IpdWatermarker::new(WatermarkKey::new(13 ^ 77), tiny_params());
     let watermark = Watermark::random(4, &mut WatermarkKey::new(13).rng(1));
@@ -266,7 +269,8 @@ fn sustained_backpressure_sheds_the_smallest_pair() {
         watermark,
         TimeDelta::from_secs(3),
         Algorithm::GreedyPlus,
-    );
+    )
+    .with_decode(DecodeOptions::robust(0));
     let hook = FaultHook::new(|_seq, _pair| DecodeFault::Sleep(5_000));
     let mut monitor = Monitor::new(
         MonitorConfig::default()
