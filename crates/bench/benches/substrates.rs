@@ -2,10 +2,12 @@
 //! sits on, in isolation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use stepstone_adversary::{ChaffInjector, ChaffModel, Transform, UniformPerturbation};
+use stepstone_adversary::{
+    AdversaryPipeline, ChaffInjector, ChaffModel, PacketLoss, Transform, UniformPerturbation,
+};
 use stepstone_bench::Fixture;
-use stepstone_flow::{TimeDelta, Timestamp};
-use stepstone_matching::{CostMeter, Matcher};
+use stepstone_flow::{Flow, TimeDelta, Timestamp};
+use stepstone_matching::{CostMeter, GappedSets, Matcher};
 use stepstone_netsim::SteppingStoneChain;
 use stepstone_traffic::{tcplib::TelnetModel, InteractiveProfile, Seed, SessionGenerator};
 
@@ -67,6 +69,31 @@ fn bench_watermark(c: &mut Criterion) {
     group.finish();
 }
 
+/// The robust-decode shape of the `lossy-robust` pipeline workload: a
+/// 1,500-packet upstream against a 2,300-packet window of its relay
+/// after Δ = 1 s perturbation, λc = 2/s Poisson chaff and 2% packet
+/// loss. The window is a prefix, as the monitor's windows are while the
+/// relay is still arriving (2,300 is about the mean window of a
+/// scheduled decode on that workload), so the upstream packets past its
+/// end are erasures.
+fn lossy_pair() -> (Flow, Flow) {
+    let seed = Seed::new(0x1055);
+    let upstream = SessionGenerator::new(InteractiveProfile::ssh()).generate(
+        1500,
+        Timestamp::ZERO,
+        &mut seed.child(0).rng(0),
+    );
+    let relayed = AdversaryPipeline::new()
+        .then(UniformPerturbation::new(TimeDelta::from_secs(1)))
+        .then(ChaffInjector::new(ChaffModel::Poisson { rate: 2.0 }))
+        .then(PacketLoss::new(0.02))
+        .apply(&upstream, seed.child(1));
+    let window = relayed
+        .subsequence(0..2300)
+        .expect("the relay outlasts the window");
+    (upstream, window)
+}
+
 fn bench_matching(c: &mut Criterion) {
     let fx = Fixture::standard();
     let matcher = Matcher::new(fx.delta());
@@ -89,6 +116,18 @@ fn bench_matching(c: &mut Criterion) {
             let mut meter = CostMeter::new();
             assert!(s.tighten(&mut meter));
             s
+        })
+    });
+    // Gap-tolerant matching, as a robust decode runs it: the strict
+    // matcher would abort on the first deleted packet.
+    let (upstream, window) = lossy_pair();
+    let lossy = Matcher::new(TimeDelta::from_secs(1));
+    group.bench_function("gapped_compute_tighten", |b| {
+        b.iter(|| {
+            let mut meter = CostMeter::new();
+            let mut sets = GappedSets::compute(&lossy, &upstream, &window, &mut meter);
+            let _ = sets.tighten(&mut meter);
+            sets
         })
     });
     group.finish();

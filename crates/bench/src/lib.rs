@@ -8,8 +8,9 @@
 //!   (correlated and uncorrelated pairs at the headline grid point);
 //! * `ablations` — design-choice sweeps (phase-1 scope, adjustment `a`,
 //!   redundancy `r`, Optimal cost bound);
-//! * `substrates` — traffic generation, the chain simulator, matching,
-//!   embedding and decoding in isolation;
+//! * `substrates` — traffic generation, the chain simulator, matching
+//!   (strict, and gap-tolerant on a lossy window as a robust decode
+//!   runs it), embedding and decoding in isolation;
 //! * `monitor` — online-engine throughput at 1, 8 and 64 candidate
 //!   pairs and one or all cores, plus the chaos fault seam's overhead;
 //!   prints the decodes each configuration runs;

@@ -84,8 +84,8 @@ mod tests {
     fn complete_sets_decode_every_bit() {
         let (p, w) = plan(vec![true; 8]);
         let n = 200;
-        let wide: Vec<Vec<u32>> = (0..n as u32).map(|i| (i..i + 10).collect()).collect();
-        let sets = GappedSets::from_sets(wide, n + 10);
+        let wide = (0..n as u32).map(|i| i..i + 10).collect();
+        let sets = GappedSets::from_ranges(wide, n + 10);
         let flow = second_flow(n + 10);
         let mut meter = CostMeter::new();
         let g = decode_gapped(&p, &sets, &flow, &mut meter);
@@ -101,10 +101,10 @@ mod tests {
         let n = 200;
         // Erase the slots of bit 0's first endpoint.
         let victim = p.endpoints[p.of_bit[0][0]].up;
-        let sets: Vec<Vec<u32>> = (0..n)
-            .map(|i| if i == victim { vec![] } else { vec![i as u32] })
+        let sets = (0..n as u32)
+            .map(|i| if i as usize == victim { i..i } else { i..i + 1 })
             .collect();
-        let sets = GappedSets::from_sets(sets, n);
+        let sets = GappedSets::from_ranges(sets, n);
         let flow = second_flow(n);
         let mut meter = CostMeter::new();
         let g = decode_gapped(&p, &sets, &flow, &mut meter);
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn fully_erased_sets_decode_nothing() {
         let (p, w) = plan(vec![true; 8]);
-        let sets = GappedSets::from_sets(vec![vec![]; 200], 0);
+        let sets = GappedSets::from_ranges(vec![0..0; 200], 0);
         let flow = second_flow(1);
         let mut meter = CostMeter::new();
         let g = decode_gapped(&p, &sets, &flow, &mut meter);

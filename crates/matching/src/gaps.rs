@@ -11,10 +11,82 @@
 //! runs over what survives. The caller holds the erasure count against
 //! its budget; the structure itself never fails.
 
+use std::ops::Range;
+
 use stepstone_flow::Flow;
 
 use crate::cost::CostMeter;
 use crate::sets::Matcher;
+
+/// One upstream packet's matching set: the downstream indices
+/// `[lo, hi)`, filtered by size class when the matcher has a quantum.
+/// Kept trimmed: while the slot is live, `lo` and `hi − 1` are both
+/// candidates; an erased slot has `lo == hi`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    lo: u32,
+    hi: u32,
+    /// The upstream packet's size class; unused without a quantum.
+    class: u32,
+}
+
+impl Slot {
+    const fn is_erased(self) -> bool {
+        self.lo == self.hi
+    }
+
+    /// `true` when downstream index `j` of the range is a candidate:
+    /// always without a quantum (`classes` empty), else when its size
+    /// class is the slot's.
+    fn holds(self, classes: &[u32], j: u32) -> bool {
+        classes.is_empty() || classes[j as usize] == self.class
+    }
+
+    /// How many candidates lie in `[from, to)`, a sub-range of the slot.
+    fn count(self, classes: &[u32], from: u32, to: u32) -> u64 {
+        if classes.is_empty() {
+            return u64::from(to - from);
+        }
+        (from..to).filter(|&j| self.holds(classes, j)).count() as u64
+    }
+
+    /// Restores the trimmed invariant after an end moved: steps `lo`
+    /// forward and `hi` back over other-class indices.
+    fn trim(&mut self, classes: &[u32]) {
+        while self.lo < self.hi && !self.holds(classes, self.lo) {
+            self.lo += 1;
+        }
+        while self.lo < self.hi && !self.holds(classes, self.hi - 1) {
+            self.hi -= 1;
+        }
+    }
+
+    /// Drops the candidates at or below `bound` and returns how many
+    /// there were.
+    fn drop_through(&mut self, classes: &[u32], bound: u32) -> u64 {
+        if bound < self.lo {
+            return 0;
+        }
+        let cut = if bound < self.hi { bound + 1 } else { self.hi };
+        let dropped = self.count(classes, self.lo, cut);
+        self.lo = cut;
+        self.trim(classes);
+        dropped
+    }
+
+    /// Drops the candidates at or above `bound` and returns how many
+    /// there were.
+    fn drop_from(&mut self, classes: &[u32], bound: u32) -> u64 {
+        if bound >= self.hi {
+            return 0;
+        }
+        let cut = bound.max(self.lo);
+        let dropped = self.count(classes, cut, self.hi);
+        self.hi = cut;
+        self.trim(classes);
+        dropped
+    }
+}
 
 /// Matching sets `M(p₁)…M(pₙ)` where an empty set is an *erased slot*
 /// (a suspected deletion) rather than a contradiction.
@@ -23,19 +95,40 @@ use crate::sets::Matcher;
 /// upstream packets — but expose no candidates and are skipped by the
 /// tightening propagation: surviving packets must still match in
 /// strictly increasing downstream order *across* the gaps.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Under the timing constraint every matching set is a contiguous run
+/// of downstream indices, and tightening only drops candidates from
+/// its ends, so each slot is stored as a trimmed `[lo, hi)` range
+/// rather than a list. With a size quantum the interior of a range may
+/// hold other-class indices; [`set`](Self::set) filters them and
+/// tightening steps over them.
+#[derive(Debug, Clone)]
 pub struct GappedSets {
-    sets: Vec<Vec<u32>>,
-    erased: Vec<bool>,
+    slots: Vec<Slot>,
+    /// Size class of every suspicious packet; empty when the matcher
+    /// has no size quantum, so every index in a range is a candidate.
+    classes: Vec<u32>,
     suspicious_len: usize,
 }
+
+/// Two gapped sets are equal when they list the same candidates per
+/// upstream packet, whatever range an erased slot was left with.
+impl PartialEq for GappedSets {
+    fn eq(&self, other: &Self) -> bool {
+        self.suspicious_len == other.suspicious_len
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| self.set(i).eq(other.set(i)))
+    }
+}
+
+impl Eq for GappedSets {}
 
 impl GappedSets {
     /// Computes gap-tolerant matching sets with the same two-pointer
     /// scan and size-class filter as [`Matcher::matching_sets`],
     /// marking every empty set erased instead of returning `None`.
     /// Charges `meter` identically (one access per pointer advance and
-    /// per candidate recorded).
+    /// per window entry examined).
     ///
     /// Never fails: any pair of flows, however damaged, yields a
     /// structure (possibly with every slot erased).
@@ -47,8 +140,12 @@ impl GappedSets {
     ) -> Self {
         let n = upstream.len();
         let m = suspicious.len();
-        let mut sets = Vec::with_capacity(n);
-        let mut erased = Vec::with_capacity(n);
+        let quantum = matcher.size_quantum();
+        let classes: Vec<u32> = match quantum {
+            Some(q) => suspicious.iter().map(|p| p.size().div_ceil(q)).collect(),
+            None => Vec::new(),
+        };
+        let mut slots = Vec::with_capacity(n);
         let (mut lo, mut hi) = (0usize, 0usize);
         for i in 0..n {
             let t = upstream.timestamp(i);
@@ -64,65 +161,61 @@ impl GappedSets {
                 meter.charge_one();
                 hi += 1;
             }
-            let mut set: Vec<u32> = Vec::with_capacity(hi - lo);
-            let class = matcher
-                .size_quantum()
-                .map(|q| (upstream[i].size().div_ceil(q), q));
-            for j in lo..hi {
-                meter.charge_one();
-                if let Some((c, q)) = class {
-                    if suspicious[j].size().div_ceil(q) != c {
-                        continue;
-                    }
-                }
-                set.push(j as u32);
-            }
-            erased.push(set.is_empty());
-            sets.push(set);
+            meter.charge((hi - lo) as u64);
+            let mut slot = Slot {
+                lo: lo as u32,
+                hi: hi as u32,
+                class: quantum.map_or(0, |q| upstream[i].size().div_ceil(q)),
+            };
+            slot.trim(&classes);
+            slots.push(slot);
         }
         GappedSets {
-            sets,
-            erased,
+            slots,
+            classes,
             suspicious_len: m,
         }
     }
 
-    /// Builds gapped sets directly (tests and simulation helpers); an
-    /// empty set is an erased slot.
+    /// Builds gapped sets directly from index ranges (tests and
+    /// simulation helpers); an empty range is an erased slot.
     ///
     /// # Panics
     ///
-    /// Panics if any set is unsorted, contains duplicates, or
-    /// references an index at or beyond `suspicious_len`.
-    pub fn from_sets(sets: Vec<Vec<u32>>, suspicious_len: usize) -> Self {
-        for (i, set) in sets.iter().enumerate() {
-            assert!(
-                set.windows(2).all(|w| w[0] < w[1]),
-                "matching set {i} must be strictly sorted"
-            );
-            if let Some(&last) = set.last() {
+    /// Panics if any range is reversed or reaches beyond
+    /// `suspicious_len`.
+    pub fn from_ranges(ranges: Vec<Range<u32>>, suspicious_len: usize) -> Self {
+        let slots = ranges
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                assert!(r.start <= r.end, "matching range {i} is reversed");
                 assert!(
-                    (last as usize) < suspicious_len,
-                    "matching set {i} references an out-of-range packet"
+                    r.end as usize <= suspicious_len,
+                    "matching range {i} references an out-of-range packet"
                 );
-            }
-        }
-        let erased = sets.iter().map(Vec::is_empty).collect();
+                Slot {
+                    lo: r.start,
+                    hi: r.end,
+                    class: 0,
+                }
+            })
+            .collect();
         GappedSets {
-            sets,
-            erased,
+            slots,
+            classes: Vec::new(),
             suspicious_len,
         }
     }
 
     /// Number of upstream packets `n` (erased slots included).
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.slots.len()
     }
 
     /// `true` when there are no upstream packets.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.slots.is_empty()
     }
 
     /// Length of the suspicious flow `m`.
@@ -136,22 +229,23 @@ impl GappedSets {
     ///
     /// Panics if `i` is out of range.
     pub fn is_erased(&self, i: usize) -> bool {
-        self.erased[i]
+        self.slots[i].is_erased()
     }
 
     /// How many slots are erased.
     pub fn erasures(&self) -> usize {
-        self.erased.iter().filter(|&&e| e).count()
+        self.slots.iter().filter(|s| s.is_erased()).count()
     }
 
-    /// The candidates of upstream packet `i`, sorted ascending; empty
-    /// for an erased slot.
+    /// The candidates of upstream packet `i`, ascending; empty for an
+    /// erased slot.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn set(&self, i: usize) -> &[u32] {
-        &self.sets[i]
+    pub fn set(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        let slot = self.slots[i];
+        (slot.lo..slot.hi).filter(move |&j| slot.holds(&self.classes, j))
     }
 
     /// The earliest candidate of upstream packet `i`; `None` for an
@@ -161,7 +255,8 @@ impl GappedSets {
     ///
     /// Panics if `i` is out of range.
     pub fn first(&self, i: usize) -> Option<u32> {
-        self.sets[i].first().copied()
+        let slot = self.slots[i];
+        (!slot.is_erased()).then_some(slot.lo)
     }
 
     /// The latest candidate of upstream packet `i`; `None` for an
@@ -171,72 +266,60 @@ impl GappedSets {
     ///
     /// Panics if `i` is out of range.
     pub fn last(&self, i: usize) -> Option<u32> {
-        self.sets[i].last().copied()
+        let slot = self.slots[i];
+        (!slot.is_erased()).then(|| slot.hi - 1)
     }
 
     /// Total number of candidates across all sets (`Σ |M(pᵢ)|`).
     pub fn total_candidates(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.slots
+            .iter()
+            .map(|s| s.count(&self.classes, s.lo, s.hi) as usize)
+            .sum()
     }
 
     /// The gap-tolerant interval tightening: the same forward/backward
     /// propagation as [`super::MatchingSets::tighten`], but skipping
     /// erased slots (a deleted packet imposes no order constraint) and
-    /// marking any set that drains *erased* instead of failing, then
-    /// repeating until no pass erases anything — a newly erased slot
-    /// relaxes its neighbours' bounds, so propagation must re-run
-    /// through the gap. Terminates in at most `n + 1` passes: each
-    /// non-final pass erases at least one of the `n` slots.
+    /// marking any set that drains *erased* instead of failing.
     ///
-    /// Charges `meter` per dropped candidate, as the strict rule does.
-    /// Returns the number of slots newly erased by this call.
+    /// One pass each way reaches the fixpoint. The forward pass leaves
+    /// the live slots' earliest candidates strictly increasing, the
+    /// backward pass does the same for their latest and moves no
+    /// earliest candidate, and erasing a slot only removes it from both
+    /// sequences. A further pass would find every bound already met, so
+    /// tightening again drops nothing.
+    ///
+    /// Charges `meter` per dropped candidate, as the strict rule does;
+    /// other-class indices a range end steps over are not candidates
+    /// and cost nothing. Returns the number of slots newly erased by
+    /// this call.
     pub fn tighten(&mut self, meter: &mut CostMeter) -> usize {
         let before = self.erasures();
-        loop {
-            let mut pass_erased = false;
-            // Forward: a candidate of the current live slot must be
-            // strictly after the previous live slot's earliest.
-            let mut min_excl: Option<u32> = None;
-            for i in 0..self.sets.len() {
-                if self.erased[i] {
+        let classes = &self.classes;
+        // Forward: a candidate of the current live slot must be strictly
+        // after the previous live slot's earliest.
+        let mut min_excl: Option<u32> = None;
+        for slot in self.slots.iter_mut().filter(|s| !s.is_erased()) {
+            if let Some(bound) = min_excl {
+                meter.charge(slot.drop_through(classes, bound));
+                if slot.is_erased() {
                     continue;
                 }
-                let set = &mut self.sets[i];
-                if let Some(bound) = min_excl {
-                    let keep_from = set.partition_point(|&c| c <= bound);
-                    meter.charge(keep_from as u64);
-                    set.drain(..keep_from);
-                    if set.is_empty() {
-                        self.erased[i] = true;
-                        pass_erased = true;
-                        continue;
-                    }
-                }
-                min_excl = Some(set[0]);
             }
-            // Backward: a candidate of the current live slot must be
-            // strictly before the next live slot's latest.
-            let mut max_excl: Option<u32> = None;
-            for i in (0..self.sets.len()).rev() {
-                if self.erased[i] {
+            min_excl = Some(slot.lo);
+        }
+        // Backward: a candidate of the current live slot must be strictly
+        // before the next live slot's latest.
+        let mut max_excl: Option<u32> = None;
+        for slot in self.slots.iter_mut().rev().filter(|s| !s.is_erased()) {
+            if let Some(bound) = max_excl {
+                meter.charge(slot.drop_from(classes, bound));
+                if slot.is_erased() {
                     continue;
                 }
-                let set = &mut self.sets[i];
-                if let Some(bound) = max_excl {
-                    let keep_to = set.partition_point(|&c| c < bound);
-                    meter.charge((set.len() - keep_to) as u64);
-                    set.truncate(keep_to);
-                    if set.is_empty() {
-                        self.erased[i] = true;
-                        pass_erased = true;
-                        continue;
-                    }
-                }
-                max_excl = set.last().copied();
             }
-            if !pass_erased {
-                break;
-            }
+            max_excl = Some(slot.hi - 1);
         }
         self.erasures() - before
     }
@@ -249,6 +332,10 @@ mod tests {
 
     fn flow(secs: &[f64]) -> Flow {
         Flow::from_timestamps(secs.iter().map(|&s| Timestamp::from_secs_f64(s))).unwrap()
+    }
+
+    fn candidates(g: &GappedSets, i: usize) -> Vec<u32> {
+        g.set(i).collect()
     }
 
     fn gapped(up: &[f64], down: &[f64], delta_s: f64) -> GappedSets {
@@ -265,9 +352,9 @@ mod tests {
     fn matches_strict_sets_when_nothing_is_deleted() {
         let g = gapped(&[0.0, 1.0, 2.0], &[0.4, 1.2, 1.4, 2.3], 1.0);
         assert_eq!(g.erasures(), 0);
-        assert_eq!(g.set(0), &[0]);
-        assert_eq!(g.set(1), &[1, 2]);
-        assert_eq!(g.set(2), &[3]);
+        assert_eq!(candidates(&g, 0), [0]);
+        assert_eq!(candidates(&g, 1), [1, 2]);
+        assert_eq!(candidates(&g, 2), [3]);
         assert_eq!(g.first(1), Some(1));
         assert_eq!(g.last(1), Some(2));
         assert_eq!(g.total_candidates(), 4);
@@ -281,8 +368,8 @@ mod tests {
         assert_eq!(g.erasures(), 1);
         assert!(g.is_erased(1));
         assert_eq!(g.first(1), None);
-        assert_eq!(g.set(0), &[0]);
-        assert_eq!(g.set(2), &[1]);
+        assert_eq!(candidates(&g, 0), [0]);
+        assert_eq!(candidates(&g, 2), [1]);
     }
 
     #[test]
@@ -297,40 +384,40 @@ mod tests {
     fn tighten_skips_gaps_but_propagates_across_them() {
         // Slot 1 erased; slots 0 and 2 share {3, 4}: order still forces
         // 0 → 3 and 2 → 4 across the gap.
-        let mut g = GappedSets::from_sets(vec![vec![3, 4], vec![], vec![3, 4]], 6);
+        let mut g = GappedSets::from_ranges(vec![3..5, 0..0, 3..5], 6);
         let mut meter = CostMeter::new();
         assert_eq!(g.tighten(&mut meter), 0);
-        assert_eq!(g.set(0), &[3]);
-        assert_eq!(g.set(2), &[4]);
+        assert_eq!(candidates(&g, 0), [3]);
+        assert_eq!(candidates(&g, 2), [4]);
         assert_eq!(g.erasures(), 1);
     }
 
     #[test]
-    fn tighten_erases_drained_slots_and_reruns_to_fixpoint() {
+    fn tighten_erases_drained_slots() {
         // Slots 0 and 1 both see only {3}: one of them must drain. The
         // drained slot becomes an erasure and the rest still decodes.
-        let mut g = GappedSets::from_sets(vec![vec![3], vec![3], vec![4, 5]], 6);
+        let mut g = GappedSets::from_ranges(vec![3..4, 3..4, 4..6], 6);
         let mut meter = CostMeter::new();
         assert_eq!(g.tighten(&mut meter), 1);
         assert_eq!(g.erasures(), 1);
         assert!(g.is_erased(1));
-        assert_eq!(g.set(0), &[3]);
+        assert_eq!(candidates(&g, 0), [3]);
     }
 
     #[test]
     fn tighten_matches_the_strict_rule_on_clean_input() {
-        let mut g = GappedSets::from_sets(vec![vec![5, 6, 7], vec![5, 6, 7], vec![5, 6, 7]], 10);
+        let mut g = GappedSets::from_ranges(vec![5..8, 5..8, 5..8], 10);
         let mut meter = CostMeter::new();
         assert_eq!(g.tighten(&mut meter), 0);
-        assert_eq!(g.set(0), &[5]);
-        assert_eq!(g.set(1), &[6]);
-        assert_eq!(g.set(2), &[7]);
+        assert_eq!(candidates(&g, 0), [5]);
+        assert_eq!(candidates(&g, 1), [6]);
+        assert_eq!(candidates(&g, 2), [7]);
         assert!(meter.count() > 0);
     }
 
     #[test]
     fn tighten_is_idempotent() {
-        let mut g = GappedSets::from_sets(vec![vec![0, 1, 2], vec![], vec![1, 2, 3]], 6);
+        let mut g = GappedSets::from_ranges(vec![0..3, 0..0, 1..4], 6);
         let mut meter = CostMeter::new();
         let _ = g.tighten(&mut meter);
         let once = g.clone();
@@ -347,8 +434,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly sorted")]
-    fn from_sets_rejects_unsorted() {
-        let _ = GappedSets::from_sets(vec![vec![3, 2]], 5);
+    #[should_panic(expected = "out-of-range")]
+    fn from_ranges_rejects_out_of_range() {
+        let _ = GappedSets::from_ranges(vec![0..1, 3..6], 5);
     }
 }

@@ -1,8 +1,10 @@
 //! Property-based tests for matching sets and simplification.
 
 use proptest::prelude::*;
-use stepstone_flow::{Flow, TimeDelta, Timestamp};
-use stepstone_matching::{is_order_consistent, CostMeter, Matcher, MatchingSets, Selection};
+use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
+use stepstone_matching::{
+    is_order_consistent, CostMeter, GappedSets, Matcher, MatchingSets, Selection,
+};
 
 fn sorted_flow(max_len: usize, span_micros: i64) -> impl Strategy<Value = Flow> {
     proptest::collection::vec(0i64..span_micros, 1..max_len).prop_map(|mut v| {
@@ -40,6 +42,167 @@ fn naive_tighten(sets: &mut [Vec<u32>], indices: &[usize], meter: &mut CostMeter
         max_excl = sets[i].last().copied();
     }
     true
+}
+
+/// Gap-tolerant matching sets on the nested layout the ranges replaced,
+/// one `Vec` per slot, candidates removed in place and `tighten`
+/// repeated until a pass erases nothing: the model the range-based
+/// [`GappedSets`] must agree with, charges included.
+struct NestedGapped {
+    sets: Vec<Vec<u32>>,
+    erased: Vec<bool>,
+}
+
+impl NestedGapped {
+    fn compute(
+        matcher: &Matcher,
+        upstream: &Flow,
+        suspicious: &Flow,
+        meter: &mut CostMeter,
+    ) -> Self {
+        let m = suspicious.len();
+        let mut sets = Vec::with_capacity(upstream.len());
+        let mut erased = Vec::with_capacity(upstream.len());
+        let (mut lo, mut hi) = (0usize, 0usize);
+        for i in 0..upstream.len() {
+            let t = upstream.timestamp(i);
+            let latest = t + matcher.delta();
+            while lo < m && suspicious.timestamp(lo) < t {
+                meter.charge_one();
+                lo += 1;
+            }
+            if hi < lo {
+                hi = lo;
+            }
+            while hi < m && suspicious.timestamp(hi) <= latest {
+                meter.charge_one();
+                hi += 1;
+            }
+            let mut set: Vec<u32> = Vec::with_capacity(hi - lo);
+            let class = matcher
+                .size_quantum()
+                .map(|q| (upstream[i].size().div_ceil(q), q));
+            for j in lo..hi {
+                meter.charge_one();
+                if let Some((c, q)) = class {
+                    if suspicious[j].size().div_ceil(q) != c {
+                        continue;
+                    }
+                }
+                set.push(j as u32);
+            }
+            erased.push(set.is_empty());
+            sets.push(set);
+        }
+        NestedGapped { sets, erased }
+    }
+
+    fn erasures(&self) -> usize {
+        self.erased.iter().filter(|&&e| e).count()
+    }
+
+    fn tighten(&mut self, meter: &mut CostMeter) -> usize {
+        let before = self.erasures();
+        loop {
+            let mut pass_erased = false;
+            let mut min_excl: Option<u32> = None;
+            for i in 0..self.sets.len() {
+                if self.erased[i] {
+                    continue;
+                }
+                let set = &mut self.sets[i];
+                if let Some(bound) = min_excl {
+                    let keep_from = set.partition_point(|&c| c <= bound);
+                    meter.charge(keep_from as u64);
+                    set.drain(..keep_from);
+                    if set.is_empty() {
+                        self.erased[i] = true;
+                        pass_erased = true;
+                        continue;
+                    }
+                }
+                min_excl = Some(set[0]);
+            }
+            let mut max_excl: Option<u32> = None;
+            for i in (0..self.sets.len()).rev() {
+                if self.erased[i] {
+                    continue;
+                }
+                let set = &mut self.sets[i];
+                if let Some(bound) = max_excl {
+                    let keep_to = set.partition_point(|&c| c < bound);
+                    meter.charge((set.len() - keep_to) as u64);
+                    set.truncate(keep_to);
+                    if set.is_empty() {
+                        self.erased[i] = true;
+                        pass_erased = true;
+                        continue;
+                    }
+                }
+                max_excl = set.last().copied();
+            }
+            if !pass_erased {
+                break;
+            }
+        }
+        self.erasures() - before
+    }
+}
+
+/// Checks every per-slot observable of `sets` against the model.
+fn agrees_with_model(sets: &GappedSets, model: &NestedGapped) -> Result<(), TestCaseError> {
+    prop_assert_eq!(sets.len(), model.sets.len());
+    prop_assert_eq!(sets.erasures(), model.erasures());
+    for (i, expected) in model.sets.iter().enumerate() {
+        prop_assert_eq!(
+            sets.set(i).collect::<Vec<_>>(),
+            expected.clone(),
+            "slot {}",
+            i
+        );
+        prop_assert_eq!(sets.is_erased(i), model.erased[i], "slot {}", i);
+        prop_assert_eq!(sets.first(i), expected.first().copied(), "slot {}", i);
+        prop_assert_eq!(sets.last(i), expected.last().copied(), "slot {}", i);
+    }
+    prop_assert_eq!(
+        sets.total_candidates(),
+        model.sets.iter().map(Vec::len).sum::<usize>()
+    );
+    Ok(())
+}
+
+/// An upstream flow and a lossy relay of it: each upstream packet is
+/// deleted with probability 1/5 or else delayed by up to 0.5 s, keeping
+/// its size, and chaff of random sizes is mixed in. Sizes span several
+/// 16-byte classes so a size quantum filters real candidates.
+fn lossy_pair() -> impl Strategy<Value = (Flow, Flow)> {
+    let packet = (0i64..2_000_000, 1u32..80);
+    let relay = (0u8..5, 0i64..500_000);
+    (
+        proptest::collection::vec(packet.clone(), 1..60),
+        proptest::collection::vec(relay, 60),
+        proptest::collection::vec(packet, 0..30),
+    )
+        .prop_map(|(mut up, relay, chaff)| {
+            up.sort_unstable();
+            let mut down: Vec<(i64, u32)> = up
+                .iter()
+                .zip(&relay)
+                .filter(|(_, &(deleted, _))| deleted != 0)
+                .map(|(&(t, size), &(_, delay))| (t + delay, size))
+                .chain(chaff)
+                .collect();
+            down.sort_unstable();
+            let flow = |packets: Vec<(i64, u32)>| {
+                Flow::from_packets(
+                    packets
+                        .into_iter()
+                        .map(|(t, size)| Packet::new(Timestamp::from_micros(t), size)),
+                )
+                .unwrap()
+            };
+            (flow(up), flow(down))
+        })
 }
 
 /// Random non-empty sorted candidate sets over `0..m`.
@@ -94,6 +257,40 @@ proptest! {
                 prop_assert_eq!(&flat, &MatchingSets::from_sets(model, m));
             }
         }
+    }
+
+    /// The range layout of [`GappedSets`] agrees with the nested model
+    /// on lossy flows, with and without a size quantum: the same
+    /// candidates and erasures per slot, the same `tighten` result, and
+    /// the same packet accesses charged by `compute` and by `tighten`,
+    /// whose single pass each way must reach the model's fixpoint.
+    #[test]
+    fn gapped_ranges_match_the_nested_model(
+        (up, down) in lossy_pair(),
+        delta_micros in 0i64..400_000,
+        quantum in 0u32..24,
+    ) {
+        let mut matcher = Matcher::new(TimeDelta::from_micros(delta_micros));
+        if quantum > 0 {
+            matcher = matcher.with_size_quantum(quantum);
+        }
+        let mut model_meter = CostMeter::new();
+        let mut model = NestedGapped::compute(&matcher, &up, &down, &mut model_meter);
+        let mut meter = CostMeter::new();
+        let mut sets = GappedSets::compute(&matcher, &up, &down, &mut meter);
+        prop_assert_eq!(meter.count(), model_meter.count());
+        agrees_with_model(&sets, &model)?;
+
+        let newly = sets.tighten(&mut meter);
+        prop_assert_eq!(newly, model.tighten(&mut model_meter));
+        prop_assert_eq!(meter.count(), model_meter.count());
+        agrees_with_model(&sets, &model)?;
+
+        // One pass each way is the fixpoint the model loops to.
+        let once = sets.clone();
+        prop_assert_eq!(sets.tighten(&mut meter), 0);
+        prop_assert_eq!(meter.count(), model_meter.count());
+        prop_assert_eq!(&sets, &once);
     }
 
     /// Matching sets contain exactly the packets allowed by the timing

@@ -327,9 +327,13 @@ impl Control {
 /// [`ingest`](Monitor::ingest); the engine windows each suspicious
 /// flow, schedules (upstream, suspicious) pair decodes onto the shard
 /// owning the pair, and surfaces results through
-/// [`drain_verdicts`](Monitor::drain_verdicts). Ingest never blocks:
-/// when a shard queue is full the decode attempt is dropped and
-/// counted, and the pair retries as more packets arrive.
+/// [`drain_verdicts`](Monitor::drain_verdicts). On the default live
+/// schedule ingest never blocks: when a shard queue is full the decode
+/// attempt is dropped and counted, and the pair retries as more packets
+/// arrive. Under
+/// [`deterministic_schedule`](crate::MonitorConfig::deterministic_schedule)
+/// ingest instead blocks on a full queue, absorbing completions while
+/// it waits, so every batch boundary is decoded.
 ///
 /// # Fault tolerance
 ///
@@ -461,8 +465,11 @@ impl Monitor {
     /// window; `false` if it was rejected as out-of-order (counted in
     /// [`MonitorStats::packets_rejected`]).
     ///
-    /// Never blocks: decode scheduling uses `try_push` and drops on a
-    /// full shard queue.
+    /// On the live schedule this never blocks: decode scheduling uses
+    /// `try_push` and drops the attempt on a full shard queue. Under
+    /// [`deterministic_schedule`](crate::MonitorConfig::deterministic_schedule)
+    /// it blocks on a full queue until the shard's worker frees a slot,
+    /// absorbing completions while it waits.
     pub fn ingest(&mut self, flow: FlowId, packet: Packet) -> bool {
         self.control.pump(&self.done_rx, &mut self.supervisor);
         self.control.clock = Some(match self.control.clock {

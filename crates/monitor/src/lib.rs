@@ -22,9 +22,12 @@
 //!   decode's outcome without running it — a strict paper decode whose
 //!   matching is already infeasible — and the boundary is then counted
 //!   ([`MonitorStats::decodes_screened`]) instead of decoded;
-//! * **explicit backpressure**: shard queues are bounded and ingest
-//!   never blocks — an attempt against a full queue is dropped and
-//!   counted, and the pair retries as more packets arrive;
+//! * **explicit backpressure**: shard queues are bounded and, on the
+//!   default live schedule, ingest never blocks — an attempt against a
+//!   full queue is dropped and counted, and the pair retries as more
+//!   packets arrive (under
+//!   [`deterministic_schedule`](MonitorConfig::deterministic_schedule)
+//!   ingest blocks on a full queue instead);
 //! * a **live verdict stream** ([`Verdict`]) plus a counters snapshot
 //!   ([`MonitorStats`]) for dashboards and tests;
 //! * **supervised degradation**: dead shard workers are respawned with

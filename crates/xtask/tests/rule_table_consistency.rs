@@ -7,12 +7,24 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs the xtask binary on an empty root and returns the rule ids
 /// from the JSON `counts` object (one per registered rule, present
 /// even at zero).
+///
+/// Every call gets its own root: tests run concurrently, and one
+/// call's `remove_dir_all` must not empty a root another call's xtask
+/// run is reading.
 fn binary_rule_ids(subcommand: &str) -> Vec<String> {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("consistency-{subcommand}"));
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    // ordering: a unique number is all that is needed; nothing else is
+    // published through the counter.
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "consistency-{subcommand}-{}-{call}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("create empty root");
     let output = Command::new(env!("CARGO_BIN_EXE_xtask"))
