@@ -6,7 +6,7 @@ use stepstone_adversary::{
     AdversaryPipeline, ChaffInjector, ChaffModel, PacketLoss, Transform, UniformPerturbation,
 };
 use stepstone_bench::Fixture;
-use stepstone_flow::{Flow, TimeDelta, Timestamp};
+use stepstone_flow::{Flow, SlidingWindow, TimeDelta, Timestamp};
 use stepstone_matching::{CostMeter, GappedSets, Matcher};
 use stepstone_netsim::SteppingStoneChain;
 use stepstone_traffic::{tcplib::TelnetModel, InteractiveProfile, Seed, SessionGenerator};
@@ -129,6 +129,15 @@ fn bench_matching(c: &mut Criterion) {
             let _ = sets.tighten(&mut meter);
             sets
         })
+    });
+    // The screen that lets the monitor skip that decode: does the
+    // window leave more empty sets than lossy-robust's erasure budget?
+    let mut live = SlidingWindow::new(window.len());
+    for &packet in window.packets() {
+        live.push(packet).expect("a flow is time-ordered");
+    }
+    group.bench_function("robust_screen", |b| {
+        b.iter(|| lossy.over_budget(&upstream, &live, 64))
     });
     group.finish();
 }

@@ -10,7 +10,8 @@
 //!   redundancy `r`, Optimal cost bound);
 //! * `substrates` — traffic generation, the chain simulator, matching
 //!   (strict, and gap-tolerant on a lossy window as a robust decode
-//!   runs it), embedding and decoding in isolation;
+//!   runs it, next to the over-budget screen that skips such a
+//!   decode), embedding and decoding in isolation;
 //! * `monitor` — online-engine throughput at 1, 8 and 64 candidate
 //!   pairs and one or all cores, plus the chaos fault seam's overhead;
 //!   prints the decodes each configuration runs;

@@ -343,14 +343,22 @@ impl CorrelatorBackend for PaperBackend {
     }
 
     /// Strict decodes abort on an empty matching set, so the matcher's
-    /// screen applies. Robust decodes do not: they absorb empty sets as
-    /// erasures and can correlate on a window that has not yet reached
-    /// the upstream's last packet.
+    /// screen applies. Robust decodes absorb empty sets as erasures and
+    /// can correlate on a window that has not yet reached the
+    /// upstream's last packet; they are screened only when the window
+    /// leaves more empty sets than the erasure budget, which
+    /// `correlate_robust` reports `budget_blown`, never correlated.
     fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
-        if self.cfg.decode.is_robust() {
-            return Screen::Decode;
+        let matcher = self.cfg.matcher();
+        if !self.cfg.decode.is_robust() {
+            return matcher.screen(&self.upstream, window, state);
         }
-        self.cfg.matcher().screen(&self.upstream, window, state)
+        let budget = self.cfg.decode.erasure_budget as usize;
+        if matcher.over_budget(&self.upstream, window, budget) {
+            Screen::OverBudget
+        } else {
+            Screen::Decode
+        }
     }
 }
 

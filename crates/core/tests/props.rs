@@ -2,7 +2,9 @@
 //! instances.
 
 use proptest::prelude::*;
-use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
+use stepstone_adversary::{
+    AdversaryPipeline, ChaffInjector, ChaffModel, PacketLoss, UniformPerturbation,
+};
 use stepstone_core::{Algorithm, DecodeOptions, Screen, ScreenState, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, SlidingWindow, TimeDelta, Timestamp};
 use stepstone_traffic::Seed;
@@ -263,28 +265,58 @@ proptest! {
         }
     }
 
-    /// Robust decodes are never screened: they absorb empty matching
-    /// sets as erasures and can correlate on a window that has not yet
-    /// reached the upstream's last packet.
+    /// The robust screen is sound, on a window that grows batch by
+    /// batch and may evict: at every boundary it screens
+    /// [`Screen::OverBudget`], a robust decode of the window's snapshot
+    /// is uncorrelated with `budget_blown` set. Decoys and lossy relays
+    /// of the watermarked flow, with and without a size quantum, under
+    /// erasure budgets that some windows stay within and others blow.
     #[test]
-    fn robust_decodes_are_never_screened(flow_seed in 0u64..5000, step in 1usize..24) {
+    fn over_budget_robust_decodes_blow_the_budget(
+        flow_seed in 0u64..5000,
+        attack_seed in 0u64..5000,
+        decoy in proptest::bool::ANY,
+        loss_pct in 0u32..20,
+        budget in 0u32..40,
+        quantum in 0u32..24,
+        step in 1usize..6,
+        capacity_pct in 40usize..160,
+    ) {
         let original = sized_flow(flow_seed);
         let marker = IpdWatermarker::new(WatermarkKey::new(flow_seed ^ 77), tiny_params());
         let watermark = Watermark::random(4, &mut WatermarkKey::new(flow_seed).rng(1));
         let marked = marker.embed(&original, &watermark).unwrap();
-        let bound = WatermarkCorrelator::new(
-            marker, watermark, TimeDelta::from_secs(2), Algorithm::GreedyPlus,
+        let delta = TimeDelta::from_secs(2);
+        let mut config = WatermarkCorrelator::new(
+            marker, watermark, delta, Algorithm::GreedyPlus,
         )
-        .with_decode(DecodeOptions::robust(4))
-        .bind(&original, &marked)
-        .unwrap();
-        let decoy = with_tail(&sized_flow(flow_seed ^ 0xBEEF), 24, flow_seed);
-        let mut window = SlidingWindow::new(decoy.len());
+        .with_decode(DecodeOptions::robust(budget));
+        if quantum > 0 {
+            config = config.with_size_quantum(quantum);
+        }
+        let bound = config.bind(&original, &marked).unwrap();
+        let base = if decoy { sized_flow(flow_seed ^ 0xBEEF) } else { marked.clone() };
+        let attacked = AdversaryPipeline::new()
+            .then(UniformPerturbation::new(delta))
+            .then(ChaffInjector::new(ChaffModel::Poisson { rate: 0.5 }))
+            .then(PacketLoss::new(f64::from(loss_pct) / 100.0))
+            .apply(&base, Seed::new(attack_seed));
+        let stream = with_tail(&attacked, 24, attack_seed);
+        let capacity = (stream.len() * capacity_pct / 100).max(1);
+        let mut window = SlidingWindow::new(capacity);
         let mut state = ScreenState::default();
-        for (k, &packet) in decoy.packets().iter().enumerate() {
+        for (k, &packet) in stream.packets().iter().enumerate() {
             window.push(packet).unwrap();
-            if (k + 1) % step == 0 {
-                prop_assert_eq!(bound.screen(&window, &mut state), Screen::Decode);
+            if (k + 1) % step != 0 && k + 1 != stream.len() {
+                continue;
+            }
+            let screen = bound.screen(&window, &mut state);
+            prop_assert_ne!(screen, Screen::Unmatched);
+            if screen == Screen::OverBudget {
+                let truth = bound.correlate(&window.snapshot());
+                let robust = truth.robust.expect("a robust decode reports erasures");
+                prop_assert!(!truth.correlated, "at {}: {}", k + 1, truth);
+                prop_assert!(robust.budget_blown, "at {}: {:?}", k + 1, robust);
             }
         }
     }

@@ -197,9 +197,21 @@ impl SlidingWindow {
     /// Materialises the retained packets as a [`Flow`] for batch
     /// decoding. Provenance is preserved.
     pub fn snapshot(&self) -> Flow {
-        let mut packets = Vec::with_capacity(self.len);
+        self.prefix(self.len)
+    }
+
+    /// Materialises the oldest `len` retained packets (all of them if
+    /// fewer) as a [`Flow`]. Provenance is preserved.
+    pub fn prefix(&self, len: usize) -> Flow {
+        let len = len.min(self.len);
+        let mut packets = Vec::with_capacity(len);
         for (k, chunk) in self.chunks.iter().enumerate() {
-            packets.extend_from_slice(if k == 0 { &chunk[self.head..] } else { chunk });
+            let chunk = if k == 0 { &chunk[self.head..] } else { chunk };
+            let take = chunk.len().min(len - packets.len());
+            packets.extend_from_slice(&chunk[..take]);
+            if packets.len() == len {
+                break;
+            }
         }
         Flow::from_packets(packets)
             // lint: allow(no_panic) push() rejects out-of-order packets, so the retained buffer is always sorted
@@ -293,6 +305,10 @@ mod tests {
             }
             assert!(w.iter().eq(model.iter()), "capacity {capacity}");
             assert_eq!(w.snapshot().packets(), model.make_contiguous());
+            for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, capacity, capacity + 1] {
+                let n = len.min(model.len());
+                assert_eq!(w.prefix(len).packets(), &model.make_contiguous()[..n]);
+            }
             w.clear();
             assert!(w.is_empty() && w.iter().next().is_none() && w.get(0).is_none());
         }

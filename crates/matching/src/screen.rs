@@ -12,19 +12,28 @@
 //! [`Matcher::screen`] keeps a frontier over the closed intervals and
 //! reports when that applies, so a monitor can skip decodes whose
 //! outcome is already known.
+//!
+//! Robust decodes absorb an empty set as an erasure instead, and never
+//! correlate once the erasures exceed their budget.
+//! [`Matcher::over_budget`] counts the empty sets of a window without
+//! building them, so a monitor can tell such decodes apart cheaply.
 
 use stepstone_flow::{Flow, SlidingWindow};
 
 use crate::sets::Matcher;
 
-/// What [`Matcher::screen`] proves about the strict decode of a window.
+/// What a screen proves about the decode of a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Screen {
     /// Nothing proven: the decode must run.
     Decode,
-    /// Some matching set is empty, so the decode is unmatched (not
-    /// correlated, no Hamming distance).
+    /// Some matching set is empty, so the strict decode is unmatched
+    /// (not correlated, no Hamming distance).
     Unmatched,
+    /// More matching sets are empty than the robust decode's erasure
+    /// budget allows, so it blows the budget and does not correlate.
+    /// Its erasure count and confidence are still unknown.
+    OverBudget,
 }
 
 /// The frontier [`Matcher::screen`] resumes from: one per (upstream,
@@ -121,12 +130,70 @@ impl Matcher {
         }
         Screen::Decode
     }
+
+    /// `true` exactly when [`GappedSets::compute`](crate::GappedSets::compute)
+    /// on `window`'s snapshot leaves more than `budget` slots erased,
+    /// before any tightening. Tightening only erases more, so a robust
+    /// decode of such a window blows its budget. Never charges a cost
+    /// meter.
+    ///
+    /// The upstream packets whose interval `[tᵢ, tᵢ + Δ]` misses the
+    /// window's time span are counted by binary search. Only if they
+    /// stay within the budget does one two-pointer scan visit the rest,
+    /// stopping as soon as the count passes it.
+    pub fn over_budget(&self, upstream: &Flow, window: &SlidingWindow, budget: usize) -> bool {
+        let n = upstream.len();
+        if n <= budget {
+            return false;
+        }
+        let (Some(first), Some(last)) = (window.first_timestamp(), window.last_timestamp()) else {
+            return true;
+        };
+        let delta = self.delta();
+        let packets = upstream.packets();
+        // Intervals ending before the window's first packet, and
+        // intervals starting after its last.
+        let early = packets.partition_point(|p| p.timestamp() + delta < first);
+        let late = packets.partition_point(|p| p.timestamp() <= last);
+        let mut erased = early + (n - late);
+        if erased > budget {
+            return true;
+        }
+        let quantum = self.size_quantum();
+        let at = |j: usize| window.get(j).copied();
+        let mut lo = 0;
+        for up in &packets[early..late] {
+            let t = up.timestamp();
+            let latest = t + delta;
+            while at(lo).is_some_and(|p| p.timestamp() < t) {
+                lo += 1;
+            }
+            let class = quantum.map(|q| (up.size().div_ceil(q), q));
+            let mut j = lo;
+            let nonempty = loop {
+                match at(j) {
+                    Some(p) if p.timestamp() <= latest => match class {
+                        Some((c, q)) if p.size().div_ceil(q) != c => j += 1,
+                        _ => break true,
+                    },
+                    _ => break false,
+                }
+            };
+            if !nonempty {
+                erased += 1;
+                if erased > budget {
+                    return true;
+                }
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CostMeter;
+    use crate::{CostMeter, GappedSets};
     use stepstone_flow::{Packet, TimeDelta, Timestamp};
 
     fn flow(secs: &[f64]) -> Flow {
@@ -227,5 +294,50 @@ mod tests {
             matcher().screen(&Flow::new(), &w, &mut state),
             Screen::Decode
         );
+    }
+
+    fn erasures(m: &Matcher, up: &Flow, w: &SlidingWindow) -> usize {
+        GappedSets::compute(m, up, &w.snapshot(), &mut CostMeter::new()).erasures()
+    }
+
+    #[test]
+    fn over_budget_counts_sets_outside_the_window_span() {
+        let up = flow(&[0.0, 1.0, 2.0, 3.0, 10.0]);
+        // [0, 1] ends before 1.5 and [10, 11] starts after 3.5; [1, 2]
+        // and [3, 4] hold 1.5 and 3.5, and [2, 3] holds nothing.
+        let w = window(&[1.5, 3.5], 8);
+        assert_eq!(erasures(&matcher(), &up, &w), 3);
+        assert!(matcher().over_budget(&up, &w, 2));
+        assert!(!matcher().over_budget(&up, &w, 3));
+    }
+
+    #[test]
+    fn over_budget_bounds_are_inclusive() {
+        // 1.0 is exactly Δ after the first upstream packet and exactly
+        // at the last one: both sets hold it.
+        let up = flow(&[0.0, 1.0]);
+        let w = window(&[1.0], 8);
+        assert_eq!(erasures(&matcher(), &up, &w), 0);
+        assert!(!matcher().over_budget(&up, &w, 0));
+    }
+
+    #[test]
+    fn over_budget_respects_size_classes() {
+        let up = Flow::from_packets([Packet::new(Timestamp::from_secs(0), 60)]).unwrap();
+        let mut w = SlidingWindow::new(8);
+        w.push(Packet::new(Timestamp::from_secs_f64(0.5), 90))
+            .unwrap();
+        let quantum = matcher().with_size_quantum(16);
+        assert!(quantum.over_budget(&up, &w, 0));
+        assert!(!matcher().over_budget(&up, &w, 0));
+    }
+
+    #[test]
+    fn over_budget_on_an_empty_window_or_upstream() {
+        let up = flow(&[0.0, 1.0]);
+        let empty = SlidingWindow::new(4);
+        assert!(matcher().over_budget(&up, &empty, 1));
+        assert!(!matcher().over_budget(&up, &empty, 2));
+        assert!(!matcher().over_budget(&Flow::new(), &empty, 0));
     }
 }

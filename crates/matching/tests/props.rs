@@ -1,7 +1,7 @@
 //! Property-based tests for matching sets and simplification.
 
 use proptest::prelude::*;
-use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
+use stepstone_flow::{Flow, Packet, SlidingWindow, TimeDelta, Timestamp};
 use stepstone_matching::{
     is_order_consistent, CostMeter, GappedSets, Matcher, MatchingSets, Selection,
 };
@@ -205,6 +205,16 @@ fn lossy_pair() -> impl Strategy<Value = (Flow, Flow)> {
         })
 }
 
+/// `flow` with every timestamp rounded down to a multiple of `grain`
+/// microseconds; rounding keeps the order.
+fn coarsened(flow: &Flow, grain: i64) -> Flow {
+    Flow::from_packets(flow.iter().map(|p| {
+        let t = p.timestamp().as_micros() / grain * grain;
+        Packet::new(Timestamp::from_micros(t), p.size())
+    }))
+    .unwrap()
+}
+
 /// Random non-empty sorted candidate sets over `0..m`.
 fn candidate_sets() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
     (1usize..40).prop_flat_map(|m| {
@@ -291,6 +301,44 @@ proptest! {
         prop_assert_eq!(sets.tighten(&mut meter), 0);
         prop_assert_eq!(meter.count(), model_meter.count());
         prop_assert_eq!(&sets, &once);
+    }
+
+    /// `Matcher::over_budget` agrees with the erasures `GappedSets`
+    /// leaves before tightening, for every budget, on a window streamed
+    /// from a lossy relay that may evict, with and without a size
+    /// quantum. On the coarse grid, packets often sit exactly at an
+    /// interval's end, where an off-by-one bound shows.
+    #[test]
+    fn over_budget_agrees_with_the_erasure_count(
+        (up, down) in lossy_pair(),
+        coarse in proptest::bool::ANY,
+        delta_micros in 0i64..400_000,
+        quantum in 0u32..24,
+        capacity_pct in 20usize..120,
+    ) {
+        let grain = if coarse { 100_000 } else { 1 };
+        let (up, down) = (coarsened(&up, grain), coarsened(&down, grain));
+        let mut matcher = Matcher::new(TimeDelta::from_micros(delta_micros / grain * grain));
+        if quantum > 0 {
+            matcher = matcher.with_size_quantum(quantum);
+        }
+        let mut window = SlidingWindow::new((down.len() * capacity_pct / 100).max(1));
+        for k in 0..=down.len() {
+            if k > 0 {
+                window.push(down[k - 1]).unwrap();
+            }
+            let erasures =
+                GappedSets::compute(&matcher, &up, &window.snapshot(), &mut CostMeter::new())
+                    .erasures();
+            for budget in 0..=up.len() {
+                prop_assert_eq!(
+                    matcher.over_budget(&up, &window, budget),
+                    erasures > budget,
+                    "after {} pushes, {} evicted, budget {}, erasures {}",
+                    k, window.evicted(), budget, erasures
+                );
+            }
+        }
     }
 
     /// Matching sets contain exactly the packets allowed by the timing

@@ -26,7 +26,10 @@ pub struct MonitorConfig {
     pub decode_batch: usize,
     /// Bounded depth of each shard's job queue. When a queue is full
     /// the decode attempt is dropped (and counted) instead of blocking
-    /// ingest; the pair retries as more packets arrive.
+    /// ingest; the pair retries as more packets arrive. Under
+    /// [`deterministic_schedule`](Self::deterministic_schedule) ingest
+    /// blocks on a full queue instead, absorbing completions until the
+    /// shard's worker frees a slot, and nothing is dropped.
     pub queue_capacity: usize,
     /// Decode worker threads; pairs are pinned to shards by pair-id
     /// hash, so one pair's decodes never run concurrently.

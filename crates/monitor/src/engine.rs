@@ -24,11 +24,12 @@ const EVICT_SWEEP_EVERY: u64 = 1024;
 /// Per-pair decode bookkeeping, owned by the control side.
 #[derive(Debug, Clone, Default)]
 struct PairState {
-    /// A decode job for this pair is queued or running.
-    in_flight: bool,
-    /// The flow's push count covered by the last scheduled decode.
+    /// Decode jobs for this pair queued or running.
+    in_flight: u32,
+    /// The flow's push count covered by the last scheduled or screened
+    /// decode.
     decoded_through: u64,
-    /// Completed decodes, screened boundaries included.
+    /// Completed decodes, boundaries screened as unmatched included.
     decodes: u32,
     /// Hamming distance of the latest boundary's decode.
     last_hamming: Option<u32>,
@@ -37,12 +38,17 @@ struct PairState {
     hamming_at: u64,
     /// The backend's screening frontier for this pair.
     screen: ScreenState,
-    /// A robust decode reported erasure demand beyond the budget. Once
-    /// set, the pair can never end `Cleared` — the graceful-degradation
-    /// ladder turns every would-be clean negative into
-    /// [`DegradeReason::ErasureBudget`].
-    budget_blown: bool,
-    /// Erasures reported by the most recent budget-blowing decode.
+    /// Push count of the latest boundary at which the window was
+    /// screened over the erasure budget and its decode postponed. The
+    /// decode has not run; the window's first that many packets are
+    /// its input.
+    postponed: Option<u64>,
+    /// Push count of the latest boundary whose robust decode reported
+    /// erasure demand beyond the budget. Once set, the pair can never
+    /// end `Cleared` — the graceful-degradation ladder turns every
+    /// would-be clean negative into [`DegradeReason::ErasureBudget`].
+    blown_at: Option<u64>,
+    /// Erasures reported by that decode.
     erasures: u32,
     /// Decided-bit confidence of that decode (percent).
     confidence: u8,
@@ -74,26 +80,44 @@ impl PairState {
     }
 
     /// Screens this pair's decode of `window` at a boundary; `true` if
-    /// the decode must run. A screened boundary is recorded as the
-    /// unmatched decode it provably is, and nothing is left to schedule.
+    /// the decode must run. A boundary screened as unmatched is
+    /// recorded as the unmatched decode it provably is. One screened
+    /// over the erasure budget cannot correlate, but a `Degraded`
+    /// verdict may report its erasures, so its decode is postponed: the
+    /// pair keeps the boundary's push count, and the decode runs later
+    /// on the window's first that many packets (see
+    /// [`Monitor::submit_postponed`]). Only a window that has never
+    /// evicted still holds them; an evicted one decodes at once.
     fn screen(&mut self, correlator: &BoundCorrelator, window: &SlidingWindow) -> bool {
+        let pushed = window.pushed();
         match correlator.screen(window, &mut self.screen) {
-            Screen::Decode => true,
-            Screen::Unmatched => {
-                let pushed = window.pushed();
-                self.record(pushed, None);
-                self.decoded_through = pushed;
-                false
-            }
+            Screen::Decode => return true,
+            Screen::Unmatched => self.record(pushed, None),
+            Screen::OverBudget if window.evicted() == 0 => self.postponed = Some(pushed),
+            Screen::OverBudget => return true,
         }
+        self.decoded_through = pushed;
+        false
     }
 
-    /// Folds one robust decode outcome into the ladder state; a no-op
-    /// for strict decodes (`outcome.robust` is `None`).
-    fn note_robust(&mut self, outcome: &Correlation) {
+    /// Takes the postponed boundary if its decode still has to run:
+    /// the pair is unresolved and no completed decode of a later
+    /// boundary has blown the budget, which would report its own
+    /// erasures instead.
+    fn take_postponed(&mut self) -> Option<u64> {
+        let at = self.postponed.take()?;
+        let superseded = self.blown_at.is_some_and(|blown| blown > at);
+        (!self.resolved && !superseded).then_some(at)
+    }
+
+    /// Folds the robust outcome of the decode of the boundary at push
+    /// count `at` into the ladder state, unless a later boundary's
+    /// over-budget decode is already recorded; a no-op for strict
+    /// decodes (`outcome.robust` is `None`).
+    fn note_robust(&mut self, at: u64, outcome: &Correlation) {
         if let Some(r) = outcome.robust {
-            if r.budget_blown {
-                self.budget_blown = true;
+            if r.budget_blown && self.blown_at.is_none_or(|blown| blown <= at) {
+                self.blown_at = Some(at);
                 self.erasures = r.erasures;
                 self.confidence = r.confidence_pct;
             }
@@ -105,7 +129,7 @@ impl PairState {
     /// `Degraded` otherwise — a blown budget means the decodes could
     /// not see enough of the flow to vouch for a clean negative.
     fn terminal_negative(&self, pair: PairId) -> Verdict {
-        if self.budget_blown {
+        if self.blown_at.is_some() {
             Verdict::Degraded {
                 pair,
                 reason: DegradeReason::ErasureBudget {
@@ -218,14 +242,19 @@ impl Control {
                     {
                         // The pair gets another chance: new packets (or
                         // the shutdown flush) schedule a fresh decode.
-                        state.in_flight = false;
-                    } else if self.orphans.remove(&pair).is_some() {
-                        // Evicted mid-decode and the decode died with
-                        // its worker: degraded is the terminal word.
-                        self.emit(Verdict::Degraded {
-                            pair,
-                            reason: DegradeReason::WorkerLost,
-                        });
+                        state.in_flight = state.in_flight.saturating_sub(1);
+                    } else if let Some(state) = self.orphans.get_mut(&pair) {
+                        state.in_flight = state.in_flight.saturating_sub(1);
+                        if state.in_flight == 0 {
+                            // Evicted mid-decode and its last decode
+                            // died with its worker: degraded is the
+                            // terminal word.
+                            self.orphans.remove(&pair);
+                            self.emit(Verdict::Degraded {
+                                pair,
+                                reason: DegradeReason::WorkerLost,
+                            });
+                        }
                     }
                 }
             }
@@ -248,7 +277,7 @@ impl Control {
             // Answered without a decode: the pair latched on an earlier
             // job, so its verdict is out and the job only releases it.
             if let Some(state) = state {
-                state.in_flight = false;
+                state.in_flight = state.in_flight.saturating_sub(1);
                 state.decodes += 1;
             }
             return;
@@ -257,9 +286,9 @@ impl Control {
             self.metrics.decode_erasures.add(u64::from(r.erasures));
         }
         if let Some(state) = state {
-            state.in_flight = false;
+            state.in_flight = state.in_flight.saturating_sub(1);
             state.record(pushed, outcome.hamming);
-            state.note_robust(&outcome);
+            state.note_robust(pushed, &outcome);
             if outcome.correlated && !state.resolved {
                 state.resolved = true;
                 self.metrics.pairs_latched.inc();
@@ -271,12 +300,20 @@ impl Control {
                     cost: outcome.cost + outcome.matching_cost,
                 });
             }
-        } else if let Some(mut state) = self.orphans.remove(&pair) {
-            // The flow was evicted mid-decode: this completion is
-            // the pair's terminal word. (The pair left the active
-            // gauge when its flow was evicted.)
+        } else if let Some(state) = self.orphans.get_mut(&pair) {
+            // The flow was evicted mid-decode: the pair's last
+            // completion, or its first correlating one, is its terminal
+            // word. (The pair left the active gauge when its flow was
+            // evicted.)
+            state.in_flight = state.in_flight.saturating_sub(1);
             state.record(pushed, outcome.hamming);
-            state.note_robust(&outcome);
+            state.note_robust(pushed, &outcome);
+            if !outcome.correlated && state.in_flight > 0 {
+                return;
+            }
+            let Some(state) = self.orphans.remove(&pair) else {
+                return;
+            };
             if outcome.correlated {
                 self.metrics.pairs_latched.inc();
                 self.emit(Verdict::Correlated {
@@ -296,7 +333,7 @@ impl Control {
             || self
                 .suspects
                 .values()
-                .any(|s| s.pairs.values().any(|p| p.in_flight))
+                .any(|s| s.pairs.values().any(|p| p.in_flight > 0))
     }
 
     /// The single choke point through which the verdict queue grows.
@@ -482,7 +519,7 @@ impl Monitor {
         // inserted — no second map lookup on the hot path.
         let metrics = &self.control.metrics;
         let flows_tracked = &mut self.flows_tracked;
-        let suspect = self.control.suspects.entry(flow).or_insert_with(|| {
+        let mut suspect = self.control.suspects.entry(flow).or_insert_with(|| {
             metrics.flows_active.inc();
             *flows_tracked += 1;
             Suspect {
@@ -492,6 +529,15 @@ impl Monitor {
                 instance: *flows_tracked,
             }
         });
+        if suspect.window.is_full() && suspect.window.evicted() == 0 {
+            // This push may be the window's first eviction: decodes
+            // postponed on its prefix must run while it is whole.
+            self.submit_postponed(flow, self.push_mode());
+            let Some(refetched) = self.control.suspects.get_mut(&flow) else {
+                return false;
+            };
+            suspect = refetched;
+        }
         if suspect.window.push(packet).is_err() {
             self.control.metrics.packets_rejected.inc();
             return false;
@@ -538,6 +584,7 @@ impl Monitor {
             })
             .collect();
         for &(id, idle) in &expired {
+            self.submit_postponed(id, self.push_mode());
             let Some(suspect) = self.control.suspects.remove(&id) else {
                 continue;
             };
@@ -553,8 +600,8 @@ impl Monitor {
                 // Non-resolved pairs leave the active gauge with their
                 // flow.
                 self.control.metrics.pairs_active.dec();
-                if state.in_flight {
-                    // Let the in-flight decode resolve the pair.
+                if state.in_flight > 0 {
+                    // Let the in-flight decodes resolve the pair.
                     self.control.orphans.insert(pair, state);
                 } else {
                     // Terminal even when never decoded: an eviction
@@ -611,9 +658,10 @@ impl Monitor {
     }
 
     /// Flushes and shuts down: runs one final decode for every pair
-    /// with undecoded packets, joins the workers, resolves every
-    /// remaining pair to a terminal verdict, and returns the undrained
-    /// verdicts plus a final stats snapshot.
+    /// with undecoded packets, plus any decode still postponed, joins
+    /// the workers, resolves every remaining pair to a terminal
+    /// verdict, and returns the undrained verdicts plus a final stats
+    /// snapshot.
     ///
     /// Unlike [`ingest`](Monitor::ingest), the flush uses blocking
     /// pushes — at shutdown completeness beats latency. Downed shards
@@ -660,7 +708,7 @@ impl Monitor {
                     continue;
                 };
                 if state.resolved
-                    || state.in_flight
+                    || state.in_flight > 0
                     || suspect.window.len() < min_window(&self.config, correlator)
                     || state.decoded_through >= suspect.window.pushed()
                 {
@@ -676,7 +724,9 @@ impl Monitor {
             // impossible while the supervisor holds it, but if it ever
             // happens the pair still resolves through the terminal
             // sweep below.
-            self.submit(flow, jobs, Push::Flush);
+            let pushed = suspect.window.pushed();
+            self.submit(flow, pushed, jobs, Push::Flush);
+            self.submit_postponed(flow, Push::Flush);
         }
         // Closing the job channels lets workers drain and exit; the
         // supervisor joins them, respawning as needed until every
@@ -724,7 +774,7 @@ impl Monitor {
             for (&upstream, state) in &suspect.pairs {
                 let pair = PairId { upstream, flow };
                 let shard = (pair.shard_hash() % shard_count) as usize;
-                if state.in_flight && !state.resolved && self.supervisor.is_stalled(shard) {
+                if state.in_flight > 0 && !state.resolved && self.supervisor.is_stalled(shard) {
                     victims.push(pair);
                 }
             }
@@ -736,7 +786,7 @@ impl Monitor {
                 .get_mut(&pair.flow)
                 .and_then(|s| s.pairs.get_mut(&pair.upstream))
             {
-                state.in_flight = false;
+                state.in_flight = 0;
                 state.resolved = true;
             }
             self.control.metrics.pairs_active.dec();
@@ -820,7 +870,7 @@ impl Monitor {
             // Deterministic mode never skips a boundary for an
             // in-flight decode: multiple jobs for one pair may queue,
             // and `absorb` tolerates completions in any order.
-            if due > pushed || (live && state.in_flight) {
+            if due > pushed || (live && state.in_flight > 0) {
                 // An overdue pair waiting on its in-flight decode
                 // retries on the next packet.
                 next_due = next_due.min(due.max(pushed + 1));
@@ -834,20 +884,58 @@ impl Monitor {
             next_due = next_due.min(pushed.saturating_add(batch));
         }
         suspect.next_due = next_due;
-        let push = if live { Push::Try } else { Push::Block };
-        if self.submit(flow, jobs, push) {
+        if self.submit(flow, pushed, jobs, self.push_mode()) {
             if let Some(suspect) = self.control.suspects.get_mut(&flow) {
                 suspect.next_due = pushed + 1;
             }
         }
     }
 
-    /// Pushes one boundary's jobs for `flow` onto their shards, all
-    /// sharing one snapshot of the flow's window. Returns `true` if a
+    /// How jobs are pushed outside the shutdown flush.
+    fn push_mode(&self) -> Push {
+        if self.config.deterministic_schedule {
+            Push::Block
+        } else {
+            Push::Try
+        }
+    }
+
+    /// Schedules the postponed decodes of `flow`'s pairs that still
+    /// have to run (see [`PairState::take_postponed`]), each on the
+    /// window prefix its boundary saw. Runs while the window has never
+    /// evicted: in the shutdown flush, before the first eviction, and
+    /// at idle eviction. A postponed decode whose push is dropped on
+    /// the live schedule is lost, as any dropped attempt is.
+    fn submit_postponed(&mut self, flow: FlowId, push: Push) {
+        let Some(suspect) = self.control.suspects.get_mut(&flow) else {
+            return;
+        };
+        let mut due: Vec<(u64, UpstreamId)> = suspect
+            .pairs
+            .iter_mut()
+            .filter_map(|(&upstream, state)| Some((state.take_postponed()?, upstream)))
+            .collect();
+        due.sort_unstable();
+        for boundary in due.chunk_by(|a, b| a.0 == b.0) {
+            let jobs = boundary
+                .iter()
+                .filter_map(|(_, upstream)| {
+                    Some((*upstream, Arc::clone(self.upstreams.get(upstream)?)))
+                })
+                .collect();
+            self.submit(flow, boundary[0].0, jobs, push);
+        }
+    }
+
+    /// Pushes the jobs of `flow`'s boundary at push count `pushed` onto
+    /// their shards, all sharing one snapshot of the packets the window
+    /// held then: the whole window for the current boundary, else a
+    /// prefix of a window that has never evicted. Returns `true` if a
     /// [`Push::Try`] found its queue full and dropped an attempt.
     fn submit(
         &mut self,
         flow: FlowId,
+        pushed: u64,
         jobs: Vec<(UpstreamId, Arc<BoundCorrelator>)>,
         push: Push,
     ) -> bool {
@@ -857,9 +945,10 @@ impl Monitor {
         let Some(suspect) = self.control.suspects.get(&flow) else {
             return false;
         };
-        let pushed = suspect.window.pushed();
         let instance = suspect.instance;
-        let window = Arc::new(suspect.window.snapshot());
+        let window = &suspect.window;
+        debug_assert!(pushed == window.pushed() || window.evicted() == 0);
+        let window = Arc::new(window.prefix(pushed.saturating_sub(window.evicted()) as usize));
         let mut dropped = false;
         for (upstream, correlator) in jobs {
             let pair = PairId { upstream, flow };
@@ -922,8 +1011,8 @@ impl Monitor {
                     .get_mut(&flow)
                     .and_then(|s| s.pairs.get_mut(&upstream))
                 {
-                    state.in_flight = true;
-                    state.decoded_through = pushed;
+                    state.in_flight += 1;
+                    state.decoded_through = state.decoded_through.max(pushed);
                 }
             }
         }
@@ -939,7 +1028,7 @@ impl Monitor {
         for (&flow, suspect) in &self.control.suspects {
             let len = suspect.window.len();
             for (&upstream, state) in &suspect.pairs {
-                if state.resolved || state.in_flight {
+                if state.resolved || state.in_flight > 0 {
                     continue;
                 }
                 let better = match victim {

@@ -20,8 +20,11 @@
 //! * **decode screening**: at each boundary the backend's
 //!   [`screen`](stepstone_core::CorrelatorBackend::screen) may prove the
 //!   decode's outcome without running it — a strict paper decode whose
-//!   matching is already infeasible — and the boundary is then counted
-//!   ([`MonitorStats::decodes_screened`]) instead of decoded;
+//!   matching is already infeasible, or a robust one over its erasure
+//!   budget — and the boundary is then counted
+//!   ([`MonitorStats::decodes_screened`]) instead of decoded. A robust
+//!   pair's latest over-budget decode still runs later, on the same
+//!   packets, since a `Degraded` verdict reports its erasures;
 //! * **explicit backpressure**: shard queues are bounded and, on the
 //!   default live schedule, ingest never blocks — an attempt against a
 //!   full queue is dropped and counted, and the pair retries as more

@@ -37,7 +37,7 @@ pub(crate) struct EngineMetrics {
     /// Decode jobs completed by workers.
     pub decodes_run: Arc<Counter>,
     /// Decode boundaries whose outcome the backend's screen proved, so
-    /// no job was scheduled.
+    /// no job was scheduled at the boundary.
     pub decodes_screened: Arc<Counter>,
     /// Decode panics caught in worker threads.
     pub worker_panics: Arc<Counter>,

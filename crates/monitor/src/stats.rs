@@ -32,8 +32,10 @@ pub struct MonitorStats {
     /// Decode jobs completed by workers.
     pub decodes_run: u64,
     /// Decode boundaries skipped because the backend's screen proved
-    /// their outcome: a strict decode whose matching is infeasible.
-    /// Each still counts as a decode in its pair's `Cleared` verdict.
+    /// their outcome: a strict decode whose matching is infeasible,
+    /// which still counts as a decode in its pair's `Cleared` verdict,
+    /// or a robust decode over its erasure budget, whose pair's latest
+    /// one is postponed and counted in `decodes_scheduled` when it runs.
     pub decodes_screened: u64,
     /// Decode attempts dropped because the target shard queue was full
     /// (backpressure; the pair retries as more packets arrive).

@@ -256,12 +256,17 @@ fn a_flow_tracked_again_after_eviction_is_decoded_again() {
     assert_eq!(latched, 2, "{verdicts:?}");
 }
 
+/// How long every decode sleeps in the backpressure test: far longer
+/// than ingesting a few flows takes, even in an unoptimised build.
+const SLOW_DECODE_MICROS: u64 = 20_000;
+
 /// Heavy backpressure: drops are counted, but accepted work is
 /// conserved — after `finish`, scheduled = run, the queues are empty,
-/// and no pair is left without a verdict. The decode is robust, which
-/// the engine never screens: strict decodes are screened until a
-/// window reaches the upstream's last packet, which leaves too few
-/// jobs to fill the queue reliably.
+/// and no pair is left without a verdict. The load comes from a hook
+/// that makes every decode sleep: each flow relays the upstream
+/// within Δ, so once its window spans the upstream no screen can skip
+/// its decodes, and the first three flows to get there meet a busy
+/// worker and a full one-slot queue.
 #[test]
 fn drop_accounting_is_conserved_under_backpressure() {
     const FLOWS: usize = 6;
@@ -270,7 +275,10 @@ fn drop_accounting_is_conserved_under_backpressure() {
         MonitorConfig::default()
             .with_shards(1)
             .with_queue_capacity(1)
-            .with_decode_batch(1),
+            .with_decode_batch(1)
+            .with_fault_hook(FaultHook::new(|_, _| {
+                DecodeFault::Sleep(SLOW_DECODE_MICROS)
+            })),
     );
     monitor.register_upstream(UpstreamId(0), correlator);
     let mut total_packets = 0u64;

@@ -4,7 +4,9 @@
 use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
 use stepstone_core::{Algorithm, DecodeOptions, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
-use stepstone_monitor::{FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict};
+use stepstone_monitor::{
+    DecodeFault, FaultHook, FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict,
+};
 use stepstone_traffic::{InteractiveProfile, Seed, SessionGenerator};
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
@@ -124,16 +126,17 @@ fn detects_attacked_downstream_among_decoys_live() {
 #[test]
 fn backpressure_drops_decodes_without_blocking_ingest() {
     let s = scenario(21, 200, 2);
-    // One shard with a single-slot queue, re-decode after every packet:
-    // once the worker is busy, concurrent flows must hit a full queue.
-    // The decode is robust, which the engine never screens: a strict
-    // decode of these unrelated flows is provably unmatched at almost
-    // every boundary, so it would schedule next to no jobs.
+    // One shard with a single-slot queue, re-decode after every packet,
+    // and every decode sleeps: once the worker is busy, concurrent
+    // flows must hit a full queue. Each flow relays the upstream within
+    // Δ, so the windows of all eight span it at about the same point in
+    // the merged stream, and no screen can skip their decodes there.
     let mut monitor = Monitor::new(
         MonitorConfig::default()
             .with_shards(1)
             .with_queue_capacity(1)
-            .with_decode_batch(1),
+            .with_decode_batch(1)
+            .with_fault_hook(FaultHook::new(|_, _| DecodeFault::Sleep(20_000))),
     );
     monitor.register_upstream(
         UpstreamId(0),
@@ -143,9 +146,7 @@ fn backpressure_drops_decodes_without_blocking_ingest() {
             .bind(&s.original, &s.marked)
             .unwrap(),
     );
-    let flows: Vec<Flow> = (0..8)
-        .map(|i| attack(&interactive(260, 700 + i), 2, 0.5, i))
-        .collect();
+    let flows: Vec<Flow> = (0..8).map(|i| attack(&s.marked, 2, 0.5, 700 + i)).collect();
     let streams: Vec<(FlowId, &Flow)> = flows
         .iter()
         .enumerate()

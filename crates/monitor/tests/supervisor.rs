@@ -257,9 +257,11 @@ fn sustained_backpressure_sheds_the_smallest_pair() {
     // slot while the worker sleeps — the drop streak is guaranteed to
     // pass the shed threshold, and the smallest-window pair (a 12-packet
     // decoy that can never reach min_window) is the designated victim.
-    // The decode is robust with a zero erasure budget: the engine never
-    // screens a robust decode, so every boundary schedules a job, while
-    // min_window stays the upstream's full 24 packets.
+    // The decode is robust with a zero erasure budget, so min_window
+    // stays the upstream's full 24 packets. No gap in these flows
+    // reaches Δ = 3 s, so once a window spans the upstream every
+    // matching set holds a packet and no screen skips its decode: the
+    // load is the decodes that must run, each slowed by the hook.
     let original = seeded_flow(13, 24);
     let marker = IpdWatermarker::new(WatermarkKey::new(13 ^ 77), tiny_params());
     let watermark = Watermark::random(4, &mut WatermarkKey::new(13).rng(1));
