@@ -80,15 +80,14 @@ fn replay_hooked(
     shards: usize,
     hook: Option<FaultHook>,
 ) -> u64 {
-    // The deterministic schedule decodes every boundary and never drops
-    // one, so every shard count, with or without a hook, runs the same
+    // The engine decodes every boundary and never drops one, so every
+    // shard count, with or without a hook, runs the same
     // decode work and the comparison isolates scheduling overhead vs.
     // parallelism. The queue is sized so its blocking push rarely waits.
     let mut config = MonitorConfig::default()
         .with_shards(shards)
         .with_decode_batch(64)
-        .with_queue_capacity(256)
-        .with_deterministic_schedule();
+        .with_queue_capacity(256);
     if let Some(hook) = hook {
         config = config.with_fault_hook(hook);
     }

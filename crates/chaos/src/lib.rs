@@ -35,7 +35,7 @@
 //! ```
 //!
 //! The survival half — supervised worker restarts, stall watchdog,
-//! load shedding, `Degraded` verdicts — lives in `stepstone-monitor`;
+//! `Degraded` verdicts — lives in `stepstone-monitor`;
 //! this crate only produces the weather.
 
 #![forbid(unsafe_code)]

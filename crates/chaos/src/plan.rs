@@ -146,8 +146,8 @@ impl FaultPlan {
     }
 
     /// Arms `config` with this plan's runtime faults and the matching
-    /// degradation policy (load shedding under sustained backpressure,
-    /// stall detection, fast restart backoff) so the engine both
+    /// degradation policy (stall detection, fast restart backoff) so the
+    /// engine both
     /// *receives* faults and *survives* them. Wire and flow layers are
     /// armed separately — they wrap the ingest path, not the engine.
     pub fn arm_monitor(&self, config: MonitorConfig) -> MonitorConfig {
@@ -155,11 +155,9 @@ impl FaultPlan {
         match self.profile {
             Profile::Mild => config,
             Profile::Harsh => config
-                .with_shed_after_drops(64)
                 .with_stall_timeout(Duration::from_millis(250))
                 .with_restart_backoff(Duration::from_millis(2), Duration::from_millis(50)),
             Profile::Adversarial => config
-                .with_shed_after_drops(32)
                 .with_stall_timeout(Duration::from_millis(100))
                 .with_restart_backoff(Duration::from_millis(1), Duration::from_millis(25)),
         }

@@ -109,6 +109,7 @@ pub struct WireStats {
     pub pairs_latched: u64,
     pub decodes_scheduled: u64,
     pub decodes_run: u64,
+    pub decodes_answered: u64,
     pub decodes_dropped: u64,
     pub queue_depth: u64,
     pub queue_enqueued: u64,
@@ -116,7 +117,6 @@ pub struct WireStats {
     pub worker_panics: u64,
     pub worker_restarts: u64,
     pub jobs_lost: u64,
-    pub pairs_shed: u64,
     pub verdicts_emitted: u64,
 }
 
@@ -141,6 +141,7 @@ impl WireStats {
             pairs_latched: self.pairs_latched + other.pairs_latched,
             decodes_scheduled: self.decodes_scheduled + other.decodes_scheduled,
             decodes_run: self.decodes_run + other.decodes_run,
+            decodes_answered: self.decodes_answered + other.decodes_answered,
             decodes_dropped: self.decodes_dropped + other.decodes_dropped,
             queue_depth: self.queue_depth + other.queue_depth,
             queue_enqueued: self.queue_enqueued + other.queue_enqueued,
@@ -148,7 +149,6 @@ impl WireStats {
             worker_panics: self.worker_panics + other.worker_panics,
             worker_restarts: self.worker_restarts + other.worker_restarts,
             jobs_lost: self.jobs_lost + other.jobs_lost,
-            pairs_shed: self.pairs_shed + other.pairs_shed,
             verdicts_emitted: self.verdicts_emitted + other.verdicts_emitted,
         }
     }
@@ -163,6 +163,7 @@ impl WireStats {
             self.pairs_latched,
             self.decodes_scheduled,
             self.decodes_run,
+            self.decodes_answered,
             self.decodes_dropped,
             self.queue_depth,
             self.queue_enqueued,
@@ -170,7 +171,6 @@ impl WireStats {
             self.worker_panics,
             self.worker_restarts,
             self.jobs_lost,
-            self.pairs_shed,
             self.verdicts_emitted,
         ]
     }
@@ -191,6 +191,7 @@ impl WireStats {
             pairs_latched: c.u64()?,
             decodes_scheduled: c.u64()?,
             decodes_run: c.u64()?,
+            decodes_answered: c.u64()?,
             decodes_dropped: c.u64()?,
             queue_depth: c.u64()?,
             queue_enqueued: c.u64()?,
@@ -198,7 +199,6 @@ impl WireStats {
             worker_panics: c.u64()?,
             worker_restarts: c.u64()?,
             jobs_lost: c.u64()?,
-            pairs_shed: c.u64()?,
             verdicts_emitted: c.u64()?,
         })
     }
@@ -215,6 +215,7 @@ impl From<&MonitorStats> for WireStats {
             pairs_latched: s.pairs_latched,
             decodes_scheduled: s.decodes_scheduled,
             decodes_run: s.decodes_run,
+            decodes_answered: s.decodes_answered,
             decodes_dropped: s.decodes_dropped,
             queue_depth: s.queue_depths.iter().map(|&d| d as u64).sum(),
             queue_enqueued: s.queue_enqueued,
@@ -222,7 +223,6 @@ impl From<&MonitorStats> for WireStats {
             worker_panics: s.worker_panics,
             worker_restarts: s.worker_restarts,
             jobs_lost: s.jobs_lost,
-            pairs_shed: s.pairs_shed,
             verdicts_emitted: s.verdicts_emitted,
         }
     }
@@ -340,7 +340,6 @@ fn encode_verdict(v: &Verdict, out: &mut Vec<u8>) {
             match reason {
                 DegradeReason::WorkerLost => out.push(0),
                 DegradeReason::Stalled => out.push(1),
-                DegradeReason::Shed => out.push(2),
                 DegradeReason::ErasureBudget {
                     erasures,
                     confidence,
@@ -387,7 +386,6 @@ fn decode_verdict(c: &mut Cursor<'_>) -> Result<Verdict, WireError> {
             let reason = match c.u8()? {
                 0 => DegradeReason::WorkerLost,
                 1 => DegradeReason::Stalled,
-                2 => DegradeReason::Shed,
                 3 => DegradeReason::ErasureBudget {
                     erasures: c.u32()?,
                     confidence: c.u8()?,
@@ -701,7 +699,7 @@ mod tests {
                 stats: WireStats::default(),
                 verdicts: vec![Verdict::Degraded {
                     pair,
-                    reason: DegradeReason::Shed,
+                    reason: DegradeReason::Stalled,
                 }],
             },
         ]
@@ -755,6 +753,27 @@ mod tests {
         bytes.push(0xFF);
         let err = Message::decode(TYPE_PING, &bytes).unwrap_err();
         assert!(matches!(err, WireError::BadPayload(_)), "{err}");
+    }
+
+    #[test]
+    fn retired_degrade_reason_tag_is_rejected() {
+        // Tag 2 once encoded load shedding; it stays unassigned.
+        let pair = PairId {
+            upstream: UpstreamId(1),
+            flow: FlowId(2),
+        };
+        let mut bytes = Message::Verdicts(vec![Verdict::Degraded {
+            pair,
+            reason: DegradeReason::WorkerLost,
+        }])
+        .encode_payload()
+        .unwrap();
+        *bytes.last_mut().unwrap() = 2;
+        let err = Message::decode(TYPE_VERDICTS, &bytes).unwrap_err();
+        assert!(
+            matches!(err, WireError::BadPayload("bad degrade reason")),
+            "{err}"
+        );
     }
 
     #[test]

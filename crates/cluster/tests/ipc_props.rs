@@ -51,14 +51,14 @@ fn stats_strategy() -> impl Strategy<Value = WireStats> {
             pairs_latched: f(6),
             decodes_scheduled: f(7),
             decodes_run: f(8),
-            decodes_dropped: f(9),
-            queue_depth: f(10),
-            queue_enqueued: f(11),
-            queue_dequeued: f(12),
-            worker_panics: f(13),
-            worker_restarts: f(14),
-            jobs_lost: f(15),
-            pairs_shed: f(16),
+            decodes_answered: f(9),
+            decodes_dropped: f(10),
+            queue_depth: f(11),
+            queue_enqueued: f(12),
+            queue_dequeued: f(13),
+            worker_panics: f(14),
+            worker_restarts: f(15),
+            jobs_lost: f(16),
             verdicts_emitted: f(17),
         }
     })
@@ -95,10 +95,9 @@ fn verdict_strategy() -> impl Strategy<Value = Verdict> {
                 },
                 _ => Verdict::Degraded {
                     pair,
-                    reason: match small % 4 {
+                    reason: match small % 3 {
                         0 => DegradeReason::WorkerLost,
                         1 => DegradeReason::Stalled,
-                        2 => DegradeReason::Shed,
                         _ => DegradeReason::ErasureBudget {
                             erasures: small,
                             confidence: (small % 101) as u8,

@@ -174,8 +174,8 @@ pub struct LiveReport {
     pub false_positives: usize,
     /// True pairs the monitor failed to detect.
     pub missed: usize,
-    /// Pairs that ended degraded (worker lost, stalled, or shed) —
-    /// always 0 without a fault plan.
+    /// Pairs that ended degraded: worker lost or stalled under a fault
+    /// plan, or over the erasure budget under robust decoding.
     pub degraded: usize,
     /// Final engine counters.
     pub stats: MonitorStats,
@@ -263,7 +263,7 @@ pub(crate) fn build_corpus(
     }
     if let Some(plan) = chaos {
         // Arms both sides: the runtime fault hook *and* the matching
-        // degradation policy (shedding, stall detection, fast restarts).
+        // degradation policy (stall detection, fast restarts).
         config = plan.arm_monitor(config);
     }
     let mut monitor = Monitor::new(config);
@@ -483,8 +483,8 @@ pub struct PcapReport {
     pub false_positives: usize,
     /// True pairs the monitor failed to detect.
     pub missed: usize,
-    /// Pairs that ended degraded (worker lost, stalled, or shed) —
-    /// always 0 without a fault plan.
+    /// Pairs that ended degraded: worker lost or stalled under a fault
+    /// plan, or over the erasure budget under robust decoding.
     pub degraded: usize,
 }
 

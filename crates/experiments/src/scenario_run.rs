@@ -14,14 +14,10 @@
 //! the same text build interchangeable corpora), and a scenario's chaos
 //! arms only the *channel* layers — flow faults here, plus wire faults
 //! where there is a wire — never the engine's runtime faults, whose
-//! effects depend on thread timing. The monitor runs with
-//! [`MonitorConfig::deterministic_schedule`], so the set of windows
-//! decoded per pair — and therefore which terminal class each pair
-//! lands in — is a pure function of the event stream, not of worker
-//! timing (without it, a pair sitting near its backend's decision
-//! threshold can latch in one run and clear in the next when a
-//! borderline boundary window is skipped for an in-flight decode).
-//! Decode *latencies* still vary, so the canonical [`VerdictLine`]s
+//! effects depend on thread timing. The monitor decodes every batch
+//! boundary, so the set of windows decoded per pair — and therefore
+//! which terminal class each pair lands in — is a pure function of the
+//! event stream, not of worker timing. Decode *latencies* still vary, so the canonical [`VerdictLine`]s
 //! carry only pair identities and [`TerminalKind`]s, making
 //! [`ScenarioOutcome::verdict_digest`] stable across runs, processes
 //! and machines — the property the matrix report and the
@@ -294,13 +290,7 @@ pub(crate) fn build_spec_corpus(
     let pipeline = adversary(spec);
     let config = MonitorConfig::default()
         .with_shards(spec.shards)
-        .with_decode_batch(spec.decode_batch)
-        // Scenario runs promise byte-reproducible terminal verdicts, so
-        // the engine must decode the same windows every run: without
-        // this, a boundary whose previous decode is still in flight is
-        // skipped, and a pair near its backend's decision threshold can
-        // latch in one run and clear in the next.
-        .with_deterministic_schedule();
+        .with_decode_batch(spec.decode_batch);
     let mut monitor = Monitor::new(config);
     let mut suspicious: Vec<(FlowId, Flow)> = Vec::new();
     let mut channel_erasures = 0u64;

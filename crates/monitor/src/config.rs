@@ -13,7 +13,7 @@ use crate::fault::FaultHook;
 /// The defaults suit interactive-traffic monitoring at paper scale
 /// (flows of a few hundred packets): windows hold whole flows, decodes
 /// batch a modest number of new packets, and queues absorb short bursts
-/// without letting a slow decode stall ingest.
+/// of decodes before a slow one blocks ingest.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Most-recent packets retained per suspicious flow. Decodes only
@@ -24,12 +24,9 @@ pub struct MonitorConfig {
     /// schedules another decode for it. `1` decodes as often as the
     /// queue allows; large values approach batch (decode-once) mode.
     pub decode_batch: usize,
-    /// Bounded depth of each shard's job queue. When a queue is full
-    /// the decode attempt is dropped (and counted) instead of blocking
-    /// ingest; the pair retries as more packets arrive. Under
-    /// [`deterministic_schedule`](Self::deterministic_schedule) ingest
-    /// blocks on a full queue instead, absorbing completions until the
-    /// shard's worker frees a slot, and nothing is dropped.
+    /// Bounded depth of each shard's job queue. When a queue is full,
+    /// ingest blocks, absorbing completions until the shard's worker
+    /// frees a slot; no decode is dropped.
     pub queue_capacity: usize,
     /// Decode worker threads; pairs are pinned to shards by pair-id
     /// hash, so one pair's decodes never run concurrently.
@@ -57,22 +54,6 @@ pub struct MonitorConfig {
     /// run clean; chaos harnesses install a hook to schedule panics,
     /// worker kills, and slow decodes deterministically.
     pub fault_hook: Option<FaultHook>,
-    /// Shed the lowest-priority pair after this many *consecutive*
-    /// dropped decode attempts (full shard queues). `None` (default)
-    /// never sheds — backpressure only drops individual attempts.
-    pub shed_after_drops: Option<u64>,
-    /// Decode every batch boundary, deterministically. By default the
-    /// engine trades coverage for liveness: a pair whose decode is
-    /// still in flight skips its boundary, and a full shard queue
-    /// drops the attempt — so *which* windows get decoded depends on
-    /// worker timing. With this set, the engine snapshots a decode at
-    /// every boundary and blocks ingest (pumping completions) when a
-    /// queue is full, making the decoded-window set — and therefore
-    /// every terminal verdict — a pure function of the ingested event
-    /// stream. Scenario replays set this to honour the verdict-digest
-    /// reproducibility contract; live captures keep the default, where
-    /// shedding load beats stalling the wire.
-    pub deterministic_schedule: bool,
     /// Watchdog threshold: a shard whose queue is non-empty but whose
     /// worker heartbeat is older than this is flagged stalled. `None`
     /// (default) disables the watchdog thread entirely.
@@ -95,8 +76,6 @@ impl Default for MonitorConfig {
             min_window: 0,
             registry: None,
             fault_hook: None,
-            shed_after_drops: None,
-            deterministic_schedule: false,
             stall_timeout: None,
             restart_backoff: Duration::from_millis(5),
             restart_backoff_cap: Duration::from_millis(500),
@@ -163,19 +142,11 @@ impl MonitorConfig {
         self
     }
 
-    /// Enables load shedding after `drops` consecutive dropped decode
-    /// attempts.
+    /// Returns `self` unchanged. Every batch boundary is decoded on the
+    /// engine's only schedule; this remains for callers written when a
+    /// lossy schedule was the default, and will be removed.
     #[must_use]
-    pub fn with_shed_after_drops(mut self, drops: u64) -> Self {
-        self.shed_after_drops = Some(drops);
-        self
-    }
-
-    /// Decodes every batch boundary deterministically (see
-    /// [`deterministic_schedule`](Self::deterministic_schedule)).
-    #[must_use]
-    pub fn with_deterministic_schedule(mut self) -> Self {
-        self.deterministic_schedule = true;
+    pub fn with_deterministic_schedule(self) -> Self {
         self
     }
 
@@ -199,9 +170,6 @@ impl MonitorConfig {
         assert!(self.decode_batch > 0, "decode_batch must be positive");
         assert!(self.queue_capacity > 0, "queue_capacity must be positive");
         assert!(self.shards > 0, "shards must be positive");
-        if let Some(drops) = self.shed_after_drops {
-            assert!(drops > 0, "shed_after_drops must be positive");
-        }
         if let Some(timeout) = self.stall_timeout {
             assert!(!timeout.is_zero(), "stall_timeout must be positive");
         }

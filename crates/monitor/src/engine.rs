@@ -53,7 +53,7 @@ struct PairState {
     /// Decided-bit confidence of that decode (percent).
     confidence: u8,
     /// A terminal verdict was emitted for the pair — latched
-    /// `Correlated`, shed, or stall-degraded. The pair is done: no more
+    /// `Correlated` or stall-degraded. The pair is done: no more
     /// scheduling, and the shutdown sweep skips it.
     resolved: bool,
 }
@@ -100,14 +100,15 @@ impl PairState {
         false
     }
 
-    /// Takes the postponed boundary if its decode still has to run:
-    /// the pair is unresolved and no completed decode of a later
-    /// boundary has blown the budget, which would report its own
-    /// erasures instead.
+    /// Takes the postponed boundary if the pair is unresolved. A
+    /// completed decode of a later boundary that blew the budget would
+    /// make the decode redundant, but whether it has completed yet
+    /// depends on worker timing, so it is not consulted: the decode
+    /// runs, and [`note_robust`](Self::note_robust) keeps the later
+    /// boundary's numbers.
     fn take_postponed(&mut self) -> Option<u64> {
         let at = self.postponed.take()?;
-        let superseded = self.blown_at.is_some_and(|blown| blown > at);
-        (!self.resolved && !superseded).then_some(at)
+        (!self.resolved).then_some(at)
     }
 
     /// Folds the robust outcome of the decode of the boundary at push
@@ -145,19 +146,6 @@ impl PairState {
             }
         }
     }
-}
-
-/// How [`Monitor::submit`] hands jobs to the shard queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Push {
-    /// `try_push`: a full queue drops the attempt (live schedule).
-    Try,
-    /// Blocking push, pumping completions while waiting (deterministic
-    /// schedule).
-    Block,
-    /// Blocking push at shutdown; a stalled shard's pair is degraded
-    /// instead of waited on.
-    Flush,
 }
 
 /// One tracked suspicious flow.
@@ -364,13 +352,10 @@ impl Control {
 /// [`ingest`](Monitor::ingest); the engine windows each suspicious
 /// flow, schedules (upstream, suspicious) pair decodes onto the shard
 /// owning the pair, and surfaces results through
-/// [`drain_verdicts`](Monitor::drain_verdicts). On the default live
-/// schedule ingest never blocks: when a shard queue is full the decode
-/// attempt is dropped and counted, and the pair retries as more packets
-/// arrive. Under
-/// [`deterministic_schedule`](crate::MonitorConfig::deterministic_schedule)
-/// ingest instead blocks on a full queue, absorbing completions while
-/// it waits, so every batch boundary is decoded.
+/// [`drain_verdicts`](Monitor::drain_verdicts). Every batch boundary
+/// is decoded: when a shard queue is full, ingest blocks, absorbing
+/// completions while it waits, so which windows are decoded — and
+/// therefore every terminal verdict — depends only on the event stream.
 ///
 /// # Fault tolerance
 ///
@@ -384,13 +369,11 @@ impl Control {
 /// backoff ([`MonitorStats::worker_restarts`]), the job that died with
 /// the worker is accounted ([`MonitorStats::jobs_lost`]) and its pair
 /// released to retry, and queued jobs survive because the queue's
-/// receiving side outlives the worker. Under sustained backpressure the
-/// engine can shed its lowest-priority pair
-/// ([`MonitorConfig::shed_after_drops`]), and an optional watchdog
-/// ([`MonitorConfig::stall_timeout`]) flags wedged shards so shutdown
-/// degrades their pairs instead of hanging. Every such giving-up is an
-/// explicit [`Verdict::Degraded`] — the engine never silently drops a
-/// registered pair.
+/// receiving side outlives the worker. An optional watchdog
+/// ([`MonitorConfig::stall_timeout`]) flags wedged shards, whose pairs
+/// are degraded instead of scheduled or waited on. Every such giving-up
+/// is an explicit [`Verdict::Degraded`] — the engine never silently
+/// drops a registered pair.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Monitor {
@@ -411,9 +394,6 @@ pub struct Monitor {
     /// Accepted packets since start, kept as a plain integer purely to
     /// pace the idle-eviction sweep without summing counter stripes.
     sweep_tick: u64,
-    /// Consecutive decode attempts dropped on full queues; trips the
-    /// shedding policy when it reaches `config.shed_after_drops`.
-    drop_streak: u64,
     /// Flows tracked so far: the next [`Suspect::instance`].
     flows_tracked: u64,
 }
@@ -466,7 +446,6 @@ impl Monitor {
             done_rx,
             supervisor,
             sweep_tick: 0,
-            drop_streak: 0,
             flows_tracked: 0,
         }
     }
@@ -502,11 +481,9 @@ impl Monitor {
     /// window; `false` if it was rejected as out-of-order (counted in
     /// [`MonitorStats::packets_rejected`]).
     ///
-    /// On the live schedule this never blocks: decode scheduling uses
-    /// `try_push` and drops the attempt on a full shard queue. Under
-    /// [`deterministic_schedule`](crate::MonitorConfig::deterministic_schedule)
-    /// it blocks on a full queue until the shard's worker frees a slot,
-    /// absorbing completions while it waits.
+    /// Blocks while a decode this packet schedules meets a full shard
+    /// queue, absorbing completions until the shard's worker frees a
+    /// slot; nothing is dropped.
     pub fn ingest(&mut self, flow: FlowId, packet: Packet) -> bool {
         self.control.pump(&self.done_rx, &mut self.supervisor);
         self.control.clock = Some(match self.control.clock {
@@ -532,7 +509,7 @@ impl Monitor {
         if suspect.window.is_full() && suspect.window.evicted() == 0 {
             // This push may be the window's first eviction: decodes
             // postponed on its prefix must run while it is whole.
-            self.submit_postponed(flow, self.push_mode());
+            self.submit_postponed(flow);
             let Some(refetched) = self.control.suspects.get_mut(&flow) else {
                 return false;
             };
@@ -584,7 +561,7 @@ impl Monitor {
             })
             .collect();
         for &(id, idle) in &expired {
-            self.submit_postponed(id, self.push_mode());
+            self.submit_postponed(id);
             let Some(suspect) = self.control.suspects.remove(&id) else {
                 continue;
             };
@@ -593,8 +570,8 @@ impl Monitor {
             for (upstream, state) in suspect.pairs {
                 let pair = PairId { upstream, flow: id };
                 if state.resolved {
-                    // Already has its terminal verdict (latched, shed,
-                    // or degraded) and already left the active gauge.
+                    // Already has its terminal verdict (latched or
+                    // degraded) and already left the active gauge.
                     continue;
                 }
                 // Non-resolved pairs leave the active gauge with their
@@ -644,6 +621,7 @@ impl Monitor {
             pairs_latched: m.pairs_latched.get(),
             decodes_scheduled: m.decodes_scheduled.get(),
             decodes_run: m.decodes_run.get(),
+            decodes_answered: m.decodes_answered.get(),
             decodes_screened: m.decodes_screened.get(),
             decodes_dropped: self.gauges.iter().map(ShardGauges::dropped).sum(),
             queue_depths: self.gauges.iter().map(ShardGauges::depth).collect(),
@@ -652,7 +630,6 @@ impl Monitor {
             worker_panics: m.worker_panics.get(),
             worker_restarts: m.worker_restarts.get(),
             jobs_lost: m.jobs_lost.get(),
-            pairs_shed: m.pairs_shed.get(),
             verdicts_emitted: m.verdicts_emitted(),
         }
     }
@@ -663,11 +640,9 @@ impl Monitor {
     /// verdict, and returns the undrained verdicts plus a final stats
     /// snapshot.
     ///
-    /// Unlike [`ingest`](Monitor::ingest), the flush uses blocking
-    /// pushes — at shutdown completeness beats latency. Downed shards
-    /// are respawned immediately (no backoff) so their queued work
-    /// drains; shards the watchdog flags as stalled get `Degraded`
-    /// verdicts for their pending pairs instead of more work.
+    /// Downed shards are respawned immediately (no backoff) so their
+    /// queued work drains; shards the watchdog flags as stalled get
+    /// `Degraded` verdicts for their pending pairs instead of more work.
     pub fn finish(mut self) -> MonitorReport {
         // Bring every downed shard back first: the drain below needs
         // someone to work the queues.
@@ -725,8 +700,8 @@ impl Monitor {
             // happens the pair still resolves through the terminal
             // sweep below.
             let pushed = suspect.window.pushed();
-            self.submit(flow, pushed, jobs, Push::Flush);
-            self.submit_postponed(flow, Push::Flush);
+            self.submit(flow, pushed, jobs);
+            self.submit_postponed(flow);
         }
         // Closing the job channels lets workers drain and exit; the
         // supervisor joins them, respawning as needed until every
@@ -814,8 +789,8 @@ impl Monitor {
         }
     }
 
-    /// Emits a terminal `Degraded` verdict for a live, unresolved pair.
-    fn degrade_pair(&mut self, pair: PairId, reason: DegradeReason) {
+    /// Emits a terminal `Stalled` verdict for a live, unresolved pair.
+    fn degrade_stalled(&mut self, pair: PairId) {
         let Some(state) = self
             .control
             .suspects
@@ -829,18 +804,15 @@ impl Monitor {
         }
         state.resolved = true;
         self.control.metrics.pairs_active.dec();
-        if matches!(reason, DegradeReason::Shed) {
-            self.control.metrics.pairs_shed.inc();
-        }
-        self.control.emit(Verdict::Degraded { pair, reason });
+        self.control.emit(Verdict::Degraded {
+            pair,
+            reason: DegradeReason::Stalled,
+        });
     }
 
     /// Schedules decodes for `flow`'s pairs that have reached a decode
     /// boundary, after screening each one. Between boundaries this is a
-    /// single comparison against the flow's `next_due`. Uses `try_push`
-    /// on the live schedule; a full shard queue counts a drop and the
-    /// pair retries on the next packet. Sustained drop streaks trip the
-    /// load-shedding policy, if enabled.
+    /// single comparison against the flow's `next_due`.
     fn schedule_pairs(&mut self, flow: FlowId) {
         let Some(suspect) = self.control.suspects.get_mut(&flow) else {
             return;
@@ -850,7 +822,6 @@ impl Monitor {
             return;
         }
         let batch = self.config.decode_batch as u64;
-        let live = !self.config.deterministic_schedule;
         let mut next_due = u64::MAX;
         let mut jobs = Vec::new();
         for (&upstream, correlator) in &self.upstreams {
@@ -867,13 +838,11 @@ impl Monitor {
                 continue;
             }
             let due = state.due_at(&suspect.window, min_window(&self.config, correlator), batch);
-            // Deterministic mode never skips a boundary for an
-            // in-flight decode: multiple jobs for one pair may queue,
-            // and `absorb` tolerates completions in any order.
-            if due > pushed || (live && state.in_flight > 0) {
-                // An overdue pair waiting on its in-flight decode
-                // retries on the next packet.
-                next_due = next_due.min(due.max(pushed + 1));
+            // A boundary is never skipped for an in-flight decode:
+            // multiple jobs for one pair may queue, and `absorb`
+            // tolerates completions in any order.
+            if due > pushed {
+                next_due = next_due.min(due);
                 continue;
             }
             if state.screen(correlator, &suspect.window) {
@@ -884,29 +853,15 @@ impl Monitor {
             next_due = next_due.min(pushed.saturating_add(batch));
         }
         suspect.next_due = next_due;
-        if self.submit(flow, pushed, jobs, self.push_mode()) {
-            if let Some(suspect) = self.control.suspects.get_mut(&flow) {
-                suspect.next_due = pushed + 1;
-            }
-        }
-    }
-
-    /// How jobs are pushed outside the shutdown flush.
-    fn push_mode(&self) -> Push {
-        if self.config.deterministic_schedule {
-            Push::Block
-        } else {
-            Push::Try
-        }
+        self.submit(flow, pushed, jobs);
     }
 
     /// Schedules the postponed decodes of `flow`'s pairs that still
     /// have to run (see [`PairState::take_postponed`]), each on the
     /// window prefix its boundary saw. Runs while the window has never
     /// evicted: in the shutdown flush, before the first eviction, and
-    /// at idle eviction. A postponed decode whose push is dropped on
-    /// the live schedule is lost, as any dropped attempt is.
-    fn submit_postponed(&mut self, flow: FlowId, push: Push) {
+    /// at idle eviction.
+    fn submit_postponed(&mut self, flow: FlowId) {
         let Some(suspect) = self.control.suspects.get_mut(&flow) else {
             return;
         };
@@ -923,40 +878,34 @@ impl Monitor {
                     Some((*upstream, Arc::clone(self.upstreams.get(upstream)?)))
                 })
                 .collect();
-            self.submit(flow, boundary[0].0, jobs, push);
+            self.submit(flow, boundary[0].0, jobs);
         }
     }
 
     /// Pushes the jobs of `flow`'s boundary at push count `pushed` onto
     /// their shards, all sharing one snapshot of the packets the window
     /// held then: the whole window for the current boundary, else a
-    /// prefix of a window that has never evicted. Returns `true` if a
-    /// [`Push::Try`] found its queue full and dropped an attempt.
-    fn submit(
-        &mut self,
-        flow: FlowId,
-        pushed: u64,
-        jobs: Vec<(UpstreamId, Arc<BoundCorrelator>)>,
-        push: Push,
-    ) -> bool {
+    /// prefix of a window that has never evicted. A full queue blocks
+    /// the push; a pair whose shard the watchdog flags stalled is
+    /// degraded instead of pushed.
+    fn submit(&mut self, flow: FlowId, pushed: u64, jobs: Vec<(UpstreamId, Arc<BoundCorrelator>)>) {
         if jobs.is_empty() {
-            return false;
+            return;
         }
         let Some(suspect) = self.control.suspects.get(&flow) else {
-            return false;
+            return;
         };
         let instance = suspect.instance;
         let window = &suspect.window;
         debug_assert!(pushed == window.pushed() || window.evicted() == 0);
         let window = Arc::new(window.prefix(pushed.saturating_sub(window.evicted()) as usize));
-        let mut dropped = false;
         for (upstream, correlator) in jobs {
             let pair = PairId { upstream, flow };
             let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
-            if push == Push::Flush && self.supervisor.is_stalled(shard) {
-                // Scheduling onto a wedged shard would hang the flush;
-                // degraded is the honest terminal word.
-                self.degrade_pair(pair, DegradeReason::Stalled);
+            if self.supervisor.is_stalled(shard) {
+                // Scheduling onto a wedged shard would block ingest or
+                // hang the flush; degraded is the honest terminal word.
+                self.degrade_stalled(pair);
                 continue;
             }
             let job = DecodeJob {
@@ -966,43 +915,20 @@ impl Monitor {
                 pushed,
                 instance,
             };
-            let accepted = if push == Push::Try {
-                let accepted = self.shards[shard].try_push(job).is_ok();
-                if accepted {
-                    self.drop_streak = 0;
-                } else {
-                    // The drop is already counted by the shard queue;
-                    // the pair retries on the next packet. A long
-                    // enough streak means the engine is oversubscribed,
-                    // and shedding one pair beats starving them all.
-                    dropped = true;
-                    self.drop_streak += 1;
-                    if let Some(limit) = self.config.shed_after_drops {
-                        if self.drop_streak >= limit {
-                            self.drop_streak = 0;
-                            self.shed_lowest_priority();
-                        }
-                    }
-                }
-                accepted
-            } else {
-                // Blocking push: the decoded windows must be a pure
-                // function of the event stream, and the flush must not
-                // drop work, so a full queue stalls instead of
-                // dropping. The pump callback keeps draining
-                // completions so a full queue and an undrained done
-                // stream cannot deadlock — and keeps respawning dead
-                // workers, so the queue is always eventually drained;
-                // the disjoint `control`/`shards`/`supervisor` borrows
-                // make this legal.
-                let sender = &self.shards[shard];
-                let control = &mut self.control;
-                let supervisor = &mut self.supervisor;
-                let done_rx = &self.done_rx;
-                sender
-                    .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
-                    .is_ok()
-            };
+            // A full queue blocks instead of dropping, so the decoded
+            // windows are a pure function of the event stream. The pump
+            // callback keeps draining completions so a full queue and
+            // an undrained done stream cannot deadlock — and keeps
+            // respawning dead workers, so the queue is always
+            // eventually drained; the disjoint
+            // `control`/`shards`/`supervisor` borrows make this legal.
+            let sender = &self.shards[shard];
+            let control = &mut self.control;
+            let supervisor = &mut self.supervisor;
+            let done_rx = &self.done_rx;
+            let accepted = sender
+                .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
+                .is_ok();
             if accepted {
                 self.control.metrics.decodes_scheduled.inc();
                 if let Some(state) = self
@@ -1015,36 +941,6 @@ impl Monitor {
                     state.decoded_through = state.decoded_through.max(pushed);
                 }
             }
-        }
-        dropped
-    }
-
-    /// Sheds the lowest-priority pair — unresolved, not in flight, and
-    /// with the fewest packets in its flow window (ties broken by pair
-    /// id for determinism) — emitting a terminal `Degraded` verdict.
-    /// No-op if every pair is resolved or mid-decode.
-    fn shed_lowest_priority(&mut self) {
-        let mut victim: Option<(usize, FlowId, UpstreamId)> = None;
-        for (&flow, suspect) in &self.control.suspects {
-            let len = suspect.window.len();
-            for (&upstream, state) in &suspect.pairs {
-                if state.resolved || state.in_flight > 0 {
-                    continue;
-                }
-                let better = match victim {
-                    None => true,
-                    Some((best_len, best_flow, best_upstream)) => {
-                        len < best_len
-                            || (len == best_len && (flow, upstream) < (best_flow, best_upstream))
-                    }
-                };
-                if better {
-                    victim = Some((len, flow, upstream));
-                }
-            }
-        }
-        if let Some((_, flow, upstream)) = victim {
-            self.degrade_pair(PairId { upstream, flow }, DegradeReason::Shed);
         }
     }
 }

@@ -14,9 +14,9 @@
 //! * a **sharded worker pool**: candidate (upstream, suspicious) pairs
 //!   are pinned to a shard by pair-id hash, keeping each pair's decodes
 //!   serialized while different pairs decode in parallel;
-//! * **incremental scheduling**: a pair is re-decoded only after its
+//! * **incremental scheduling**: a pair is re-decoded each time its
 //!   window accrues [`decode_batch`](MonitorConfig::decode_batch) new
-//!   packets, and never while an earlier decode is still in flight;
+//!   packets, even while an earlier decode is still in flight;
 //! * **decode screening**: at each boundary the backend's
 //!   [`screen`](stepstone_core::CorrelatorBackend::screen) may prove the
 //!   decode's outcome without running it — a strict paper decode whose
@@ -25,18 +25,15 @@
 //!   ([`MonitorStats::decodes_screened`]) instead of decoded. A robust
 //!   pair's latest over-budget decode still runs later, on the same
 //!   packets, since a `Degraded` verdict reports its erasures;
-//! * **explicit backpressure**: shard queues are bounded and, on the
-//!   default live schedule, ingest never blocks — an attempt against a
-//!   full queue is dropped and counted, and the pair retries as more
-//!   packets arrive (under
-//!   [`deterministic_schedule`](MonitorConfig::deterministic_schedule)
-//!   ingest blocks on a full queue instead);
+//! * **blocking backpressure**: shard queues are bounded, and ingest
+//!   blocks on a full one, absorbing completions until its worker frees
+//!   a slot — every boundary is decoded, so the terminal verdicts are a
+//!   function of the event stream alone, not of worker timing;
 //! * a **live verdict stream** ([`Verdict`]) plus a counters snapshot
 //!   ([`MonitorStats`]) for dashboards and tests;
 //! * **supervised degradation**: dead shard workers are respawned with
-//!   capped exponential backoff, lost jobs are accounted, stalled
-//!   shards are flagged by a watchdog, and sustained backpressure can
-//!   shed the lowest-priority pair — every giving-up surfaces as an
+//!   capped exponential backoff, lost jobs are accounted, and stalled
+//!   shards are flagged by a watchdog — every giving-up surfaces as an
 //!   explicit [`Verdict::Degraded`], never a silently dropped pair.
 //!
 //! # Example

@@ -36,6 +36,9 @@ pub(crate) struct EngineMetrics {
     pub decodes_scheduled: Arc<Counter>,
     /// Decode jobs completed by workers.
     pub decodes_run: Arc<Counter>,
+    /// Of `decodes_run`, jobs answered without decoding because their
+    /// pair had already latched.
+    pub decodes_answered: Arc<Counter>,
     /// Decode boundaries whose outcome the backend's screen proved, so
     /// no job was scheduled at the boundary.
     pub decodes_screened: Arc<Counter>,
@@ -45,8 +48,6 @@ pub(crate) struct EngineMetrics {
     pub worker_restarts: Arc<Counter>,
     /// Decode jobs lost with a worker death (dequeued, never completed).
     pub jobs_lost: Arc<Counter>,
-    /// Pairs shed under sustained backpressure.
-    pub pairs_shed: Arc<Counter>,
     /// Shards currently flagged stalled by the watchdog.
     pub shards_stalled: Arc<Gauge>,
     /// Verdicts by kind; summed for `verdicts_emitted`.
@@ -108,6 +109,10 @@ impl EngineMetrics {
                 "monitor_decodes_run_total",
                 "Decode jobs completed by shard workers",
             ),
+            decodes_answered: r.counter(
+                "monitor_decodes_answered_total",
+                "Decode jobs completed without decoding because their pair had already latched",
+            ),
             decodes_screened: r.counter(
                 "monitor_decodes_screened_total",
                 "Decode boundaries resolved by the backend's screen without a decode job",
@@ -123,10 +128,6 @@ impl EngineMetrics {
             jobs_lost: r.counter(
                 "monitor_jobs_lost_total",
                 "Decode jobs lost with a worker death (dequeued, never completed)",
-            ),
-            pairs_shed: r.counter(
-                "monitor_pairs_shed_total",
-                "Pairs shed under sustained backpressure",
             ),
             shards_stalled: r.gauge(
                 "monitor_shards_stalled",
@@ -245,7 +246,7 @@ impl EngineMetrics {
         self.registry.counter_fn(
             "monitor_shard_queue_dropped_total",
             labels,
-            "Decode attempts dropped because this shard's queue was full",
+            "Decode jobs rejected because this shard's receiving side was gone",
             move || g.dropped(),
         );
         let g = gauges.clone();

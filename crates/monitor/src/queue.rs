@@ -31,7 +31,9 @@ use std::sync::Arc;
 /// account the job as shed — the queue itself never swallows work.
 ///
 /// The distinction matters for crash accounting: `Full` is ordinary
-/// backpressure (the pair retries on a later packet), while
+/// backpressure (the engine pushes with
+/// [`push_blocking`](ShardSender::push_blocking), which waits it out),
+/// while
 /// `Disconnected` means the receiving side is gone — enqueueing onto a
 /// dead shard must surface as a typed error rather than silently
 /// accepting a job no one will ever drain, or the conservation

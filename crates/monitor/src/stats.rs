@@ -31,14 +31,21 @@ pub struct MonitorStats {
     pub decodes_scheduled: u64,
     /// Decode jobs completed by workers.
     pub decodes_run: u64,
+    /// Of `decodes_run`, jobs a worker answered without decoding because
+    /// their pair had already latched. A pair keeps getting jobs until
+    /// the control side absorbs its latch, so this count depends on
+    /// worker timing; `decodes_run - decodes_answered`, the windows
+    /// actually decoded, depends only on the event stream.
+    pub decodes_answered: u64,
     /// Decode boundaries skipped because the backend's screen proved
     /// their outcome: a strict decode whose matching is infeasible,
     /// which still counts as a decode in its pair's `Cleared` verdict,
     /// or a robust decode over its erasure budget, whose pair's latest
     /// one is postponed and counted in `decodes_scheduled` when it runs.
     pub decodes_screened: u64,
-    /// Decode attempts dropped because the target shard queue was full
-    /// (backpressure; the pair retries as more packets arrive).
+    /// Decode jobs whose push failed because the target shard's
+    /// receiving side was gone. A full queue blocks ingest instead, so
+    /// this stays zero while every shard is alive.
     pub decodes_dropped: u64,
     /// Jobs sitting unstarted in each shard queue.
     pub queue_depths: Vec<usize>,
@@ -58,13 +65,17 @@ pub struct MonitorStats {
     /// completed). Conservation: `queue_dequeued == decodes_run +
     /// jobs_lost` whenever no decode is mid-flight.
     pub jobs_lost: u64,
-    /// Pairs shed under sustained backpressure (terminal `Degraded`).
-    pub pairs_shed: u64,
     /// Verdict events emitted so far.
     pub verdicts_emitted: u64,
 }
 
 impl MonitorStats {
+    /// Windows the workers actually decoded: `decodes_run` without the
+    /// jobs answered after a latch. A function of the event stream.
+    pub fn decoded(&self) -> u64 {
+        self.decodes_run.saturating_sub(self.decodes_answered)
+    }
+
     /// The engine's conservation identities, as documented on
     /// [`queue_enqueued`](MonitorStats::queue_enqueued) and
     /// [`jobs_lost`](MonitorStats::jobs_lost): accepted decode work is
@@ -98,22 +109,25 @@ impl fmt::Display for MonitorStats {
         )?;
         writeln!(
             f,
-            "decodes: {} scheduled, {} run, {} screened, {} dropped (backpressure), {} panicked",
-            self.decodes_scheduled,
-            self.decodes_run,
+            "decodes: {} decoded, {} screened, {} dropped, {} panicked",
+            self.decoded(),
             self.decodes_screened,
             self.decodes_dropped,
             self.worker_panics
         )?;
         writeln!(
             f,
-            "chaos:   {} restarts, {} jobs lost, {} pairs shed",
-            self.worker_restarts, self.jobs_lost, self.pairs_shed
+            "chaos:   {} restarts, {} jobs lost",
+            self.worker_restarts, self.jobs_lost
         )?;
         write!(
             f,
-            "queues:  {:?} deep, {} enqueued, {} dequeued; verdicts: {}",
-            self.queue_depths, self.queue_enqueued, self.queue_dequeued, self.verdicts_emitted
+            "queues:  {:?} deep, {} enqueued, {} dequeued, {} answered after latch; verdicts: {}",
+            self.queue_depths,
+            self.queue_enqueued,
+            self.queue_dequeued,
+            self.decodes_answered,
+            self.verdicts_emitted
         )
     }
 }

@@ -164,11 +164,13 @@ fn panicked_outcome() -> Correlation {
 /// the same flow instance) without decoding: the control side absorbs
 /// completions in the order the worker sends them, so it has latched
 /// the pair and emitted its verdict before it sees them, and it reads
-/// nothing from them but the release of the pair. Under the
-/// deterministic schedule a pair keeps getting jobs at every boundary
-/// until its first correlating decode completes, so a true pair can
-/// have many queued behind it. The set is cleared when full; a
-/// forgotten pair is simply decoded again.
+/// nothing from them but the release of the pair. A pair keeps getting
+/// jobs at every boundary until the control side absorbs its first
+/// correlating decode, so a true pair can have many queued behind it;
+/// how many depends on worker timing, and they are counted apart
+/// ([`MonitorStats::decodes_answered`](crate::MonitorStats::decodes_answered)).
+/// The set is cleared when full; a forgotten pair is simply decoded
+/// again.
 const LATCHED_CAP: usize = 4096;
 
 /// Runs one decode with panic containment: a panicking decode is
@@ -234,6 +236,9 @@ fn worker_loop(ctx: WorkerContext) {
             latched.insert(key);
         }
         ctx.metrics.decodes_run.inc();
+        if outcome.is_none() {
+            ctx.metrics.decodes_answered.inc();
+        }
         notice.inflight.set(None);
         ctx.touch_heartbeat();
         if ctx

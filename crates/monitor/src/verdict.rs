@@ -70,9 +70,6 @@ pub enum DegradeReason {
     /// The pair's shard was flagged stalled by the watchdog and its
     /// pending work was abandoned at shutdown.
     Stalled,
-    /// The pair was shed under sustained backpressure (lowest-priority
-    /// pairs — fewest window packets — go first).
-    Shed,
     /// Under `--decode robust` the pair's erasure demand exceeded the
     /// configured budget: too many upstream packets had no downstream
     /// candidate for the decode to vouch for a clean negative. The
@@ -92,7 +89,6 @@ impl fmt::Display for DegradeReason {
         match self {
             DegradeReason::WorkerLost => f.write_str("worker lost"),
             DegradeReason::Stalled => f.write_str("shard stalled"),
-            DegradeReason::Shed => f.write_str("load shed"),
             DegradeReason::ErasureBudget {
                 erasures,
                 confidence,
@@ -106,13 +102,13 @@ impl fmt::Display for DegradeReason {
 
 /// The timing-independent classification of a pair verdict.
 ///
-/// Mid-stream decode *scheduling* depends on thread timing, so the
-/// Hamming distance and decode counts attached to a [`Verdict`] can
-/// differ between runs of the same corpus; which terminal class a pair
-/// lands in does not (the streaming≡batch property tests pin this).
-/// Anything that persists or compares verdicts across runs — session
-/// snapshots, the matrix report — stores this classification, not the
-/// full verdict.
+/// The Hamming distance and decode count attached to a [`Verdict`]
+/// record how the engine reached it — which boundaries it decoded, and
+/// any worker fault on the way — so they can differ between engine
+/// configurations over the same corpus; the terminal class is the
+/// outcome (the streaming≡batch property tests pin it). Anything that
+/// persists or compares verdicts across runs — session snapshots, the
+/// matrix report — stores this classification, not the full verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TerminalKind {
     /// The pair correlated ([`Verdict::Correlated`]).

@@ -161,8 +161,7 @@ fn upstream_registered_mid_stream_pairs_with_tracked_flows() {
     );
 }
 
-/// Under the deterministic schedule a pair gets a job at every
-/// boundary, even while an earlier one is queued. Once a decode
+/// A pair gets a job at every boundary, even while an earlier one is queued. Once a decode
 /// correlates, the worker answers the pair's later jobs without
 /// decoding them: with the first decode held up, a true downstream
 /// that keeps sending queues many jobs behind it, yet only the first is
@@ -177,7 +176,6 @@ fn jobs_behind_a_latching_decode_are_not_decoded() {
     let (mut monitor, marked) = monitor_with_upstream(
         MonitorConfig::default()
             .with_decode_batch(1)
-            .with_deterministic_schedule()
             .with_fault_hook(hook),
         200,
         7,
@@ -211,7 +209,6 @@ fn a_flow_tracked_again_after_eviction_is_decoded_again() {
     let (mut monitor, marked) = monitor_with_upstream(
         MonitorConfig::default()
             .with_decode_batch(8)
-            .with_deterministic_schedule()
             .with_idle_timeout(TimeDelta::from_secs(60)),
         200,
         7,
@@ -260,9 +257,9 @@ fn a_flow_tracked_again_after_eviction_is_decoded_again() {
 /// than ingesting a few flows takes, even in an unoptimised build.
 const SLOW_DECODE_MICROS: u64 = 20_000;
 
-/// Heavy backpressure: drops are counted, but accepted work is
-/// conserved — after `finish`, scheduled = run, the queues are empty,
-/// and no pair is left without a verdict. The load comes from a hook
+/// Heavy backpressure: ingest blocks on the full queue, and accepted
+/// work is conserved — after `finish`, scheduled = run, the queues are
+/// empty, and no pair is left without a verdict. The load comes from a hook
 /// that makes every decode sleep: each flow relays the upstream
 /// within Δ, so once its window spans the upstream no screen can skip
 /// its decodes, and the first three flows to get there meet a busy
@@ -290,7 +287,6 @@ fn drop_accounting_is_conserved_under_backpressure() {
         }
     }
     let mid = monitor.stats();
-    assert!(mid.decodes_dropped > 0, "expected drops: {mid}");
     assert_eq!(mid.packets_ingested, total_packets);
 
     let report = monitor.finish();
@@ -298,8 +294,6 @@ fn drop_accounting_is_conserved_under_backpressure() {
     let stats = report.stats;
     assert_eq!(stats.decodes_scheduled, stats.decodes_run, "{stats}");
     assert_eq!(stats.queue_depths, vec![0], "{stats}");
-    // Drops never shrink across the flush (finish blocks, not drops).
-    assert!(stats.decodes_dropped >= mid.decodes_dropped);
     assert_eq!(stats.worker_panics, 0);
 }
 

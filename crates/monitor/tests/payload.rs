@@ -1,5 +1,5 @@
-//! Terminal verdicts of robust pairs under the deterministic schedule
-//! equal a batch model, payload included.
+//! Terminal verdicts of robust pairs equal a batch model, payload
+//! included, however slow the decode workers are.
 //!
 //! The engine screens robust decodes that provably blow their erasure
 //! budget and postpones them, while a `Degraded` verdict reports the
@@ -17,12 +17,16 @@ use stepstone_adversary::{
 use stepstone_core::{Algorithm, BoundCorrelator, DecodeOptions, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
 use stepstone_monitor::{
-    DegradeReason, FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict,
+    DecodeFault, DegradeReason, FaultHook, FlowId, Monitor, MonitorConfig, PairId, UpstreamId,
+    Verdict,
 };
 use stepstone_traffic::Seed;
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
 const DELTA: TimeDelta = TimeDelta::from_secs(2);
+
+/// How long every decode sleeps in the slow-worker runs.
+const SLOW_DECODE_MICROS: u64 = 500;
 
 /// A small scheme so each decode stays cheap: 4 bits, r = 1.
 fn tiny_params() -> WatermarkParams {
@@ -77,10 +81,10 @@ fn relay(flow: &Flow, loss: f64, seed: u64) -> Flow {
         .apply(flow, Seed::new(seed))
 }
 
-/// The window lengths (push counts) the deterministic schedule decodes
-/// for a flow of `len` packets: the first once the window holds
-/// max(`min_window`, `batch`) packets, then one every `batch`, then the
-/// whole flow at shutdown.
+/// The window lengths (push counts) the engine decodes for a flow of
+/// `len` packets: the first once the window holds max(`min_window`,
+/// `batch`) packets, then one every `batch`, then the whole flow at
+/// shutdown.
 fn scheduled_windows(len: usize, min_window: usize, batch: usize) -> Vec<usize> {
     let mut windows: Vec<usize> = (min_window.max(batch)..=len).step_by(batch).collect();
     if len >= min_window && windows.last() != Some(&len) {
@@ -145,24 +149,32 @@ fn model(
     }
 }
 
-/// Runs `flows`, merged in time order, through a deterministic-schedule
-/// monitor and checks every pair's terminal verdict against the model.
-/// Returns how many verdicts of each kind were seen.
+/// Runs `flows`, merged in time order, through a monitor and checks
+/// every pair's terminal verdict against the model. With `slow`, every
+/// decode sleeps and each shard queue holds one job, so ingest keeps
+/// meeting full queues and completions arrive long after their
+/// boundary. Returns how many verdicts of each kind were seen.
 fn check(
     upstreams: &[BoundCorrelator],
     flows: &[Flow],
     capacity: usize,
     batch: usize,
     shards: usize,
+    slow: bool,
 ) -> BTreeMap<&'static str, usize> {
-    let mut monitor = Monitor::new(
-        MonitorConfig::default()
-            .with_window_capacity(capacity)
-            .with_decode_batch(batch)
-            .with_shards(shards)
-            .with_queue_capacity(4)
-            .with_deterministic_schedule(),
-    );
+    let mut config = MonitorConfig::default()
+        .with_window_capacity(capacity)
+        .with_decode_batch(batch)
+        .with_shards(shards)
+        .with_queue_capacity(4);
+    if slow {
+        config = config
+            .with_queue_capacity(1)
+            .with_fault_hook(FaultHook::new(|_, _| {
+                DecodeFault::Sleep(SLOW_DECODE_MICROS)
+            }));
+    }
+    let mut monitor = Monitor::new(config);
     for (u, correlator) in upstreams.iter().enumerate() {
         monitor.register_upstream(UpstreamId(u as u64), correlator.clone());
     }
@@ -198,7 +210,7 @@ fn check(
         let expected = model(pair, correlator, flow, capacity, batch);
         assert_eq!(
             verdict, expected,
-            "capacity {capacity}, batch {batch}, shards {shards}"
+            "capacity {capacity}, batch {batch}, shards {shards}, slow {slow}"
         );
         let kind = match verdict {
             Verdict::Correlated { .. } => "correlated",
@@ -257,9 +269,15 @@ fn robust_verdicts_match_the_batch_model_with_and_without_eviction() {
             (led.len() - 55, 4, 2),
         ] {
             let upstreams = [a.clone(), b.clone(), c.clone(), d.clone(), e.clone()];
-            for (kind, n) in check(&upstreams, &flows, capacity, batch, shards) {
+            for (kind, n) in check(&upstreams, &flows, capacity, batch, shards, false) {
                 *totals.entry(kind).or_insert(0) += n;
             }
+        }
+        // Slow workers must not change a verdict: the decoded windows
+        // depend on the stream alone.
+        for shards in [1, 3] {
+            let upstreams = [a.clone(), b.clone(), c.clone(), d.clone(), e.clone()];
+            check(&upstreams, &flows, led.len() - 55, 4, shards, true);
         }
     }
     // Every kind of terminal verdict was exercised.

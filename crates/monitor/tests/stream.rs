@@ -124,13 +124,14 @@ fn detects_attacked_downstream_among_decoys_live() {
 }
 
 #[test]
-fn backpressure_drops_decodes_without_blocking_ingest() {
+fn blocking_ingest_decodes_every_boundary_under_backpressure() {
     let s = scenario(21, 200, 2);
     // One shard with a single-slot queue, re-decode after every packet,
     // and every decode sleeps: once the worker is busy, concurrent
     // flows must hit a full queue. Each flow relays the upstream within
     // Δ, so the windows of all eight span it at about the same point in
     // the merged stream, and no screen can skip their decodes there.
+    // Ingest blocks on the full queue instead of dropping the decode.
     let mut monitor = Monitor::new(
         MonitorConfig::default()
             .with_shards(1)
@@ -156,11 +157,7 @@ fn backpressure_drops_decodes_without_blocking_ingest() {
         monitor.ingest(flow, packet);
     }
     let stats = monitor.stats();
-    assert!(
-        stats.decodes_dropped > 0,
-        "expected backpressure drops: {stats}"
-    );
-    // Dropping decode attempts never drops packets.
+    assert_eq!(stats.decodes_dropped, 0, "{stats}");
     assert_eq!(
         stats.packets_ingested,
         streams.iter().map(|(_, f)| f.len() as u64).sum::<u64>()
@@ -171,6 +168,7 @@ fn backpressure_drops_decodes_without_blocking_ingest() {
         report.stats.pairs_active,
         8 - report.stats.pairs_latched as usize
     );
+    assert_eq!(report.stats.decodes_dropped, 0, "{}", report.stats);
     assert_eq!(report.stats.decodes_scheduled, report.stats.decodes_run);
 }
 
