@@ -94,6 +94,25 @@ fn lossy_pair() -> (Flow, Flow) {
     (upstream, window)
 }
 
+/// The latching-decode shape of the `decode-heavy` pipeline workload: a
+/// 1,500-packet upstream against its whole relay after Δ = 1 s
+/// perturbation and λc = 2/s Poisson chaff (about 3,000 packets), so
+/// every upstream packet is matched, as in the window where a true pair
+/// latches.
+fn latch_pair() -> (Flow, Flow) {
+    let seed = Seed::new(0x1A7C);
+    let upstream = SessionGenerator::new(InteractiveProfile::ssh()).generate(
+        1500,
+        Timestamp::ZERO,
+        &mut seed.child(0).rng(0),
+    );
+    let relayed = AdversaryPipeline::new()
+        .then(UniformPerturbation::new(TimeDelta::from_secs(1)))
+        .then(ChaffInjector::new(ChaffModel::Poisson { rate: 2.0 }))
+        .apply(&upstream, seed.child(1));
+    (upstream, relayed)
+}
+
 fn bench_matching(c: &mut Criterion) {
     let fx = Fixture::standard();
     let matcher = Matcher::new(fx.delta());
@@ -116,6 +135,20 @@ fn bench_matching(c: &mut Criterion) {
             let mut meter = CostMeter::new();
             assert!(s.tighten(&mut meter));
             s
+        })
+    });
+    // Strict matching and tightening, as a latching strict decode runs
+    // them.
+    let (upstream, relayed) = latch_pair();
+    let strict = Matcher::new(TimeDelta::from_secs(1));
+    group.bench_function("strict_compute_tighten", |b| {
+        b.iter(|| {
+            let mut meter = CostMeter::new();
+            let mut sets = strict
+                .matching_sets(&upstream, &relayed, &mut meter)
+                .expect("every upstream packet is matched");
+            assert!(sets.tighten(&mut meter));
+            sets
         })
     });
     // Gap-tolerant matching, as a robust decode runs it: the strict

@@ -16,77 +16,7 @@ use std::ops::Range;
 use stepstone_flow::Flow;
 
 use crate::cost::CostMeter;
-use crate::sets::Matcher;
-
-/// One upstream packet's matching set: the downstream indices
-/// `[lo, hi)`, filtered by size class when the matcher has a quantum.
-/// Kept trimmed: while the slot is live, `lo` and `hi − 1` are both
-/// candidates; an erased slot has `lo == hi`.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    lo: u32,
-    hi: u32,
-    /// The upstream packet's size class; unused without a quantum.
-    class: u32,
-}
-
-impl Slot {
-    const fn is_erased(self) -> bool {
-        self.lo == self.hi
-    }
-
-    /// `true` when downstream index `j` of the range is a candidate:
-    /// always without a quantum (`classes` empty), else when its size
-    /// class is the slot's.
-    fn holds(self, classes: &[u32], j: u32) -> bool {
-        classes.is_empty() || classes[j as usize] == self.class
-    }
-
-    /// How many candidates lie in `[from, to)`, a sub-range of the slot.
-    fn count(self, classes: &[u32], from: u32, to: u32) -> u64 {
-        if classes.is_empty() {
-            return u64::from(to - from);
-        }
-        (from..to).filter(|&j| self.holds(classes, j)).count() as u64
-    }
-
-    /// Restores the trimmed invariant after an end moved: steps `lo`
-    /// forward and `hi` back over other-class indices.
-    fn trim(&mut self, classes: &[u32]) {
-        while self.lo < self.hi && !self.holds(classes, self.lo) {
-            self.lo += 1;
-        }
-        while self.lo < self.hi && !self.holds(classes, self.hi - 1) {
-            self.hi -= 1;
-        }
-    }
-
-    /// Drops the candidates at or below `bound` and returns how many
-    /// there were.
-    fn drop_through(&mut self, classes: &[u32], bound: u32) -> u64 {
-        if bound < self.lo {
-            return 0;
-        }
-        let cut = if bound < self.hi { bound + 1 } else { self.hi };
-        let dropped = self.count(classes, self.lo, cut);
-        self.lo = cut;
-        self.trim(classes);
-        dropped
-    }
-
-    /// Drops the candidates at or above `bound` and returns how many
-    /// there were.
-    fn drop_from(&mut self, classes: &[u32], bound: u32) -> u64 {
-        if bound >= self.hi {
-            return 0;
-        }
-        let cut = bound.max(self.lo);
-        let dropped = self.count(classes, cut, self.hi);
-        self.hi = cut;
-        self.trim(classes);
-        dropped
-    }
-}
+use crate::sets::{Matcher, MatchingSets};
 
 /// Matching sets `M(p₁)…M(pₙ)` where an empty set is an *erased slot*
 /// (a suspected deletion) rather than a contradiction.
@@ -96,39 +26,19 @@ impl Slot {
 /// tightening propagation: surviving packets must still match in
 /// strictly increasing downstream order *across* the gaps.
 ///
-/// Under the timing constraint every matching set is a contiguous run
-/// of downstream indices, and tightening only drops candidates from
-/// its ends, so each slot is stored as a trimmed `[lo, hi)` range
-/// rather than a list. With a size quantum the interior of a range may
-/// hold other-class indices; [`set`](Self::set) filters them and
-/// tightening steps over them.
-#[derive(Debug, Clone)]
+/// The representation is that of [`MatchingSets`]: every slot is a run
+/// of one candidate column, and an erased slot is an empty run.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GappedSets {
-    slots: Vec<Slot>,
-    /// Size class of every suspicious packet; empty when the matcher
-    /// has no size quantum, so every index in a range is a candidate.
-    classes: Vec<u32>,
-    suspicious_len: usize,
+    sets: MatchingSets,
 }
-
-/// Two gapped sets are equal when they list the same candidates per
-/// upstream packet, whatever range an erased slot was left with.
-impl PartialEq for GappedSets {
-    fn eq(&self, other: &Self) -> bool {
-        self.suspicious_len == other.suspicious_len
-            && self.len() == other.len()
-            && (0..self.len()).all(|i| self.set(i).eq(other.set(i)))
-    }
-}
-
-impl Eq for GappedSets {}
 
 impl GappedSets {
-    /// Computes gap-tolerant matching sets with the same two-pointer
-    /// scan and size-class filter as [`Matcher::matching_sets`],
-    /// marking every empty set erased instead of returning `None`.
-    /// Charges `meter` identically (one access per pointer advance and
-    /// per window entry examined).
+    /// Computes gap-tolerant matching sets with the same scan as
+    /// [`Matcher::matching_sets`], recording every empty set as an
+    /// erased slot instead of returning `None`. Charges `meter`
+    /// identically (one access per pointer advance and per window entry
+    /// examined).
     ///
     /// Never fails: any pair of flows, however damaged, yields a
     /// structure (possibly with every slot erased).
@@ -138,42 +48,8 @@ impl GappedSets {
         suspicious: &Flow,
         meter: &mut CostMeter,
     ) -> Self {
-        let n = upstream.len();
-        let m = suspicious.len();
-        let quantum = matcher.size_quantum();
-        let classes: Vec<u32> = match quantum {
-            Some(q) => suspicious.iter().map(|p| p.size().div_ceil(q)).collect(),
-            None => Vec::new(),
-        };
-        let mut slots = Vec::with_capacity(n);
-        let (mut lo, mut hi) = (0usize, 0usize);
-        for i in 0..n {
-            let t = upstream.timestamp(i);
-            let latest = t + matcher.delta();
-            while lo < m && suspicious.timestamp(lo) < t {
-                meter.charge_one();
-                lo += 1;
-            }
-            if hi < lo {
-                hi = lo;
-            }
-            while hi < m && suspicious.timestamp(hi) <= latest {
-                meter.charge_one();
-                hi += 1;
-            }
-            meter.charge((hi - lo) as u64);
-            let mut slot = Slot {
-                lo: lo as u32,
-                hi: hi as u32,
-                class: quantum.map_or(0, |q| upstream[i].size().div_ceil(q)),
-            };
-            slot.trim(&classes);
-            slots.push(slot);
-        }
         GappedSets {
-            slots,
-            classes,
-            suspicious_len: m,
+            sets: matcher.scan(upstream, suspicious, meter, false),
         }
     }
 
@@ -185,7 +61,7 @@ impl GappedSets {
     /// Panics if any range is reversed or reaches beyond
     /// `suspicious_len`.
     pub fn from_ranges(ranges: Vec<Range<u32>>, suspicious_len: usize) -> Self {
-        let slots = ranges
+        let runs = ranges
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
@@ -194,33 +70,27 @@ impl GappedSets {
                     r.end as usize <= suspicious_len,
                     "matching range {i} references an out-of-range packet"
                 );
-                Slot {
-                    lo: r.start,
-                    hi: r.end,
-                    class: 0,
-                }
+                (r.start, r.end)
             })
             .collect();
         GappedSets {
-            slots,
-            classes: Vec::new(),
-            suspicious_len,
+            sets: MatchingSets::from_runs(runs, suspicious_len),
         }
     }
 
     /// Number of upstream packets `n` (erased slots included).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.sets.len()
     }
 
     /// `true` when there are no upstream packets.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.sets.is_empty()
     }
 
     /// Length of the suspicious flow `m`.
     pub const fn suspicious_len(&self) -> usize {
-        self.suspicious_len
+        self.sets.suspicious_len()
     }
 
     /// `true` when slot `i` is erased (its packet is presumed deleted).
@@ -229,12 +99,12 @@ impl GappedSets {
     ///
     /// Panics if `i` is out of range.
     pub fn is_erased(&self, i: usize) -> bool {
-        self.slots[i].is_erased()
+        self.set(i).is_empty()
     }
 
     /// How many slots are erased.
     pub fn erasures(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_erased()).count()
+        (0..self.len()).filter(|&i| self.is_erased(i)).count()
     }
 
     /// The candidates of upstream packet `i`, ascending; empty for an
@@ -243,9 +113,8 @@ impl GappedSets {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn set(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
-        let slot = self.slots[i];
-        (slot.lo..slot.hi).filter(move |&j| slot.holds(&self.classes, j))
+    pub fn set(&self, i: usize) -> &[u32] {
+        self.sets.set(i)
     }
 
     /// The earliest candidate of upstream packet `i`; `None` for an
@@ -255,8 +124,7 @@ impl GappedSets {
     ///
     /// Panics if `i` is out of range.
     pub fn first(&self, i: usize) -> Option<u32> {
-        let slot = self.slots[i];
-        (!slot.is_erased()).then_some(slot.lo)
+        self.set(i).first().copied()
     }
 
     /// The latest candidate of upstream packet `i`; `None` for an
@@ -266,22 +134,18 @@ impl GappedSets {
     ///
     /// Panics if `i` is out of range.
     pub fn last(&self, i: usize) -> Option<u32> {
-        let slot = self.slots[i];
-        (!slot.is_erased()).then(|| slot.hi - 1)
+        self.set(i).last().copied()
     }
 
     /// Total number of candidates across all sets (`Σ |M(pᵢ)|`).
     pub fn total_candidates(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.count(&self.classes, s.lo, s.hi) as usize)
-            .sum()
+        self.sets.total_candidates()
     }
 
     /// The gap-tolerant interval tightening: the same forward/backward
-    /// propagation as [`super::MatchingSets::tighten`], but skipping
-    /// erased slots (a deleted packet imposes no order constraint) and
-    /// marking any set that drains *erased* instead of failing.
+    /// propagation as [`MatchingSets::tighten`], but skipping erased
+    /// slots (a deleted packet imposes no order constraint) and marking
+    /// any set that drains *erased* instead of failing.
     ///
     /// One pass each way reaches the fixpoint. The forward pass leaves
     /// the live slots' earliest candidates strictly increasing, the
@@ -290,37 +154,11 @@ impl GappedSets {
     /// sequences. A further pass would find every bound already met, so
     /// tightening again drops nothing.
     ///
-    /// Charges `meter` per dropped candidate, as the strict rule does;
-    /// other-class indices a range end steps over are not candidates
-    /// and cost nothing. Returns the number of slots newly erased by
-    /// this call.
+    /// Charges `meter` per dropped candidate, as the strict rule does.
+    /// Returns the number of slots newly erased by this call.
     pub fn tighten(&mut self, meter: &mut CostMeter) -> usize {
         let before = self.erasures();
-        let classes = &self.classes;
-        // Forward: a candidate of the current live slot must be strictly
-        // after the previous live slot's earliest.
-        let mut min_excl: Option<u32> = None;
-        for slot in self.slots.iter_mut().filter(|s| !s.is_erased()) {
-            if let Some(bound) = min_excl {
-                meter.charge(slot.drop_through(classes, bound));
-                if slot.is_erased() {
-                    continue;
-                }
-            }
-            min_excl = Some(slot.lo);
-        }
-        // Backward: a candidate of the current live slot must be strictly
-        // before the next live slot's latest.
-        let mut max_excl: Option<u32> = None;
-        for slot in self.slots.iter_mut().rev().filter(|s| !s.is_erased()) {
-            if let Some(bound) = max_excl {
-                meter.charge(slot.drop_from(classes, bound));
-                if slot.is_erased() {
-                    continue;
-                }
-            }
-            max_excl = Some(slot.hi - 1);
-        }
+        self.sets.tighten_over(0..self.len(), false, meter);
         self.erasures() - before
     }
 }
@@ -335,7 +173,7 @@ mod tests {
     }
 
     fn candidates(g: &GappedSets, i: usize) -> Vec<u32> {
-        g.set(i).collect()
+        g.set(i).to_vec()
     }
 
     fn gapped(up: &[f64], down: &[f64], delta_s: f64) -> GappedSets {

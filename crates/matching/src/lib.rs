@@ -15,6 +15,13 @@
 //! constraint, and implements the Greedy+ phase-1 simplification as
 //! interval tightening ([`MatchingSets::tighten`]).
 //!
+//! Each `M(pᵢ)` is a contiguous run of downstream indices, so a set is
+//! stored as a `[start, end)` run of one candidate column per decode,
+//! never as a copy of its candidates. The strict [`MatchingSets`] and
+//! the gap-tolerant [`GappedSets`] share that representation, the scan
+//! and the tightening passes; they differ only in what an empty set
+//! means.
+//!
 //! # Example
 //!
 //! ```

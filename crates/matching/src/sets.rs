@@ -56,7 +56,7 @@ impl Matcher {
     /// Computes `M(pᵢ)` for every upstream packet with the two-pointer
     /// scan (`lo`, `hi` both only move forward, so each suspicious
     /// packet is examined at most twice). Charges `meter` one access per
-    /// pointer advance and one per candidate recorded.
+    /// pointer advance and one per window entry examined.
     ///
     /// Returns `None` as soon as any matching set is empty — the flows
     /// cannot be in the same connection chain (paper §3.2), and the
@@ -67,13 +67,36 @@ impl Matcher {
         suspicious: &Flow,
         meter: &mut CostMeter,
     ) -> Option<MatchingSets> {
-        let n = upstream.len();
+        let sets = self.scan(upstream, suspicious, meter, true);
+        let aborted = sets.runs.last().is_some_and(|&(start, end)| start == end);
+        (!aborted).then_some(sets)
+    }
+
+    /// The scan behind both kinds of set: strict sets stop at the first
+    /// empty set (`stop_at_empty`, which is then the last run), gapped
+    /// sets record it as an empty run and go on. Without a size quantum
+    /// the column is the identity and the window `[lo, hi)` is the run;
+    /// with one, the window's class entries are a run of the class's
+    /// group, which [`Classes::run`] tracks.
+    pub(crate) fn scan(
+        &self,
+        upstream: &Flow,
+        suspicious: &Flow,
+        meter: &mut CostMeter,
+        stop_at_empty: bool,
+    ) -> MatchingSets {
         let m = suspicious.len();
-        let mut candidates: Vec<u32> = Vec::new();
-        let mut bounds = Vec::with_capacity(n);
+        let (column, mut classes) = match self.size_quantum {
+            None => ((0..m as u32).collect(), None),
+            Some(q) => {
+                let (column, classes) = Classes::group(suspicious, q);
+                (column, Some(classes))
+            }
+        };
+        let mut runs = Vec::with_capacity(upstream.len());
         let (mut lo, mut hi) = (0usize, 0usize);
-        for i in 0..n {
-            let t = upstream.timestamp(i);
+        for packet in upstream.iter() {
+            let t = packet.timestamp();
             let latest = t + self.delta;
             while lo < m && suspicious.timestamp(lo) < t {
                 meter.charge_one();
@@ -87,47 +110,98 @@ impl Matcher {
                 hi += 1;
             }
             meter.charge((hi - lo) as u64);
-            let start = candidates.len();
-            match self.size_quantum {
-                None => candidates.extend(lo as u32..hi as u32),
-                Some(q) => {
-                    let class = upstream[i].size().div_ceil(q);
-                    candidates.extend(
-                        (lo..hi)
-                            .filter(|&j| suspicious[j].size().div_ceil(q) == class)
-                            .map(|j| j as u32),
-                    );
-                }
+            let run = match &mut classes {
+                None => (lo as u32, hi as u32),
+                Some(classes) => classes.run(&column, packet.size(), lo, hi),
+            };
+            runs.push(run);
+            if stop_at_empty && run.0 == run.1 {
+                break;
             }
-            if candidates.len() == start {
-                return None;
-            }
-            bounds.push((start, candidates.len()));
         }
-        Some(MatchingSets {
-            candidates,
-            bounds,
+        MatchingSets {
+            identity: classes.is_none(),
+            column,
+            runs,
             suspicious_len: m,
-        })
+        }
+    }
+}
+
+/// The size-class groups of a scan's column: `(class, start, end)` of
+/// each group, ascending by class, and the group's cursor pair.
+struct Classes {
+    quantum: u32,
+    groups: Vec<(u32, usize, usize)>,
+    cursors: Vec<(usize, usize)>,
+}
+
+impl Classes {
+    /// The column of `suspicious`' indices grouped by size class, in
+    /// index order within each class, and its groups.
+    fn group(suspicious: &Flow, quantum: u32) -> (Vec<u32>, Self) {
+        let class = |j: &u32| suspicious[*j as usize].size().div_ceil(quantum);
+        let mut column: Vec<u32> = (0..suspicious.len() as u32).collect();
+        column.sort_by_key(class);
+        let mut groups = Vec::new();
+        for chunk in column.chunk_by(|a, b| class(a) == class(b)) {
+            let start = groups.last().map_or(0, |&(_, _, end)| end);
+            groups.push((class(&chunk[0]), start, start + chunk.len()));
+        }
+        let cursors = groups.iter().map(|&(_, start, _)| (start, start)).collect();
+        (
+            column,
+            Classes {
+                quantum,
+                groups,
+                cursors,
+            },
+        )
+    }
+
+    /// The run of the scan window `[lo, hi)` within the group of an
+    /// upstream packet of `size`. The window only moves forward, so the
+    /// group's cursors only move forward too: over a whole scan they
+    /// cross each group once.
+    fn run(&mut self, column: &[u32], size: u32, lo: usize, hi: usize) -> (u32, u32) {
+        let class = size.div_ceil(self.quantum);
+        let Ok(g) = self.groups.binary_search_by_key(&class, |&(c, _, _)| c) else {
+            return (0, 0);
+        };
+        let end = self.groups[g].2;
+        let (from, to) = &mut self.cursors[g];
+        while *from < end && (column[*from] as usize) < lo {
+            *from += 1;
+        }
+        *to = (*to).max(*from);
+        while *to < end && (column[*to] as usize) < hi {
+            *to += 1;
+        }
+        (*from as u32, *to as u32)
     }
 }
 
 /// The matching sets `M(p₁)…M(pₙ)`, each a sorted list of candidate
 /// downstream indices.
 ///
-/// Stored flat: every set's candidates sit back to back in one buffer,
-/// in upstream order, and each set is a `[start, end)` range into it.
+/// Every set is a `[start, end)` run of one candidate column, so no
+/// set's candidates are copied. A computed column is the identity
+/// `0..m` without a size quantum, and with one it lists the suspicious
+/// indices grouped by size class, in index order within each class;
+/// [`from_sets`](Self::from_sets) lays its sets out back to back.
 /// Tightening only ever drops candidates from the ends of a set, so it
-/// moves the bounds and never touches the buffer.
+/// moves the run's ends and never touches the column.
 #[derive(Debug, Clone)]
 pub struct MatchingSets {
-    candidates: Vec<u32>,
-    bounds: Vec<(usize, usize)>,
+    column: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+    /// `column[k] == k`: a tightening cut is computed, not searched.
+    identity: bool,
     suspicious_len: usize,
 }
 
 /// Two matching sets are equal when they list the same candidates per
-/// upstream packet, whatever was tightened away in the buffer.
+/// upstream packet, whatever their columns hold.
 impl PartialEq for MatchingSets {
     fn eq(&self, other: &Self) -> bool {
         self.suspicious_len == other.suspicious_len
@@ -146,8 +220,8 @@ impl MatchingSets {
     /// Panics if any set is empty, unsorted, contains duplicates, or
     /// references an index at or beyond `suspicious_len`.
     pub fn from_sets(sets: Vec<Vec<u32>>, suspicious_len: usize) -> Self {
-        let mut candidates = Vec::with_capacity(sets.iter().map(Vec::len).sum());
-        let mut bounds = Vec::with_capacity(sets.len());
+        let mut column = Vec::with_capacity(sets.iter().map(Vec::len).sum());
+        let mut runs = Vec::with_capacity(sets.len());
         for (i, set) in sets.iter().enumerate() {
             assert!(!set.is_empty(), "matching set {i} is empty");
             assert!(
@@ -159,25 +233,37 @@ impl MatchingSets {
                 (*set.last().expect("nonempty") as usize) < suspicious_len,
                 "matching set {i} references an out-of-range packet"
             );
-            let start = candidates.len();
-            candidates.extend_from_slice(set);
-            bounds.push((start, candidates.len()));
+            let start = column.len() as u32;
+            column.extend_from_slice(set);
+            runs.push((start, column.len() as u32));
         }
         MatchingSets {
-            candidates,
-            bounds,
+            column,
+            runs,
+            identity: false,
+            suspicious_len,
+        }
+    }
+
+    /// Sets that are the given `[start, end)` runs of the identity
+    /// column `0..suspicious_len`.
+    pub(crate) fn from_runs(runs: Vec<(u32, u32)>, suspicious_len: usize) -> Self {
+        MatchingSets {
+            column: (0..suspicious_len as u32).collect(),
+            runs,
+            identity: true,
             suspicious_len,
         }
     }
 
     /// Number of upstream packets `n`.
     pub fn len(&self) -> usize {
-        self.bounds.len()
+        self.runs.len()
     }
 
     /// `true` when there are no upstream packets.
     pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
+        self.runs.is_empty()
     }
 
     /// Length of the suspicious flow `m`.
@@ -191,8 +277,8 @@ impl MatchingSets {
     ///
     /// Panics if `i` is out of range.
     pub fn set(&self, i: usize) -> &[u32] {
-        let (start, end) = self.bounds[i];
-        &self.candidates[start..end]
+        let (start, end) = self.runs[i];
+        &self.column[start as usize..end as usize]
     }
 
     /// The earliest candidate of upstream packet `i`.
@@ -201,7 +287,7 @@ impl MatchingSets {
     ///
     /// Panics if `i` is out of range.
     pub fn first(&self, i: usize) -> u32 {
-        self.candidates[self.bounds[i].0]
+        self.column[self.runs[i].0 as usize]
     }
 
     /// The latest candidate of upstream packet `i`.
@@ -212,12 +298,15 @@ impl MatchingSets {
     pub fn last(&self, i: usize) -> u32 {
         // Every set holds at least one candidate (constructors and
         // tightening both guarantee it), so `end - 1` is in the set.
-        self.candidates[self.bounds[i].1 - 1]
+        self.column[self.runs[i].1 as usize - 1]
     }
 
     /// Total number of candidates across all sets (`Σ |M(pᵢ)|`).
     pub fn total_candidates(&self) -> usize {
-        self.bounds.iter().map(|&(start, end)| end - start).sum()
+        self.runs
+            .iter()
+            .map(|&(start, end)| (end - start) as usize)
+            .sum()
     }
 
     /// The Greedy+ phase-1 simplification, generalized: since upstream
@@ -232,7 +321,7 @@ impl MatchingSets {
     /// matching exists, so the flows are not correlated.
     #[must_use]
     pub fn tighten(&mut self, meter: &mut CostMeter) -> bool {
-        self.tighten_over(0..self.bounds.len(), meter)
+        self.tighten_over(0..self.runs.len(), true, meter)
     }
 
     /// [`tighten`](Self::tighten) restricted to a strictly increasing
@@ -255,14 +344,17 @@ impl MatchingSets {
             "subset indices must be strictly increasing"
         );
         if let Some(&last) = indices.last() {
-            assert!(last < self.bounds.len(), "subset index out of range");
+            assert!(last < self.runs.len(), "subset index out of range");
         }
-        self.tighten_over(indices.iter().copied(), meter)
+        self.tighten_over(indices.iter().copied(), true, meter)
     }
 
     /// The forward and backward passes over the sets `order` lists, in
-    /// increasing upstream order.
-    fn tighten_over<I>(&mut self, order: I, meter: &mut CostMeter) -> bool
+    /// increasing upstream order. Empty sets (gapped erasures) are
+    /// skipped. A set that empties ends the passes with `false` when
+    /// `strict`, and is skipped from then on otherwise. Each cut is
+    /// charged the candidates it drops.
+    pub(crate) fn tighten_over<I>(&mut self, order: I, strict: bool, meter: &mut CostMeter) -> bool
     where
         I: DoubleEndedIterator<Item = usize> + Clone,
     {
@@ -270,34 +362,56 @@ impl MatchingSets {
         // previous listed packet.
         let mut min_excl: Option<u32> = None;
         for i in order.clone() {
-            let (start, end) = &mut self.bounds[i];
+            let (start, end) = self.runs[i];
+            if start == end {
+                continue;
+            }
             if let Some(bound) = min_excl {
-                let keep_from = self.candidates[*start..*end].partition_point(|&c| c <= bound);
-                meter.charge(keep_from as u64);
-                *start += keep_from;
-                if start == end {
-                    return false;
+                let cut = self.cut(i, u64::from(bound) + 1);
+                meter.charge(u64::from(cut - start));
+                self.runs[i].0 = cut;
+                if cut == end {
+                    if strict {
+                        return false;
+                    }
+                    continue;
                 }
             }
-            min_excl = Some(self.candidates[*start]);
+            min_excl = Some(self.first(i));
         }
         // Backward: candidate of packet i must be < max candidate of the
         // next listed packet.
         let mut max_excl: Option<u32> = None;
         for i in order.rev() {
-            let (start, end) = &mut self.bounds[i];
+            let (start, end) = self.runs[i];
+            if start == end {
+                continue;
+            }
             if let Some(bound) = max_excl {
-                let set = &self.candidates[*start..*end];
-                let keep_to = set.partition_point(|&c| c < bound);
-                meter.charge((set.len() - keep_to) as u64);
-                *end = *start + keep_to;
-                if start == end {
-                    return false;
+                let cut = self.cut(i, u64::from(bound));
+                meter.charge(u64::from(end - cut));
+                self.runs[i].1 = cut;
+                if cut == start {
+                    if strict {
+                        return false;
+                    }
+                    continue;
                 }
             }
-            max_excl = Some(self.candidates[*end - 1]);
+            max_excl = Some(self.last(i));
         }
         true
+    }
+
+    /// The first position of set `i`'s run whose candidate is at least
+    /// `value`: computed on the identity column, searched otherwise.
+    fn cut(&self, i: usize, value: u64) -> u32 {
+        let (start, end) = self.runs[i];
+        if self.identity {
+            value.clamp(u64::from(start), u64::from(end)) as u32
+        } else {
+            start + self.set(i).partition_point(|&c| u64::from(c) < value) as u32
+        }
     }
 }
 

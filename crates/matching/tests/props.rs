@@ -44,6 +44,52 @@ fn naive_tighten(sets: &mut [Vec<u32>], indices: &[usize], meter: &mut CostMeter
     true
 }
 
+/// The per-set copying scan the candidate column replaced: every set's
+/// candidates copied into a `Vec` of its own, filtered by size class,
+/// and the scan stopping at the first empty set. The model the strict
+/// [`MatchingSets`] must agree with, charges included.
+fn copied_sets(
+    matcher: &Matcher,
+    upstream: &Flow,
+    suspicious: &Flow,
+    meter: &mut CostMeter,
+) -> Option<Vec<Vec<u32>>> {
+    let m = suspicious.len();
+    let mut sets = Vec::with_capacity(upstream.len());
+    let (mut lo, mut hi) = (0usize, 0usize);
+    for i in 0..upstream.len() {
+        let t = upstream.timestamp(i);
+        let latest = t + matcher.delta();
+        while lo < m && suspicious.timestamp(lo) < t {
+            meter.charge_one();
+            lo += 1;
+        }
+        if hi < lo {
+            hi = lo;
+        }
+        while hi < m && suspicious.timestamp(hi) <= latest {
+            meter.charge_one();
+            hi += 1;
+        }
+        meter.charge((hi - lo) as u64);
+        let set: Vec<u32> = match matcher.size_quantum() {
+            None => (lo as u32..hi as u32).collect(),
+            Some(q) => {
+                let class = upstream[i].size().div_ceil(q);
+                (lo..hi)
+                    .filter(|&j| suspicious[j].size().div_ceil(q) == class)
+                    .map(|j| j as u32)
+                    .collect()
+            }
+        };
+        if set.is_empty() {
+            return None;
+        }
+        sets.push(set);
+    }
+    Some(sets)
+}
+
 /// Gap-tolerant matching sets on the nested layout the ranges replaced,
 /// one `Vec` per slot, candidates removed in place and `tighten`
 /// repeated until a pass erases nothing: the model the range-based
@@ -154,12 +200,7 @@ fn agrees_with_model(sets: &GappedSets, model: &NestedGapped) -> Result<(), Test
     prop_assert_eq!(sets.len(), model.sets.len());
     prop_assert_eq!(sets.erasures(), model.erasures());
     for (i, expected) in model.sets.iter().enumerate() {
-        prop_assert_eq!(
-            sets.set(i).collect::<Vec<_>>(),
-            expected.clone(),
-            "slot {}",
-            i
-        );
+        prop_assert_eq!(sets.set(i), expected.as_slice(), "slot {}", i);
         prop_assert_eq!(sets.is_erased(i), model.erased[i], "slot {}", i);
         prop_assert_eq!(sets.first(i), expected.first().copied(), "slot {}", i);
         prop_assert_eq!(sets.last(i), expected.last().copied(), "slot {}", i);
@@ -176,6 +217,12 @@ fn agrees_with_model(sets: &GappedSets, model: &NestedGapped) -> Result<(), Test
 /// its size, and chaff of random sizes is mixed in. Sizes span several
 /// 16-byte classes so a size quantum filters real candidates.
 fn lossy_pair() -> impl Strategy<Value = (Flow, Flow)> {
+    relay_pair(true)
+}
+
+/// [`lossy_pair`], or with `lossy` false the same relay without
+/// deletions, so that strict matching often succeeds.
+fn relay_pair(lossy: bool) -> impl Strategy<Value = (Flow, Flow)> {
     let packet = (0i64..2_000_000, 1u32..80);
     let relay = (0u8..5, 0i64..500_000);
     (
@@ -183,12 +230,12 @@ fn lossy_pair() -> impl Strategy<Value = (Flow, Flow)> {
         proptest::collection::vec(relay, 60),
         proptest::collection::vec(packet, 0..30),
     )
-        .prop_map(|(mut up, relay, chaff)| {
+        .prop_map(move |(mut up, relay, chaff)| {
             up.sort_unstable();
             let mut down: Vec<(i64, u32)> = up
                 .iter()
                 .zip(&relay)
-                .filter(|(_, &(deleted, _))| deleted != 0)
+                .filter(|(_, &(deleted, _))| !lossy || deleted != 0)
                 .map(|(&(t, size), &(_, delay))| (t + delay, size))
                 .chain(chaff)
                 .collect();
@@ -265,6 +312,81 @@ proptest! {
                     model.iter().map(Vec::len).sum::<usize>()
                 );
                 prop_assert_eq!(&flat, &MatchingSets::from_sets(model, m));
+            }
+        }
+    }
+
+    /// The candidate column agrees with the per-set copying scan it
+    /// replaced on relayed flows, with and without a size quantum: the
+    /// same `None`/`Some`, the same candidates per set, and the same
+    /// meter after the scan and after `tighten` or `tighten_subset`
+    /// (against the nested tightening model). Where no set is empty,
+    /// `GappedSets` lists the same candidates and charges the same,
+    /// tightening included. Without a quantum the tightening cuts are
+    /// computed, not searched; on the coarse grid, packets often sit
+    /// exactly at a cut, where an off-by-one shows.
+    #[test]
+    fn strict_runs_match_the_copying_scan(
+        (up, down) in relay_pair(false),
+        coarse in proptest::bool::ANY,
+        delta_micros in 0i64..1_000_000,
+        sized in proptest::bool::ANY,
+        quantum in 1u32..24,
+        subset_mask in proptest::collection::vec(proptest::bool::ANY, 60),
+    ) {
+        let grain = if coarse { 100_000 } else { 1 };
+        let (up, down) = (coarsened(&up, grain), coarsened(&down, grain));
+        let mut matcher = Matcher::new(TimeDelta::from_micros(delta_micros / grain * grain));
+        if sized {
+            matcher = matcher.with_size_quantum(quantum);
+        }
+        let mut model_meter = CostMeter::new();
+        let model = copied_sets(&matcher, &up, &down, &mut model_meter);
+        let mut meter = CostMeter::new();
+        let sets = matcher.matching_sets(&up, &down, &mut meter);
+        prop_assert_eq!(meter.count(), model_meter.count());
+        let mut gapped_meter = CostMeter::new();
+        let gapped = GappedSets::compute(&matcher, &up, &down, &mut gapped_meter);
+        let (Some(sets), Some(model)) = (sets.clone(), model.clone()) else {
+            prop_assert_eq!(sets.is_none(), model.is_none());
+            prop_assert!(gapped.erasures() > 0);
+            return Ok(());
+        };
+        prop_assert_eq!(gapped_meter.count(), meter.count());
+        prop_assert_eq!(gapped.erasures(), 0);
+        for (i, expected) in model.iter().enumerate() {
+            prop_assert_eq!(sets.set(i), expected.as_slice(), "set {}", i);
+            prop_assert_eq!(gapped.set(i), expected.as_slice(), "slot {}", i);
+        }
+
+        let all: Vec<usize> = (0..model.len()).collect();
+        let subset: Vec<usize> = all.iter().copied().filter(|&i| subset_mask[i]).collect();
+        for (indices, whole) in [(&all, true), (&subset, false)] {
+            let (mut meter, mut model_meter) = (meter, model_meter);
+            let mut model = model.clone();
+            let model_ok = naive_tighten(&mut model, indices, &mut model_meter);
+            let mut tightened = sets.clone();
+            let ok = if whole {
+                tightened.tighten(&mut meter)
+            } else {
+                tightened.tighten_subset(indices, &mut meter)
+            };
+            prop_assert_eq!(ok, model_ok);
+            prop_assert_eq!(meter.count(), model_meter.count());
+            if !ok {
+                continue;
+            }
+            for (i, expected) in model.iter().enumerate() {
+                prop_assert_eq!(tightened.set(i), expected.as_slice(), "set {}", i);
+            }
+            if whole {
+                let mut gapped = gapped.clone();
+                let mut gapped_meter = gapped_meter;
+                prop_assert_eq!(gapped.tighten(&mut gapped_meter), 0);
+                prop_assert_eq!(gapped_meter.count(), meter.count());
+                for (i, expected) in model.iter().enumerate() {
+                    prop_assert_eq!(gapped.set(i), expected.as_slice(), "slot {}", i);
+                }
             }
         }
     }

@@ -13,9 +13,8 @@
 //! Where `lint` checks one file at a time, this pass parses every
 //! `src/` file of the analyzed crates into [`FileFacts`], links them
 //! into a workspace symbol graph ([`Graph`](crate::graph::Graph)), and
-//! evaluates graph-level rules. Per-file facts are cached in
-//! `target/xtask-analyze.cache` keyed by content hash, so a warm run
-//! re-parses only changed files. Findings are ratcheted against the
+//! evaluates graph-level rules. Every run parses every file: the
+//! whole pass takes tens of milliseconds. Findings are ratcheted against the
 //! checked-in `analyze-baseline.json`: only findings *not* in the
 //! baseline fail the pass, and `--update-baseline` rewrites it.
 //! Waivers use the same `// lint: allow(<rule>) <reason>` comments as
@@ -28,7 +27,7 @@ use std::time::Instant;
 use crate::graph::{lock_cycles, Graph};
 use crate::json::{self, obj, Value};
 use crate::lint::Finding;
-use crate::parse::{content_hash, parse_file, FileFacts};
+use crate::parse::{parse_file, FileFacts};
 use crate::workspace;
 
 /// The stable ids of every analyze rule, in report order.
@@ -41,9 +40,6 @@ pub const ANALYZE_RULES: [&str; 4] = [
 
 /// Crates whose `src/` trees feed the analysis.
 pub const ANALYZED_CRATES: [&str; 4] = ["cluster", "ingest", "monitor", "telemetry"];
-
-/// Bump to invalidate every cached fact set (rule or parser change).
-const CACHE_SCHEMA: i64 = 1;
 
 /// Registered counter name tokens that mark a conservation ledger
 /// side; any counter carrying one must belong to a `conserve()`
@@ -58,14 +54,6 @@ const LEDGER_TOKENS: [&str; 7] = [
     "_rejected",
 ];
 
-/// Knobs for one analysis run.
-pub struct Options {
-    /// Read/write `target/xtask-analyze.cache`.
-    pub use_cache: bool,
-    /// Run only this rule id, when set.
-    pub rule: Option<String>,
-}
-
 /// The outcome of one analysis run.
 pub struct Analysis {
     /// Every finding, sorted by path/line/rule.
@@ -78,16 +66,13 @@ pub struct Analysis {
     pub stale_baseline: Vec<(String, String, String)>,
     /// Files in scope.
     pub files: usize,
-    /// Files parsed fresh this run.
-    pub parsed: usize,
-    /// Files served from the fact cache.
-    pub cached: usize,
     /// `(rule id, wall micros)` for every rule evaluated.
     pub rule_times_us: Vec<(String, u128)>,
 }
 
-/// Runs the full analysis over the workspace at `root`.
-pub fn run(root: &Path, opts: &Options) -> Result<Analysis, String> {
+/// Runs the analysis over the workspace at `root`: every rule, or only
+/// the rule `only` names.
+pub fn run(root: &Path, only: Option<&str>) -> Result<Analysis, String> {
     let all = workspace::workspace_files(root)
         .map_err(|err| format!("failed to walk {}: {err}", root.display()))?;
     let files: Vec<_> = all
@@ -97,48 +82,17 @@ pub fn run(root: &Path, opts: &Options) -> Result<Analysis, String> {
         })
         .collect();
 
-    let cache_path = root.join("target").join("xtask-analyze.cache");
-    let old_cache = if opts.use_cache {
-        load_cache(&cache_path)
-    } else {
-        BTreeMap::new()
-    };
-
     let mut facts_list: Vec<FileFacts> = Vec::new();
-    let mut cache_entries: Vec<(String, Value)> = Vec::new();
-    let (mut parsed, mut cached) = (0usize, 0usize);
     for (class, path) in &files {
         let src = std::fs::read_to_string(path)
             .map_err(|err| format!("failed to read {}: {err}", path.display()))?;
-        let hash = format!("{:016x}", content_hash(&src));
-        let from_cache = old_cache
-            .get(&class.rel_path)
-            .filter(|(h, _)| *h == hash)
-            .and_then(|(_, v)| FileFacts::from_json(v));
-        let facts = match from_cache {
-            Some(facts) => {
-                cached += 1;
-                facts
-            }
-            None => {
-                parsed += 1;
-                parse_file(class, &src)
-            }
-        };
-        cache_entries.push((
-            class.rel_path.clone(),
-            obj(vec![("hash", Value::Str(hash)), ("facts", facts.to_json())]),
-        ));
-        facts_list.push(facts);
-    }
-    if opts.use_cache {
-        write_cache(&cache_path, cache_entries);
+        facts_list.push(parse_file(class, &src));
     }
 
     let mut findings = Vec::new();
     let mut rule_times_us = Vec::new();
     for rule in ANALYZE_RULES {
-        if opts.rule.as_deref().is_some_and(|only| only != rule) {
+        if only.is_some_and(|id| id != rule) {
             continue;
         }
         let t0 = Instant::now();
@@ -179,8 +133,6 @@ pub fn run(root: &Path, opts: &Options) -> Result<Analysis, String> {
         baselined,
         stale_baseline,
         files: files.len(),
-        parsed,
-        cached,
         rule_times_us,
     })
 }
@@ -229,44 +181,6 @@ fn load_baseline(path: &Path) -> BTreeSet<(String, String, String)> {
                 .collect()
         })
         .unwrap_or_default()
-}
-
-/// Cached facts keyed by rel path: `(content hash, facts value)`.
-fn load_cache(path: &Path) -> BTreeMap<String, (String, Value)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let Some(doc) = json::parse(&text) else {
-        return BTreeMap::new();
-    };
-    if doc.get("schema").and_then(Value::as_num) != Some(CACHE_SCHEMA) {
-        return BTreeMap::new();
-    }
-    doc.get("files")
-        .and_then(Value::as_obj)
-        .map(|files| {
-            files
-                .iter()
-                .filter_map(|(rel, entry)| {
-                    let hash = entry.get("hash")?.as_str()?.to_string();
-                    let facts = entry.get("facts")?.clone();
-                    Some((rel.clone(), (hash, facts)))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Best-effort cache write; failures never fail the pass.
-fn write_cache(path: &Path, entries: Vec<(String, Value)>) {
-    let doc = obj(vec![
-        ("schema", Value::Num(CACHE_SCHEMA)),
-        ("files", Value::Obj(entries.into_iter().collect())),
-    ]);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let _ = std::fs::write(path, doc.render());
 }
 
 fn rule_id(name: &str) -> &'static str {

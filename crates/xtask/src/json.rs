@@ -1,14 +1,12 @@
 //! A minimal JSON value: parser and writer.
 //!
-//! The analyze pass persists two machine-readable artifacts — the
-//! incremental fact cache (`target/xtask-analyze.cache`) and the
-//! checked-in finding baseline (`analyze-baseline.json`) — and must
-//! read them back. The build environment has no registry access, so
-//! instead of `serde_json` this is a small hand-rolled recursive
-//! descent parser over exactly the JSON this crate itself emits
-//! (objects, arrays, strings, integers, booleans, null). Unknown or
-//! malformed input returns `None`; callers treat that as "no cache" /
-//! "no baseline" and regenerate.
+//! The analyze pass persists one machine-readable artifact, the
+//! checked-in finding baseline (`analyze-baseline.json`), and must read
+//! it back. The build environment has no registry access, so instead of
+//! `serde_json` this is a small hand-rolled recursive descent parser
+//! over exactly the JSON this crate itself emits (objects, arrays,
+//! strings, integers, booleans, null). Unknown or malformed input
+//! returns `None`; callers treat that as "no baseline".
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -30,14 +28,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an integer, if it is one.
-    pub fn as_num(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -107,11 +97,6 @@ impl Value {
 /// Builds an object value from key/value pairs.
 pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// Builds an array-of-strings value.
-pub fn str_arr(items: &[String]) -> Value {
-    Value::Arr(items.iter().map(|s| Value::Str(s.clone())).collect())
 }
 
 /// JSON string escaping (RFC 8259: quote, backslash, control chars).
@@ -309,7 +294,10 @@ mod tests {
     fn round_trips_nested_documents() {
         let doc = obj(vec![
             ("schema", Value::Num(1)),
-            ("items", str_arr(&["a\"b".to_string(), "c\\d".to_string()])),
+            (
+                "items",
+                Value::Arr(vec![Value::Str("a\"b".into()), Value::Str("c\\d".into())]),
+            ),
             (
                 "inner",
                 obj(vec![("n", Value::Num(-7)), ("flag", Value::Bool(true))]),
@@ -331,14 +319,14 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = parse(r#"{"s": "a\n\t\u0041\"", "n": -12}"#).expect("parses");
         assert_eq!(v.get("s").and_then(Value::as_str), Some("a\n\tA\""));
-        assert_eq!(v.get("n").and_then(Value::as_num), Some(-12));
+        assert_eq!(v.get("n"), Some(&Value::Num(-12)));
     }
 
     #[test]
     fn accessors_are_type_safe() {
         let v = parse(r#"{"a": [1, "x"]}"#).expect("parses");
         assert!(v.get("a").and_then(Value::as_arr).is_some());
-        assert!(v.get("a").and_then(Value::as_num).is_none());
+        assert!(v.get("a").and_then(Value::as_str).is_none());
         assert!(v.get("missing").is_none());
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo xtask lint    [--format text|json|sarif] [--root DIR] [--rule ID]
 //! cargo xtask analyze [--format text|json|sarif] [--root DIR] [--rule ID]
-//!                     [--update-baseline] [--no-cache]
+//!                     [--update-baseline]
 //! ```
 //!
 //! `lint` runs the seven per-file invariant rules (see [`lint`] module
@@ -11,11 +11,11 @@
 //! source file in the workspace. `analyze` runs the four cross-file
 //! rules (see [`analyze`] module docs and DESIGN.md §"Cross-file
 //! analysis") over the `monitor`, `cluster`, `telemetry` and `ingest`
-//! crates, with an incremental fact cache and a checked-in finding
-//! baseline. Exit codes for both: 0 clean, 1 findings (for `analyze`:
-//! findings not in the baseline), 2 usage or I/O error. There is
-//! deliberately no `--fix`: CI runs deny-by-default and violations are
-//! fixed (or justified inline) by hand.
+//! crates against a checked-in finding baseline. Exit codes for both: 0
+//! clean, 1 findings (for `analyze`: findings not in the baseline), 2
+//! usage or I/O error. There is deliberately no `--fix`: CI runs
+//! deny-by-default and violations are fixed (or justified inline) by
+//! hand.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +40,7 @@ enum Format {
 }
 
 const USAGE: &str = "usage: cargo xtask <lint|analyze> [--format text|json|sarif] \
-                     [--root DIR] [--rule ID] [--update-baseline] [--no-cache]";
+                     [--root DIR] [--rule ID] [--update-baseline]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,7 +60,6 @@ struct CommonArgs {
     root: Option<PathBuf>,
     rule: Option<String>,
     update_baseline: bool,
-    no_cache: bool,
 }
 
 fn parse_args(args: &[String], allow_baseline_flags: bool) -> Result<CommonArgs, String> {
@@ -69,7 +68,6 @@ fn parse_args(args: &[String], allow_baseline_flags: bool) -> Result<CommonArgs,
         root: None,
         rule: None,
         update_baseline: false,
-        no_cache: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -93,7 +91,6 @@ fn parse_args(args: &[String], allow_baseline_flags: bool) -> Result<CommonArgs,
                 None => return Err("--rule expects a rule id".to_string()),
             },
             "--update-baseline" if allow_baseline_flags => parsed.update_baseline = true,
-            "--no-cache" if allow_baseline_flags => parsed.no_cache = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -210,11 +207,7 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let opts = analyze::Options {
-        use_cache: !parsed.no_cache,
-        rule: parsed.rule.clone(),
-    };
-    let analysis = match analyze::run(&root, &opts) {
+    let analysis = match analyze::run(&root, parsed.rule.as_deref()) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -250,14 +243,11 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
         Format::Text => {
             let mut out = report::finding_lines(&analysis.findings);
             out.push_str(&format!(
-                "xtask analyze: {} finding(s) ({} new, {} baselined) across {} file(s) \
-                 ({} parsed, {} cached)\n",
+                "xtask analyze: {} finding(s) ({} new, {} baselined) across {} file(s)\n",
                 analysis.findings.len(),
                 analysis.new_findings.len(),
                 analysis.baselined,
-                analysis.files,
-                analysis.parsed,
-                analysis.cached
+                analysis.files
             ));
             out
         }
@@ -270,8 +260,6 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
             &[
                 ("new_findings", analysis.new_findings.len()),
                 ("baselined", analysis.baselined),
-                ("files_parsed", analysis.parsed),
-                ("files_cached", analysis.cached),
             ],
         ),
         Format::Sarif => report::sarif("analyze", &rules, &analysis.findings),

@@ -11,12 +11,7 @@
 //! the guiding rule is: *over*-approximate lock lifetimes (safe for
 //! deadlock detection) and *under*-approximate name resolution (an
 //! unresolved call produces no edge, never a wrong one).
-//!
-//! Facts are serializable to/from the [`json`](crate::json) value
-//! model so the analyze pass can cache them per file, keyed by content
-//! hash.
 
-use crate::json::{obj, str_arr, Value};
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::lint::{item_end, match_forward, test_region_mask, FileClass};
 
@@ -989,281 +984,6 @@ fn collect_unit_findings(toks: &[Tok], mask: &[bool], facts: &mut FileFacts) {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON (de)serialization for the fact cache.
-// ---------------------------------------------------------------------
-
-impl FileFacts {
-    /// Serializes the facts for the per-file cache.
-    pub fn to_json(&self) -> Value {
-        let fns = self
-            .fns
-            .iter()
-            .map(|f| {
-                obj(vec![
-                    ("name", Value::Str(f.name.clone())),
-                    ("line", Value::Num(f.line as i64)),
-                    (
-                        "calls",
-                        Value::Arr(
-                            f.calls
-                                .iter()
-                                .map(|c| {
-                                    obj(vec![
-                                        (
-                                            "q",
-                                            c.qualifier
-                                                .clone()
-                                                .map(Value::Str)
-                                                .unwrap_or(Value::Null),
-                                        ),
-                                        ("name", Value::Str(c.name.clone())),
-                                        ("method", Value::Bool(c.is_method)),
-                                        ("line", Value::Num(c.line as i64)),
-                                        ("held", str_arr(&c.held)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("acquires", pairs_json(&f.acquires)),
-                    ("ordered", triples_json(&f.ordered)),
-                    ("blocking_holding", triples_json(&f.blocking_holding)),
-                    ("blocking", pairs_json(&f.blocking)),
-                ])
-            })
-            .collect();
-        let enums = self
-            .enums
-            .iter()
-            .map(|(name, variants, line)| {
-                obj(vec![
-                    ("name", Value::Str(name.clone())),
-                    ("variants", str_arr(variants)),
-                    ("line", Value::Num(*line as i64)),
-                ])
-            })
-            .collect();
-        let matches = self
-            .matches
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("enums", str_arr(&m.enums)),
-                    ("arms", str_arr(&m.arms)),
-                    ("wildcard", Value::Bool(m.has_wildcard)),
-                    ("line", Value::Num(m.line as i64)),
-                ])
-            })
-            .collect();
-        let conserves = self
-            .conserves
-            .iter()
-            .map(|c| {
-                obj(vec![
-                    ("family", Value::Str(c.family.clone())),
-                    ("members", str_arr(&c.members)),
-                    ("line", Value::Num(c.line as i64)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("rel_path", Value::Str(self.rel_path.clone())),
-            ("crate_dir", Value::Str(self.crate_dir.clone())),
-            ("fns", Value::Arr(fns)),
-            ("enums", Value::Arr(enums)),
-            ("constructs", triples_json(&self.constructs)),
-            ("matches", Value::Arr(matches)),
-            (
-                "metric_names",
-                Value::Arr(
-                    self.metric_names
-                        .iter()
-                        .map(|(n, l, c)| {
-                            Value::Arr(vec![
-                                Value::Str(n.clone()),
-                                Value::Num(*l as i64),
-                                Value::Bool(*c),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("conserves", Value::Arr(conserves)),
-            ("mutations", pairs_json(&self.mutations)),
-            (
-                "unit_findings",
-                Value::Arr(
-                    self.unit_findings
-                        .iter()
-                        .map(|(l, m)| {
-                            Value::Arr(vec![Value::Num(*l as i64), Value::Str(m.clone())])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "allows",
-                Value::Arr(
-                    self.allows
-                        .iter()
-                        .map(|(l, r)| {
-                            Value::Arr(vec![Value::Num(*l as i64), Value::Str(r.clone())])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes facts from the cache; `None` on shape mismatch.
-    pub fn from_json(v: &Value) -> Option<FileFacts> {
-        let mut facts = FileFacts {
-            rel_path: v.get("rel_path")?.as_str()?.to_string(),
-            crate_dir: v.get("crate_dir")?.as_str()?.to_string(),
-            ..FileFacts::default()
-        };
-        for f in v.get("fns")?.as_arr()? {
-            let mut func = FnFacts {
-                name: f.get("name")?.as_str()?.to_string(),
-                line: f.get("line")?.as_num()? as usize,
-                ..FnFacts::default()
-            };
-            for c in f.get("calls")?.as_arr()? {
-                func.calls.push(CallFacts {
-                    qualifier: c.get("q").and_then(Value::as_str).map(str::to_string),
-                    name: c.get("name")?.as_str()?.to_string(),
-                    is_method: matches!(c.get("method"), Some(Value::Bool(true))),
-                    line: c.get("line")?.as_num()? as usize,
-                    held: str_vec(c.get("held")?)?,
-                });
-            }
-            func.acquires = pairs_from(f.get("acquires")?)?;
-            func.ordered = triples_from(f.get("ordered")?)?;
-            func.blocking_holding = triples_from(f.get("blocking_holding")?)?;
-            func.blocking = pairs_from(f.get("blocking")?)?;
-            facts.fns.push(func);
-        }
-        for e in v.get("enums")?.as_arr()? {
-            facts.enums.push((
-                e.get("name")?.as_str()?.to_string(),
-                str_vec(e.get("variants")?)?,
-                e.get("line")?.as_num()? as usize,
-            ));
-        }
-        facts.constructs = triples_from(v.get("constructs")?)?;
-        for m in v.get("matches")?.as_arr()? {
-            facts.matches.push(MatchFacts {
-                enums: str_vec(m.get("enums")?)?,
-                arms: str_vec(m.get("arms")?)?,
-                has_wildcard: matches!(m.get("wildcard"), Some(Value::Bool(true))),
-                line: m.get("line")?.as_num()? as usize,
-            });
-        }
-        for (name, line, is_counter) in v.get("metric_names")?.as_arr()?.iter().filter_map(|e| {
-            let arr = e.as_arr()?;
-            Some((
-                arr.first()?.as_str()?.to_string(),
-                arr.get(1)?.as_num()? as usize,
-                matches!(arr.get(2), Some(Value::Bool(true))),
-            ))
-        }) {
-            facts.metric_names.push((name, line, is_counter));
-        }
-        for c in v.get("conserves")?.as_arr()? {
-            facts.conserves.push(ConserveDecl {
-                family: c.get("family")?.as_str()?.to_string(),
-                members: str_vec(c.get("members")?)?,
-                line: c.get("line")?.as_num()? as usize,
-            });
-        }
-        facts.mutations = pairs_from(v.get("mutations")?)?;
-        for e in v.get("unit_findings")?.as_arr()? {
-            let arr = e.as_arr()?;
-            facts.unit_findings.push((
-                arr.first()?.as_num()? as usize,
-                arr.get(1)?.as_str()?.to_string(),
-            ));
-        }
-        for e in v.get("allows")?.as_arr()? {
-            let arr = e.as_arr()?;
-            facts.allows.push((
-                arr.first()?.as_num()? as usize,
-                arr.get(1)?.as_str()?.to_string(),
-            ));
-        }
-        Some(facts)
-    }
-}
-
-fn pairs_json(items: &[(String, usize)]) -> Value {
-    Value::Arr(
-        items
-            .iter()
-            .map(|(s, l)| Value::Arr(vec![Value::Str(s.clone()), Value::Num(*l as i64)]))
-            .collect(),
-    )
-}
-
-fn pairs_from(v: &Value) -> Option<Vec<(String, usize)>> {
-    v.as_arr()?
-        .iter()
-        .map(|e| {
-            let arr = e.as_arr()?;
-            Some((
-                arr.first()?.as_str()?.to_string(),
-                arr.get(1)?.as_num()? as usize,
-            ))
-        })
-        .collect()
-}
-
-fn triples_json(items: &[(String, String, usize)]) -> Value {
-    Value::Arr(
-        items
-            .iter()
-            .map(|(a, b, l)| {
-                Value::Arr(vec![
-                    Value::Str(a.clone()),
-                    Value::Str(b.clone()),
-                    Value::Num(*l as i64),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn triples_from(v: &Value) -> Option<Vec<(String, String, usize)>> {
-    v.as_arr()?
-        .iter()
-        .map(|e| {
-            let arr = e.as_arr()?;
-            Some((
-                arr.first()?.as_str()?.to_string(),
-                arr.get(1)?.as_str()?.to_string(),
-                arr.get(2)?.as_num()? as usize,
-            ))
-        })
-        .collect()
-}
-
-fn str_vec(v: &Value) -> Option<Vec<String>> {
-    v.as_arr()?
-        .iter()
-        .map(|e| e.as_str().map(str::to_string))
-        .collect()
-}
-
-/// FNV-1a 64 over the file contents — the cache key.
-pub fn content_hash(src: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in src.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1468,31 +1188,5 @@ mod tests {
         let facts = parse(src);
         assert_eq!(facts.fns.len(), 1);
         assert!(facts.constructs.is_empty());
-    }
-
-    #[test]
-    fn facts_round_trip_through_json() {
-        let src = "// conserve(ledger): sent = acked + lost\n\
-                   // lint: allow(lock_order) documented hand-off design\n\
-                   pub enum E { A, B }\n\
-                   fn f(a: &Mutex<u8>, rx: &Mutex<Receiver<u8>>, sent_us: i64, lag_ns: i64) {\n\
-                       let g = a.lock().unwrap();\n\
-                       let r = rx.lock().unwrap();\n\
-                       let x = r.recv();\n\
-                       let bad = sent_us + lag_ns;\n\
-                       let e = E::A;\n\
-                       match e { E::A => {}, E::B => {} }\n\
-                       helper(1);\n\
-                   }\n";
-        let facts = parse(src);
-        let round =
-            FileFacts::from_json(&crate::json::parse(&facts.to_json().render()).unwrap()).unwrap();
-        assert_eq!(facts, round);
-    }
-
-    #[test]
-    fn content_hash_is_stable_and_content_sensitive() {
-        assert_eq!(content_hash("abc"), content_hash("abc"));
-        assert_ne!(content_hash("abc"), content_hash("abd"));
     }
 }

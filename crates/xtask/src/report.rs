@@ -281,10 +281,8 @@ mod tests {
             Some("crates/flow/src/fifo.rs")
         );
         assert_eq!(
-            loc.get("region")
-                .and_then(|r| r.get("startLine"))
-                .and_then(Value::as_num),
-            Some(110)
+            loc.get("region").and_then(|r| r.get("startLine")),
+            Some(&Value::Num(110))
         );
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end checks of `cargo xtask analyze`: each seeded violation
-//! of the four cross-file rules must fail the pass, the incremental
-//! cache must serve warm runs, the baseline must ratchet, and the real
-//! workspace must be clean modulo its checked-in baseline.
+//! of the four cross-file rules must fail the pass, the baseline must
+//! ratchet, and the real workspace must be clean modulo its checked-in
+//! baseline.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -200,26 +200,6 @@ fn rule_filter_runs_only_that_rule() {
 }
 
 #[test]
-fn warm_run_is_served_from_the_cache() {
-    let fx = Fixture::new("an-cache");
-    fx.write("crates/monitor/src/ok.rs", "pub fn fine() -> u64 { 1 }\n");
-    let (ok, cold) = fx.analyze(&[]);
-    assert!(ok, "{cold}");
-    assert!(cold.contains("(1 parsed, 0 cached)"), "{cold}");
-    assert!(
-        fx.root.join("target/xtask-analyze.cache").exists(),
-        "cache file must be written"
-    );
-    let (ok, warm) = fx.analyze(&[]);
-    assert!(ok, "{warm}");
-    assert!(warm.contains("(0 parsed, 1 cached)"), "{warm}");
-    // Editing the file invalidates exactly that entry.
-    fx.write("crates/monitor/src/ok.rs", "pub fn fine() -> u64 { 2 }\n");
-    let (_, edited) = fx.analyze(&[]);
-    assert!(edited.contains("(1 parsed, 0 cached)"), "{edited}");
-}
-
-#[test]
 fn update_baseline_ratchets_existing_findings() {
     let fx = Fixture::new("an-baseline");
     fx.write(
@@ -265,16 +245,10 @@ fn sarif_output_is_well_formed() {
 #[test]
 fn real_workspace_is_analyze_clean_modulo_baseline() {
     // The repo itself must satisfy its own cross-file invariants,
-    // modulo the checked-in baseline. `--no-cache` so a stale dev
-    // cache cannot mask a regression.
+    // modulo the checked-in baseline.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let output = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args([
-            "analyze",
-            "--no-cache",
-            "--root",
-            root.to_str().expect("utf-8 path"),
-        ])
+        .args(["analyze", "--root", root.to_str().expect("utf-8 path")])
         .output()
         .expect("run xtask analyze");
     assert!(
