@@ -36,7 +36,6 @@ mod kind;
 mod matchstats;
 mod mode;
 mod outcome;
-mod stream;
 
 pub use elices::{ElicesBackend, ElicesConfig};
 pub use game::{GameBackend, GameConfig};
@@ -45,7 +44,6 @@ pub use matchstats::{order_consistent_stats, robust_order_consistent_stats, Matc
 pub use mode::{DecodeMode, DecodeOptions, UnknownDecodeMode};
 pub use outcome::{Correlation, RobustOutcome};
 pub use stepstone_matching::{Screen, ScreenState};
-pub use stream::StreamState;
 
 use stepstone_flow::{Flow, SlidingWindow};
 
@@ -101,20 +99,5 @@ pub trait CorrelatorBackend: Send + Sync {
     fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
         let _ = (window, state);
         Screen::Decode
-    }
-
-    /// Incremental decode over a sliding-window prefix, accumulating
-    /// cost accounting in `state`.
-    ///
-    /// The default implementation re-decodes the window from scratch —
-    /// the streaming model the monitor's redecode scheduling assumes —
-    /// and records the decode into `state`. Backends with cheaper
-    /// suffix updates may override it, provided the verdict equals the
-    /// batch [`decode`](Self::decode) of the same window (the
-    /// streaming-equals-batch property the test suites pin).
-    fn decode_stream(&self, window: &Flow, state: &mut StreamState) -> Correlation {
-        let outcome = self.decode(window);
-        state.record(&outcome, window.len());
-        outcome
     }
 }

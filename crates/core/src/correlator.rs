@@ -3,7 +3,7 @@
 
 use stepstone_backends::{
     BackendKind, CorrelatorBackend, DecodeMode, DecodeOptions, ElicesBackend, ElicesConfig,
-    GameBackend, GameConfig, RobustOutcome, Screen, ScreenState, StreamState,
+    GameBackend, GameConfig, RobustOutcome, Screen, ScreenState,
 };
 use stepstone_flow::{Flow, SlidingWindow, TimeDelta};
 use stepstone_matching::{CostMeter, GappedSets, Matcher, MatchingSets};
@@ -399,14 +399,6 @@ impl BoundCorrelator {
         self.as_backend().decode_options()
     }
 
-    /// The paper correlator configuration, when this is the paper arm.
-    pub fn config(&self) -> Option<&WatermarkCorrelator> {
-        match self {
-            BoundCorrelator::Paper(paper) => Some(paper.config()),
-            _ => None,
-        }
-    }
-
     /// The upstream flow (as observed on the wire).
     pub fn upstream(&self) -> &Flow {
         self.as_backend().upstream()
@@ -416,12 +408,6 @@ impl BoundCorrelator {
     /// upstream flow, whatever the backend.
     pub fn correlate(&self, suspicious: &Flow) -> Correlation {
         self.as_backend().decode(suspicious)
-    }
-
-    /// Streaming decode: correlates the current window and folds the
-    /// outcome into `state`'s running cost/verdict books.
-    pub fn correlate_stream(&self, window: &Flow, state: &mut StreamState) -> Correlation {
-        self.as_backend().decode_stream(window, state)
     }
 
     /// Screens the decode of `window` before it is scheduled (see

@@ -68,6 +68,5 @@ pub use outcome::{Algorithm, Correlation};
 // `stepstone_core` import to select, bind and label backends.
 pub use stepstone_backends::{
     BackendKind, CorrelatorBackend, DecodeMode, DecodeOptions, ElicesBackend, ElicesConfig,
-    GameBackend, GameConfig, RobustOutcome, Screen, ScreenState, StreamState, UnknownBackend,
-    UnknownDecodeMode,
+    GameBackend, GameConfig, RobustOutcome, Screen, ScreenState, UnknownBackend, UnknownDecodeMode,
 };

@@ -1,5 +1,5 @@
 //! Cross-backend comparison: the same corpora decoded by every
-//! [`BackendKind`], reporting detection, false positives and decode
+//! correlator backend, reporting detection, false positives and decode
 //! cost side by side.
 //!
 //! Two regimes bracket the passive detectors' operating envelope:
@@ -7,7 +7,7 @@
 //! - **mild** — `Δ = 1 s`, chaff `0.5/s`: the channel is sparse enough
 //!   (`Δ · rate` near 1) that order-consistent coverage and the IPD
 //!   likelihood ratio still separate true pairs from decoys.
-//! - **stress** — the scale's default scenario (`Δ = 7 s`, chaff
+//! - **stress** — the scale's `repro monitor` spec (`Δ = 7 s`, chaff
 //!   `3/s`): chance matching serves nearly every window, the passive
 //!   statistics flatten, and both passive backends (by design) stop
 //!   correlating — the saturation regime that motivates the paper's
@@ -18,24 +18,25 @@
 
 use std::fmt;
 
-use stepstone_core::BackendKind;
 use stepstone_flow::TimeDelta;
-use stepstone_watermark::{WatermarkError, WatermarkParams};
+use stepstone_scenario::{Backend, ScenarioSpec};
+use stepstone_watermark::WatermarkParams;
 
 use crate::config::ExperimentConfig;
-use crate::live::{build_corpus, replay, LiveScenario};
+use crate::live::{monitor_spec, paper_workload};
+use crate::scenario_run::{build_spec_corpus, run, RunOptions, ScenarioRunError};
 
 /// One backend's results over one regime's corpus.
 #[derive(Debug, Clone)]
 pub struct BackendRow {
     /// The backend decoded with.
-    pub backend: BackendKind,
+    pub backend: Backend,
     /// True pairs detected (of `upstreams`).
-    pub true_positives: usize,
+    pub true_positives: u32,
     /// Correlated verdicts on non-pairs.
-    pub false_positives: usize,
+    pub false_positives: u32,
     /// True pairs not detected.
-    pub missed: usize,
+    pub missed: u32,
     /// Windows the online replay decoded; jobs answered without
     /// decoding after their pair latched are not counted.
     pub decodes: u64,
@@ -47,14 +48,14 @@ pub struct BackendRow {
     pub packets_per_sec: f64,
 }
 
-/// One regime: its scenario and every backend's row over it.
+/// One regime: its spec and every backend's row over it.
 #[derive(Debug, Clone)]
 pub struct BackendRegime {
     /// Short regime name (`mild`, `stress`).
     pub name: &'static str,
-    /// The scenario all backends replay (modulo the backend field).
-    pub scenario: LiveScenario,
-    /// One row per [`BackendKind::ALL`] entry, in that order.
+    /// The spec all backends run (modulo the backend field).
+    pub spec: ScenarioSpec,
+    /// One row per [`Backend::ALL`] entry, in that order.
     pub rows: Vec<BackendRow>,
 }
 
@@ -65,46 +66,41 @@ pub struct BackendComparison {
     pub regimes: Vec<BackendRegime>,
 }
 
-/// The mild regime's scenario: sparse enough for passive detection.
-fn mild_scenario(cfg: &ExperimentConfig) -> LiveScenario {
-    LiveScenario {
-        upstreams: 4,
-        decoys: 4,
-        packets: 400,
-        shards: 2,
-        decode_batch: 64,
-        seed: cfg.seed,
-        delta: TimeDelta::from_secs(1),
-        chaff: 0.5,
-        params: WatermarkParams::small(),
-        backend: BackendKind::Paper,
-        decode: stepstone_core::DecodeOptions::strict(),
-    }
+/// The mild regime's spec: sparse enough for passive detection.
+fn mild_spec(cfg: &ExperimentConfig) -> ScenarioSpec {
+    let mut spec = paper_workload(
+        "backends-mild",
+        cfg.seed,
+        TimeDelta::from_secs(1),
+        0.5,
+        WatermarkParams::small(),
+    );
+    spec.upstreams = 4;
+    spec.decoys = 4;
+    spec.packets = 400;
+    spec
 }
 
 /// Runs every backend over both regimes' corpora.
 ///
 /// # Errors
 ///
-/// Fails only if a scenario's flows cannot carry the watermark layout
-/// (see [`WatermarkError::FlowTooShort`]).
-pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, WatermarkError> {
-    let regimes = [
-        ("mild", mild_scenario(cfg)),
-        ("stress", LiveScenario::from_config(cfg)),
-    ];
+/// Fails only if a spec's flows cannot carry the watermark layout.
+pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, ScenarioRunError> {
+    let regimes = [("mild", mild_spec(cfg)), ("stress", monitor_spec(cfg))];
     let mut out = Vec::new();
     for (name, base) in regimes {
         let mut rows = Vec::new();
-        for kind in BackendKind::ALL {
-            let scenario = base.clone().with_backend(kind);
-            let report = replay(&scenario)?;
-            let (mean_cost_true, mean_cost_other) = batch_costs(&scenario)?;
+        for backend in Backend::ALL {
+            let mut spec = base.clone();
+            spec.backend = backend;
+            let report = run(&spec, &RunOptions::default())?;
+            let (mean_cost_true, mean_cost_other) = batch_costs(&spec)?;
             rows.push(BackendRow {
-                backend: kind,
-                true_positives: report.true_positives,
-                false_positives: report.false_positives,
-                missed: report.missed,
+                backend,
+                true_positives: report.detection.true_positives,
+                false_positives: report.detection.false_positives,
+                missed: report.detection.missed,
                 decodes: report.stats.decoded(),
                 mean_cost_true,
                 mean_cost_other,
@@ -113,7 +109,7 @@ pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, WatermarkErr
         }
         out.push(BackendRegime {
             name,
-            scenario: base,
+            spec: base,
             rows,
         });
     }
@@ -123,8 +119,8 @@ pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, WatermarkErr
 /// Decodes every (upstream, suspicious) pair once at full window and
 /// averages the billed packet accesses (`cost + matching_cost`, the
 /// monitor's per-verdict convention) over true pairs and non-pairs.
-fn batch_costs(scenario: &LiveScenario) -> Result<(f64, f64), WatermarkError> {
-    let corpus = build_corpus(scenario, None, None)?;
+fn batch_costs(spec: &ScenarioSpec) -> Result<(f64, f64), ScenarioRunError> {
+    let corpus = build_spec_corpus(spec, None)?;
     let (mut true_sum, mut true_n) = (0u64, 0u64);
     let (mut other_sum, mut other_n) = (0u64, 0u64);
     for (i, correlator) in corpus.correlators.iter().enumerate() {
@@ -147,7 +143,7 @@ fn batch_costs(scenario: &LiveScenario) -> Result<(f64, f64), WatermarkError> {
 impl fmt::Display for BackendComparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for regime in &self.regimes {
-            let s = &regime.scenario;
+            let s = &regime.spec;
             writeln!(
                 f,
                 "backend comparison [{}]: {} upstreams, {} decoys, {} packets, \
@@ -156,8 +152,8 @@ impl fmt::Display for BackendComparison {
                 s.upstreams,
                 s.decoys,
                 s.packets,
-                s.delta.as_secs_f64(),
-                s.chaff
+                s.delta_ms as f64 / 1000.0,
+                s.chaff.rate()
             )?;
             writeln!(
                 f,
@@ -207,7 +203,7 @@ impl BackendComparison {
         );
         out.push_str("  \"regimes\": {\n");
         for (ri, regime) in self.regimes.iter().enumerate() {
-            let s = &regime.scenario;
+            let s = &regime.spec;
             out.push_str(&format!("    \"{}\": {{\n", regime.name));
             out.push_str(&format!(
                 "      \"scenario\": {{\"upstreams\": {}, \"decoys\": {}, \"packets\": {}, \
@@ -215,8 +211,8 @@ impl BackendComparison {
                 s.upstreams,
                 s.decoys,
                 s.packets,
-                s.delta.as_secs_f64(),
-                s.chaff
+                s.delta_ms as f64 / 1000.0,
+                s.chaff.rate()
             ));
             out.push_str("      \"backends\": {\n");
             for (i, row) in regime.rows.iter().enumerate() {
@@ -252,20 +248,11 @@ impl BackendComparison {
 mod tests {
     use super::*;
     use crate::config::Scale;
-    use crate::live::{merged_stream, Corpus};
 
-    /// Replays `scenario` the way [`replay`] does and returns its
-    /// verdicts, sorted, and the windows it decoded.
-    fn verdicts_and_decodes(scenario: &LiveScenario) -> (Vec<String>, u64) {
-        let Corpus {
-            mut monitor,
-            suspicious,
-            ..
-        } = build_corpus(scenario, None, None).expect("the corpus carries the layout");
-        for (flow, packet) in merged_stream(&suspicious) {
-            monitor.ingest(flow, packet);
-        }
-        let report = monitor.finish();
+    /// Runs `spec` and returns its verdicts, sorted, and the windows it
+    /// decoded.
+    fn verdicts_and_decodes(spec: &ScenarioSpec) -> (Vec<String>, u64) {
+        let report = run(spec, &RunOptions::default()).expect("the corpus carries the layout");
         // Completions from different shards interleave in any order.
         let mut verdicts: Vec<String> = report.verdicts.iter().map(|v| format!("{v:?}")).collect();
         verdicts.sort();
@@ -274,13 +261,13 @@ mod tests {
 
     #[test]
     fn replay_is_independent_of_worker_timing() {
-        let scenario =
-            mild_scenario(&ExperimentConfig::new(Scale::Quick)).with_backend(BackendKind::Elices);
+        let mut spec = mild_spec(&ExperimentConfig::new(Scale::Quick));
+        spec.backend = Backend::Elices;
         // A timing-dependent schedule shows up as differing decode
         // counts within a few replays, not reliably within two.
-        let first = verdicts_and_decodes(&scenario);
+        let first = verdicts_and_decodes(&spec);
         for run in 1..10 {
-            assert_eq!(verdicts_and_decodes(&scenario), first, "replay {run}");
+            assert_eq!(verdicts_and_decodes(&spec), first, "replay {run}");
         }
     }
 
@@ -290,10 +277,13 @@ mod tests {
         let comparison = compare(&cfg).expect("quick corpora carry the layout");
         assert_eq!(comparison.regimes.len(), 2);
         for regime in &comparison.regimes {
-            let kinds: Vec<BackendKind> = regime.rows.iter().map(|r| r.backend).collect();
-            assert_eq!(kinds, BackendKind::ALL.to_vec());
+            let kinds: Vec<Backend> = regime.rows.iter().map(|r| r.backend).collect();
+            assert_eq!(kinds, Backend::ALL.to_vec());
             for row in &regime.rows {
-                assert_eq!(row.true_positives + row.missed, regime.scenario.upstreams);
+                assert_eq!(
+                    (row.true_positives + row.missed) as usize,
+                    regime.spec.upstreams
+                );
                 assert!(row.mean_cost_true > 0.0);
             }
         }
@@ -307,7 +297,7 @@ mod tests {
         }
         let stress = &comparison.regimes[1];
         for row in &stress.rows {
-            if row.backend != BackendKind::Paper {
+            if row.backend != Backend::Paper {
                 assert_eq!(
                     row.false_positives, 0,
                     "{} FP under saturation",

@@ -10,11 +10,12 @@
 
 #![forbid(unsafe_code)]
 //!
-//! The `monitor` target additionally honours `--pairs N`, `--decoys N`,
-//! `--shards N` and `--packets N` to size the online replay,
-//! `--backend paper|elices|game` to pick the correlator backend, and
-//! `--decode strict|robust` (with `--erasure-budget N`) to pick the
-//! decode layer.
+//! The `monitor` target runs a scenario spec lowered from the
+//! configuration, and additionally honours `--pairs N`, `--decoys N`,
+//! `--shards N` and `--packets N` to size it, `--backend
+//! paper|elices|game` to pick the correlator backend, and `--decode
+//! strict|robust` (with `--erasure-budget N`) to pick the decode layer;
+//! the edited spec must still validate.
 
 use std::env;
 use std::fs;
@@ -22,13 +23,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use stepstone_chaos::FaultPlan;
-use stepstone_core::{BackendKind, DecodeMode, DecodeOptions, UnknownBackend, UnknownDecodeMode};
+use stepstone_chaos::{FaultPlan, Profile};
+use stepstone_core::{DecodeMode, UnknownBackend, UnknownDecodeMode};
+use stepstone_experiments::scenario_run::{self, RunOptions};
 use stepstone_experiments::{
-    ablations, backends, cluster, diagnostics, figures, live, matrix, robust, scenario_run, serve,
+    ablations, backends, cluster, diagnostics, figures, live, matrix, robust, serve,
     ExperimentConfig, Scale,
 };
 use stepstone_ingest::ReplayClock;
+use stepstone_scenario::{Backend, ChaosProfile, Decode, ScenarioSpec};
 use stepstone_stats::Figure;
 use stepstone_telemetry::{MetricsServer, Registry};
 use stepstone_traffic::Seed;
@@ -176,12 +179,14 @@ struct Options {
     decoys: Option<usize>,
     shards: Option<usize>,
     packets: Option<usize>,
-    /// Correlator backend every upstream registers with.
-    backend: BackendKind,
-    /// Decode layer every bound correlator runs; `None` keeps each
-    /// target's default (strict for `monitor`, the spec's own
-    /// `decode =` key for `scenario`).
-    decode: Option<DecodeOptions>,
+    /// Correlator backend every `monitor` upstream registers with.
+    backend: Backend,
+    /// Decode layer every bound correlator runs; `None` keeps the
+    /// spec's own (strict for `monitor`, the `decode =` key for
+    /// `scenario`).
+    decode: Option<Decode>,
+    /// Erasure budget a `--decode robust` override runs with.
+    erasure_budget: u32,
     /// `monitor` reads this capture instead of an in-memory stream.
     pcap: Option<PathBuf>,
     /// Pacing for `--pcap` replay.
@@ -219,7 +224,7 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
     let mut decoys = None;
     let mut shards = None;
     let mut packets = None;
-    let mut backend = BackendKind::default();
+    let mut backend = Backend::default();
     let mut decode_mode: Option<DecodeMode> = None;
     let mut erasure_budget: u32 = 64;
     let mut pcap = None;
@@ -269,7 +274,7 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
             "--packets" => packets = Some(parse_count(&mut it, "--packets")?),
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a name")?;
-                backend = BackendKind::parse(v)?;
+                backend = parse_scenario_backend(v)?;
             }
             "--decode" => {
                 let v = it.next().ok_or("--decode needs a mode name")?;
@@ -370,9 +375,10 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
         packets,
         backend,
         decode: decode_mode.map(|mode| match mode {
-            DecodeMode::Strict => DecodeOptions::strict(),
-            DecodeMode::Robust => DecodeOptions::robust(erasure_budget),
+            DecodeMode::Strict => Decode::Strict,
+            DecodeMode::Robust => Decode::Robust,
         }),
+        erasure_budget,
         pcap,
         replay,
         chaos,
@@ -453,57 +459,47 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
                 None => None,
             };
             let registry = server.as_ref().map(|(_, r)| Arc::clone(r));
-            if let Some(plan) = &opts.chaos {
+            // Wire mode: correlators come from the scale-independent
+            // wire spec, packets from the capture file.
+            let lowered = match opts.pcap {
+                Some(_) => live::wire_spec(cfg),
+                None => live::monitor_spec(cfg),
+            };
+            let spec = apply_overrides(lowered, opts)?;
+            if let Some(plan) = scenario_run::chaos_plan(&spec) {
                 eprintln!(
                     "chaos plan {plan}: schedule digest {:016x}",
                     plan.schedule_digest(4096)
                 );
             }
-            let mut stream_error = false;
-            if let Some(workers) = opts.cluster {
-                let mut copts = cluster::ClusterOptions::new(
-                    workers,
-                    env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?,
-                    vec!["cluster-worker".to_string()],
-                );
-                copts.chaos = opts.chaos;
-                copts.registry = registry;
-                if let Some(path) = &opts.pcap {
-                    let scenario = apply_overrides(live::LiveScenario::wire(cfg), opts)?;
-                    let bytes = fs::read(path)
-                        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                    let report =
-                        cluster::cluster_replay_pcap(&scenario, &bytes, opts.replay, &copts)
-                            .map_err(|e| format!("monitor: {e}"))?;
-                    stream_error = report.stream_error.is_some();
-                    println!("{report}");
-                } else {
-                    let scenario = apply_overrides(live::LiveScenario::from_config(cfg), opts)?;
-                    let report = cluster::cluster_replay(&scenario, &copts)
+            let bytes = read_capture(opts)?;
+            let capture = bytes.as_deref().map(|bytes| (bytes, opts.replay));
+            let stream_error = match opts.cluster {
+                Some(workers) => {
+                    let mut copts = cluster::ClusterOptions::new(
+                        workers,
+                        env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?,
+                        vec!["cluster-worker".to_string()],
+                    );
+                    copts.registry = registry;
+                    let report = cluster::cluster_replay(&spec, capture, &copts)
                         .map_err(|e| format!("monitor: {e}"))?;
                     println!("{report}");
+                    report.stream_error.is_some()
                 }
-            } else if let Some(path) = &opts.pcap {
-                // Wire mode: correlators come from the scale-independent
-                // wire scenario, packets from the capture file.
-                let scenario = apply_overrides(live::LiveScenario::wire(cfg), opts)?;
-                let bytes =
-                    fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let report = match &opts.chaos {
-                    Some(plan) => {
-                        live::replay_pcap_chaos(&scenario, &bytes, opts.replay, registry, plan)
-                    }
-                    None => live::replay_pcap_with(&scenario, &bytes, opts.replay, registry),
+                None => {
+                    let run_opts = RunOptions {
+                        capture,
+                        registry,
+                        engine_chaos: true,
+                        ..RunOptions::default()
+                    };
+                    let report =
+                        scenario_run::run(&spec, &run_opts).map_err(|e| format!("monitor: {e}"))?;
+                    println!("{report}");
+                    report.stream_error.is_some()
                 }
-                .map_err(|e| format!("monitor: {e}"))?;
-                stream_error = report.outcome.stream_error.is_some();
-                println!("{report}");
-            } else {
-                let scenario = apply_overrides(live::LiveScenario::from_config(cfg), opts)?;
-                let report = live::replay_chaos_with(&scenario, registry, opts.chaos.as_ref())
-                    .map_err(|e| format!("monitor: cannot build the scenario corpus: {e}"))?;
-                println!("{report}");
-            }
+            };
             if let Some((_server, _)) = server {
                 // Keep the endpoint up so a scraper can read the final
                 // counters after the report; exit via SIGINT/SIGTERM.
@@ -534,8 +530,9 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
             }
         }
         "pcap-export" => {
-            let scenario = apply_overrides(live::LiveScenario::wire(cfg), opts)?;
-            let bytes = live::export_pcap(&scenario).map_err(|e| format!("pcap-export: {e}"))?;
+            let spec = apply_overrides(live::wire_spec(cfg), opts)?;
+            let bytes =
+                scenario_run::export_pcap(&spec).map_err(|e| format!("pcap-export: {e}"))?;
             let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("."));
             let path = dir.join("sample.pcap");
             fs::write(&path, &bytes)
@@ -577,30 +574,19 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
                 .as_deref()
                 .ok_or("the scenario target needs --scenario NAME|FILE.scn")?;
             let mut spec = matrix::resolve_scenario(name).map_err(CliError::Scenario)?;
-            if let Some(decode) = opts.decode {
-                // The CLI decode layer overrides the spec's own key,
-                // exactly as --backend style overrides do elsewhere.
-                spec.decode = match decode.mode {
-                    DecodeMode::Strict => stepstone_scenario::Decode::Strict,
-                    DecodeMode::Robust => stepstone_scenario::Decode::Robust,
-                };
-                if decode.is_robust() {
-                    spec.erasure_budget = decode.erasure_budget;
-                }
-            }
+            // The CLI decode layer overrides the spec's own key.
+            set_decode(&mut spec, opts);
             eprintln!("scenario {} digest {:016x}", spec.name, spec.digest());
-            let outcome = match &opts.pcap {
-                Some(path) => {
-                    let bytes = fs::read(path)
-                        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                    scenario_run::run_spec_pcap(&spec, &bytes, None)
-                }
-                None => scenario_run::run_spec(&spec, None),
-            }
-            .map_err(|e| format!("scenario: {e}"))?;
-            print!("{}", outcome.canonical_verdicts());
-            println!("{outcome}");
-            if outcome.stream_error.is_some() {
+            let bytes = read_capture(opts)?;
+            let run_opts = RunOptions {
+                capture: bytes.as_deref().map(|bytes| (bytes, ReplayClock::Fast)),
+                ..RunOptions::default()
+            };
+            let report =
+                scenario_run::run(&spec, &run_opts).map_err(|e| format!("scenario: {e}"))?;
+            print!("{}", report.canonical_verdicts());
+            println!("{}", report.summary());
+            if report.stream_error.is_some() {
                 return Ok(EXIT_STREAM_ERROR);
             }
         }
@@ -679,29 +665,52 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
     Ok(0)
 }
 
-/// Applies the monitor sizing flags to a scenario.
-fn apply_overrides(
-    mut scenario: live::LiveScenario,
-    opts: &Options,
-) -> Result<live::LiveScenario, String> {
+/// Applies the `monitor` flags to a lowered spec, then validates it: a
+/// flag value the spec rejects (`--pairs 0`, `--shards 65`) is a usage
+/// error carrying the spec's own message.
+fn apply_overrides(mut spec: ScenarioSpec, opts: &Options) -> Result<ScenarioSpec, String> {
     if let Some(n) = opts.pairs {
-        scenario.upstreams = n;
+        spec.upstreams = n;
     }
     if let Some(n) = opts.decoys {
-        scenario.decoys = n;
+        spec.decoys = n;
     }
     if let Some(n) = opts.shards {
-        if n == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        scenario.shards = n;
+        spec.shards = n;
     }
     if let Some(n) = opts.packets {
-        scenario.packets = n;
+        spec.packets = n;
     }
-    Ok(scenario
-        .with_backend(opts.backend)
-        .with_decode(opts.decode.unwrap_or_default()))
+    spec.backend = opts.backend;
+    set_decode(&mut spec, opts);
+    spec.chaos = opts.chaos.map(|plan| {
+        let profile = match plan.profile() {
+            Profile::Mild => ChaosProfile::Mild,
+            Profile::Harsh => ChaosProfile::Harsh,
+            Profile::Adversarial => ChaosProfile::Adversarial,
+        };
+        (plan.seed(), profile)
+    });
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
+/// Applies `--decode` (and, for robust, `--erasure-budget`) to a spec.
+fn set_decode(spec: &mut ScenarioSpec, opts: &Options) {
+    if let Some(decode) = opts.decode {
+        spec.decode = decode;
+        if decode == Decode::Robust {
+            spec.erasure_budget = opts.erasure_budget;
+        }
+    }
+}
+
+/// Reads the `--pcap` capture, if one was given.
+fn read_capture(opts: &Options) -> Result<Option<Vec<u8>>, String> {
+    opts.pcap
+        .as_ref()
+        .map(|path| fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display())))
+        .transpose()
 }
 
 fn emit(fig: &Figure, opts: &Options) -> Result<(), String> {

@@ -24,11 +24,13 @@
 //! ([`figures::future_loss`], [`figures::future_repack`]) and the
 //! quality [`ablations`] (adjustment, redundancy, threshold ROC,
 //! phase-1 scope, chaff models); the bench crate covers the runtime
-//! axis of the same sweeps. The [`live`] module replays a synthetic
-//! corpus through the `stepstone-monitor` online engine (`repro
-//! monitor`), reporting throughput alongside detection quality, and the
-//! [`cluster`] module scales the same replay across a coordinator plus
-//! N worker processes (`repro monitor --cluster N`).
+//! axis of the same sweeps. Online workloads are
+//! [`stepstone_scenario::ScenarioSpec`]s: [`scenario_run::run`] replays
+//! one through the `stepstone-monitor` online engine, reporting
+//! throughput alongside detection quality; the [`live`] module lowers
+//! the experiment configuration into the `repro monitor` specs, and the
+//! [`cluster`] module runs a spec across a coordinator plus N worker
+//! processes (`repro monitor --cluster N`).
 //!
 //! # Example
 //!

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use stepstone_cluster::backoff;
 use stepstone_scenario::{preset, Backend, ScenarioSpec, MAX_SPEC_BYTES};
 
-use crate::scenario_run::run_spec;
+use crate::scenario_run::{run, RunOptions};
 
 /// Schema tag of the JSON report.
 pub const SCHEMA: &str = "stepstone-matrix-v1";
@@ -100,10 +100,10 @@ pub struct CellOutcome {
     /// Pairs that ended degraded.
     pub degraded: u32,
     /// Effective deletions the cell's channel inflicted (see
-    /// [`crate::scenario_run::ScenarioOutcome::erasures`]).
+    /// [`crate::scenario_run::RunReport::erasures`]).
     pub erasures: u64,
     /// The run's verdict digest (see
-    /// [`crate::scenario_run::ScenarioOutcome::verdict_digest`]).
+    /// [`crate::scenario_run::RunReport::verdict_digest`]).
     pub verdict_digest: u64,
 }
 
@@ -267,8 +267,9 @@ pub fn matrix_cell_main(
     }
     let spec =
         ScenarioSpec::parse(&text).map_err(|e| (exit_bad_scenario, format!("bad spec: {e}")))?;
-    let outcome =
-        run_spec(&spec, None).map_err(|e| (exit_run_error, format!("run failed: {e}")))?;
+    let report = run(&spec, &RunOptions::default())
+        .map_err(|e| (exit_run_error, format!("run failed: {e}")))?;
+    let detection = report.detection;
     writeln!(
         output,
         "cell scenario={} backend={} seed={} digest={:016x} events={} tp={} fp={} \
@@ -276,14 +277,14 @@ pub fn matrix_cell_main(
         spec.name,
         spec.backend.name(),
         spec.seed,
-        outcome.digest,
-        outcome.events,
-        outcome.true_positives,
-        outcome.false_positives,
-        outcome.missed,
-        outcome.degraded,
-        outcome.erasures,
-        outcome.verdict_digest(),
+        spec.digest(),
+        report.events,
+        detection.true_positives,
+        detection.false_positives,
+        detection.missed,
+        detection.degraded,
+        report.erasures,
+        report.verdict_digest(),
     )
     .map_err(|e| (exit_run_error, format!("cannot write result: {e}")))?;
     Ok(())
@@ -529,9 +530,9 @@ mod tests {
         matrix_cell_main(&mut input.as_slice(), &mut output, 5, 3).expect("cell runs");
         let text = String::from_utf8(output).expect("utf-8");
         let outcome = parse_cell_line(text.trim(), cell).expect("parses");
-        let direct = run_spec(&cell.spec, None).expect("direct run");
+        let direct = run(&cell.spec, &RunOptions::default()).expect("direct run");
         assert_eq!(outcome.verdict_digest, direct.verdict_digest());
-        assert_eq!(outcome.true_positives, direct.true_positives);
+        assert_eq!(outcome.true_positives, direct.detection.true_positives);
         // Taking input from a different cell is rejected.
         assert!(parse_cell_line(text.trim(), &cells[1]).is_none());
         input.truncate(3);

@@ -18,7 +18,7 @@ use std::fmt;
 
 use stepstone_scenario::{preset, Backend, Decode, ScenarioSpec};
 
-use crate::scenario_run::{run_spec, ScenarioRunError};
+use crate::scenario_run::{run, RunOptions, ScenarioRunError};
 
 /// Schema tag of the JSON report.
 pub const SCHEMA: &str = "stepstone-robust-v1";
@@ -46,7 +46,7 @@ pub struct SweepCell {
     /// Pairs that ended degraded.
     pub degraded: u32,
     /// Effective channel deletions (see
-    /// [`crate::scenario_run::ScenarioOutcome::erasures`]).
+    /// [`crate::scenario_run::RunReport::erasures`]).
     pub erasures: u64,
     /// The run's verdict digest.
     pub verdict_digest: u64,
@@ -141,16 +141,17 @@ pub fn run_sweep() -> Result<SweepReport, ScenarioRunError> {
                 spec.backend = backend;
                 spec.decode = decode;
                 spec.loss_ppm = loss_ppm;
-                let outcome = run_spec(&spec, None)?;
+                let outcome = run(&spec, &RunOptions::default())?;
+                let detection = outcome.detection;
                 report.cells.push(SweepCell {
                     backend: backend.name(),
                     decode: decode.name(),
                     loss_ppm,
-                    digest: outcome.digest,
-                    true_positives: outcome.true_positives,
-                    false_positives: outcome.false_positives,
-                    missed: outcome.missed,
-                    degraded: outcome.degraded,
+                    digest: spec.digest(),
+                    true_positives: detection.true_positives,
+                    false_positives: detection.false_positives,
+                    missed: detection.missed,
+                    degraded: detection.degraded,
                     erasures: outcome.erasures,
                     verdict_digest: outcome.verdict_digest(),
                 });

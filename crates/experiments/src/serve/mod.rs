@@ -45,10 +45,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use stepstone_ingest::ReplayClock;
 use stepstone_scenario::{fnv1a, preset, ScenarioSpec};
 use stepstone_telemetry::{Counter, Gauge, MetricsServer, Registry, Request, Response, Routes};
 
-use crate::scenario_run::{self, ScenarioOutcome};
+use crate::scenario_run::{self, RunOptions, RunReport};
 use session::{Session, SessionStatus, SessionTable, StoredOutcome, MAX_SESSIONS};
 use snapshot::SnapshotError;
 
@@ -264,10 +265,12 @@ fn runner_loop(inner: &Arc<Inner>, rx: &Receiver<()>, stop: &Arc<AtomicBool>) {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         };
-        let result = match &pcap {
-            Some(bytes) => scenario_run::run_spec_pcap(&spec, bytes, threshold),
-            None => scenario_run::run_spec(&spec, threshold),
+        let opts = RunOptions {
+            threshold,
+            capture: pcap.as_deref().map(|bytes| (bytes, ReplayClock::Fast)),
+            ..RunOptions::default()
         };
+        let result = scenario_run::run(&spec, &opts);
         finish(inner, id, result.map_err(|e| e.to_string()));
         inner.persist_logged();
     }
@@ -297,25 +300,25 @@ fn claim_next(inner: &Inner) -> Option<ClaimedWork> {
 /// *failed session* — its partial verdicts are kept, the error is the
 /// status — exactly matching one-shot `repro monitor` semantics, where
 /// the same condition exits non-zero after printing partial results.
-fn finish(inner: &Inner, id: u64, result: Result<ScenarioOutcome, String>) {
+fn finish(inner: &Inner, id: u64, result: Result<RunReport, String>) {
     let mut table = inner.lock();
     let Some(session) = table.get_mut(id) else {
         return;
     };
     match result {
-        Ok(outcome) => {
+        Ok(report) => {
             let stored = StoredOutcome {
-                events: outcome.events,
-                true_positives: outcome.true_positives,
-                false_positives: outcome.false_positives,
-                missed: outcome.missed,
-                degraded: outcome.degraded,
-                erasures: outcome.erasures,
-                verdicts: outcome.verdicts,
+                events: report.events,
+                true_positives: report.detection.true_positives,
+                false_positives: report.detection.false_positives,
+                missed: report.detection.missed,
+                degraded: report.detection.degraded,
+                erasures: report.erasures,
+                verdicts: report.verdict_lines(),
             };
-            if let Some(err) = outcome.stream_error {
+            if let Some(err) = report.stream_error {
                 session.status = SessionStatus::Failed;
-                session.error = Some(err);
+                session.error = Some(err.to_string());
                 session.outcome = Some(stored);
                 inner.failed.inc();
             } else {
@@ -663,7 +666,7 @@ mod tests {
 
         let (status, verdicts) = request(addr, "GET", "/sessions/1/verdicts", b"");
         assert_eq!(status, 200);
-        let expected = scenario_run::run_spec(&preset("quick-smoke").unwrap(), None)
+        let expected = scenario_run::run(&preset("quick-smoke").unwrap(), &RunOptions::default())
             .unwrap()
             .canonical_verdicts();
         assert_eq!(verdicts, expected, "serve must match a one-shot run");

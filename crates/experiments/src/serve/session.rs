@@ -73,7 +73,7 @@ impl fmt::Display for SessionStatus {
 }
 
 /// A finished run's stored result — the timing-independent subset of a
-/// [`crate::scenario_run::ScenarioOutcome`], which is exactly what the
+/// [`crate::scenario_run::RunReport`], which is exactly what the
 /// snapshot persists and `/sessions/N/verdicts` serves.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoredOutcome {
@@ -88,7 +88,7 @@ pub struct StoredOutcome {
     /// Pairs that ended degraded.
     pub degraded: u32,
     /// Effective channel deletions (see
-    /// [`crate::scenario_run::ScenarioOutcome::erasures`]).
+    /// [`crate::scenario_run::RunReport::erasures`]).
     pub erasures: u64,
     /// Canonical verdict lines, sorted.
     pub verdicts: Vec<VerdictLine>,

@@ -21,14 +21,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use stepstone_chaos::{FaultPlan, Profile};
-use stepstone_core::BackendKind;
-use stepstone_experiments::live::{export_pcap, replay_pcap_chaos, LiveScenario, PcapReport};
-use stepstone_experiments::scenario_run::{run_spec, ScenarioOutcome};
+use stepstone_experiments::live::wire_spec;
+use stepstone_experiments::scenario_run::{export_pcap, run, RunOptions, RunReport};
 use stepstone_experiments::{ExperimentConfig, Scale};
-use stepstone_flow::TimeDelta;
 use stepstone_ingest::ReplayClock;
 use stepstone_monitor::{PairId, TerminalKind};
-use stepstone_scenario::{preset, Decode, ScenarioSpec};
+use stepstone_scenario::{preset, Backend, ChaosProfile, Decode, ScenarioSpec};
 use stepstone_telemetry::Registry;
 
 /// The pinned harsh seeds. Chosen (by probing the seed space, once) so
@@ -38,37 +36,39 @@ use stepstone_telemetry::Registry;
 /// of the decode schedule.
 const SOAK_SEEDS: [u64; 3] = [44, 116, 225];
 
-/// The soak scenario: the scale-independent wire corpus, decoding on
+/// The soak spec: the scale-independent wire corpus, decoding on
 /// every accepted packet once a window fills, so the harsh profile's
 /// per-decode fault rates get plenty of draws. `Δ` is 2 s rather than
 /// the wire corpus's 1 s: at 1 s the harsh deletions leave a matching
 /// set of the true downstream empty, the engine's screen proves every
 /// strict paper decode unmatched, and no decode is left for the pinned
 /// kill to hit. At 2 s the strict decodes of the true pair still run.
-fn soak_scenario() -> LiveScenario {
-    let mut scenario = LiveScenario::wire(&ExperimentConfig::new(Scale::Quick));
-    scenario.delta = TimeDelta::from_secs(2);
-    scenario.decode_batch = 1;
-    scenario
+fn soak_spec() -> ScenarioSpec {
+    let mut spec = wire_spec(&ExperimentConfig::new(Scale::Quick));
+    spec.delta_ms = 2000;
+    spec.decode_batch = 1;
+    spec
 }
 
-fn soak(seed: u64) -> (PcapReport, Arc<Registry>) {
-    soak_with(seed, BackendKind::Paper)
+fn soak(seed: u64) -> (RunReport, Arc<Registry>) {
+    soak_with(seed, Backend::Paper)
 }
 
-fn soak_with(seed: u64, backend: BackendKind) -> (PcapReport, Arc<Registry>) {
-    let scenario = soak_scenario().with_backend(backend);
-    let bytes = export_pcap(&scenario).expect("wire corpus synthesises");
-    let plan = FaultPlan::new(seed, Profile::Harsh);
+/// Replays the soak spec's capture with its harsh chaos armed on every
+/// layer: wire, flow, and the engine runtime.
+fn soak_with(seed: u64, backend: Backend) -> (RunReport, Arc<Registry>) {
+    let mut spec = soak_spec();
+    spec.backend = backend;
+    spec.chaos = Some((seed, ChaosProfile::Harsh));
+    let bytes = export_pcap(&spec).expect("wire corpus synthesises");
     let registry = Arc::new(Registry::new());
-    let report = replay_pcap_chaos(
-        &scenario,
-        &bytes,
-        ReplayClock::Fast,
-        Some(Arc::clone(&registry)),
-        &plan,
-    )
-    .expect("wire-layer faults spare the capture header");
+    let opts = RunOptions {
+        capture: Some((&bytes, ReplayClock::Fast)),
+        registry: Some(Arc::clone(&registry)),
+        engine_chaos: true,
+        ..RunOptions::default()
+    };
+    let report = run(&spec, &opts).expect("wire-layer faults spare the capture header");
     (report, registry)
 }
 
@@ -76,7 +76,7 @@ fn soak_with(seed: u64, backend: BackendKind) -> (PcapReport, Arc<Registry>) {
 fn harsh_soak_survives_pinned_seeds() {
     for seed in SOAK_SEEDS {
         let (report, registry) = soak(seed);
-        let stats = &report.outcome.monitor_stats;
+        let stats = &report.stats;
 
         // Queue conservation at shutdown: accepted == handed over,
         // nothing left sitting in a queue.
@@ -125,7 +125,7 @@ fn harsh_soak_survives_pinned_seeds() {
         // verdict stream appears exactly once, and every suspicious
         // flow the engine tracked produced its pairs' verdicts.
         let mut terminal: HashMap<PairId, usize> = HashMap::new();
-        for verdict in &report.outcome.verdicts {
+        for verdict in &report.verdicts {
             if let Some(pair) = verdict.pair() {
                 *terminal.entry(pair).or_insert(0) += 1;
             }
@@ -155,9 +155,9 @@ fn harsh_soak_survives_pinned_seeds() {
 #[test]
 fn every_backend_survives_identical_fault_plans() {
     let seed = SOAK_SEEDS[0];
-    for backend in BackendKind::ALL {
+    for backend in Backend::ALL {
         let (report, _registry) = soak_with(seed, backend);
-        let stats = &report.outcome.monitor_stats;
+        let stats = &report.stats;
 
         assert_eq!(
             stats.queue_enqueued, stats.queue_dequeued,
@@ -176,7 +176,7 @@ fn every_backend_survives_identical_fault_plans() {
         // Only the paper backend's strict decodes are screened.
         assert_eq!(
             stats.decodes_screened > 0,
-            backend == BackendKind::Paper,
+            backend == Backend::Paper,
             "{backend}: {stats}"
         );
         assert!(
@@ -185,7 +185,7 @@ fn every_backend_survives_identical_fault_plans() {
         );
 
         let mut terminal: HashMap<PairId, usize> = HashMap::new();
-        for verdict in &report.outcome.verdicts {
+        for verdict in &report.verdicts {
             if let Some(pair) = verdict.pair() {
                 *terminal.entry(pair).or_insert(0) += 1;
             }
@@ -202,41 +202,39 @@ fn every_backend_survives_identical_fault_plans() {
     }
 }
 
-/// Terminal-verdict conservation for one scenario outcome: every
-/// candidate pair resolved exactly once, and the headline counters are
-/// exactly what the verdict lines say.
-fn assert_verdict_conservation(spec: &ScenarioSpec, outcome: &ScenarioOutcome, label: &str) {
+/// Terminal-verdict conservation for one run: every candidate pair
+/// resolved exactly once, and the headline counters are exactly what
+/// the verdict lines say.
+fn assert_verdict_conservation(spec: &ScenarioSpec, report: &RunReport, label: &str) {
+    let lines = report.verdict_lines();
+    let summary = report.summary();
+    let d = report.detection;
     assert_eq!(
-        outcome.verdicts.len(),
+        lines.len(),
         spec.candidate_pairs(),
-        "{label}: every candidate pair must reach a terminal verdict: {outcome}"
+        "{label}: every candidate pair must reach a terminal verdict: {summary}"
     );
-    let distinct: HashSet<(u64, u64)> = outcome
-        .verdicts
-        .iter()
-        .map(|v| (v.upstream, v.flow))
-        .collect();
+    let distinct: HashSet<(u64, u64)> = lines.iter().map(|v| (v.upstream, v.flow)).collect();
     assert_eq!(
         distinct.len(),
-        outcome.verdicts.len(),
-        "{label}: duplicate terminal verdicts: {outcome}"
+        lines.len(),
+        "{label}: duplicate terminal verdicts: {summary}"
     );
-    let count =
-        |kind: TerminalKind| outcome.verdicts.iter().filter(|v| v.kind == kind).count() as u32;
+    let count = |kind: TerminalKind| lines.iter().filter(|v| v.kind == kind).count() as u32;
     assert_eq!(
         count(TerminalKind::Correlated),
-        outcome.true_positives + outcome.false_positives,
-        "{label}: correlated lines must equal tp + fp: {outcome}"
+        d.true_positives + d.false_positives,
+        "{label}: correlated lines must equal tp + fp: {summary}"
     );
     assert_eq!(
         count(TerminalKind::Degraded),
-        outcome.degraded,
-        "{label}: degraded counter must match the verdict lines: {outcome}"
+        d.degraded,
+        "{label}: degraded counter must match the verdict lines: {summary}"
     );
     assert_eq!(
-        outcome.missed,
-        spec.upstreams as u32 - outcome.true_positives,
-        "{label}: missed is the true pairs not detected: {outcome}"
+        d.missed,
+        spec.upstreams as u32 - d.true_positives,
+        "{label}: missed is the true pairs not detected: {summary}"
     );
 }
 
@@ -255,8 +253,8 @@ fn deletion_harsh_soak_holds_the_degradation_ladder() {
     let mut robust_spec = strict_spec.clone();
     robust_spec.decode = Decode::Robust;
 
-    let strict = run_spec(&strict_spec, None).expect("strict run");
-    let robust = run_spec(&robust_spec, None).expect("robust run");
+    let strict = run(&strict_spec, &RunOptions::default()).expect("strict run");
+    let robust = run(&robust_spec, &RunOptions::default()).expect("robust run");
 
     assert_verdict_conservation(&strict_spec, &strict, "strict");
     assert_verdict_conservation(&robust_spec, &robust, "robust");
@@ -270,14 +268,16 @@ fn deletion_harsh_soak_holds_the_degradation_ladder() {
     // The strict decoder is blind to deletions: it aborts decodes on
     // the emptied matching sets, detects nothing, and — having no
     // erasure accounting — *clears* every pair it failed on.
-    assert_eq!(strict.true_positives, 0, "{strict}");
-    assert_eq!(strict.degraded, 0, "{strict}");
+    let (strict_d, robust_d) = (strict.detection, robust.detection);
+    assert_eq!(strict_d.true_positives, 0, "{strict_d}");
+    assert_eq!(strict_d.degraded, 0, "{strict_d}");
     assert!(
         strict
-            .verdicts
+            .verdict_lines()
             .iter()
             .all(|v| v.kind == TerminalKind::Cleared),
-        "strict deletion-harsh ends in false all-clears: {strict}"
+        "strict deletion-harsh ends in false all-clears: {}",
+        strict.summary()
     );
 
     // The robust decoder recovers every true pair at zero false
@@ -286,25 +286,26 @@ fn deletion_harsh_soak_holds_the_degradation_ladder() {
     // clears at all — the ladder ends in `Degraded`, holding the
     // no-false-`Cleared` guarantee.
     assert_eq!(
-        robust.true_positives, strict_spec.upstreams as u32,
-        "{robust}"
+        robust_d.true_positives, strict_spec.upstreams as u32,
+        "{robust_d}"
     );
-    assert_eq!(robust.false_positives, 0, "{robust}");
+    assert_eq!(robust_d.false_positives, 0, "{robust_d}");
     assert!(
         !robust
-            .verdicts
+            .verdict_lines()
             .iter()
             .any(|v| v.kind == TerminalKind::Cleared),
-        "a blown erasure budget must degrade, never clear: {robust}"
+        "a blown erasure budget must degrade, never clear: {}",
+        robust.summary()
     );
     assert_eq!(
-        robust.degraded,
-        strict_spec.candidate_pairs() as u32 - robust.true_positives,
-        "every non-correlated pair degrades: {robust}"
+        robust_d.degraded,
+        strict_spec.candidate_pairs() as u32 - robust_d.true_positives,
+        "every non-correlated pair degrades: {robust_d}"
     );
 
     // Pinned seeds: the whole soak replays bit-for-bit.
-    let again = run_spec(&robust_spec, None).expect("robust rerun");
+    let again = run(&robust_spec, &RunOptions::default()).expect("robust rerun");
     assert_eq!(robust.verdict_digest(), again.verdict_digest());
     assert_eq!(robust.erasures, again.erasures);
 }
@@ -314,8 +315,7 @@ fn deletion_harsh_soak_holds_the_degradation_ladder() {
 /// decision streams, and the cross-layer digest all match.
 #[test]
 fn same_seed_means_byte_identical_fault_schedules() {
-    let scenario = soak_scenario();
-    let bytes = export_pcap(&scenario).expect("wire corpus synthesises");
+    let bytes = export_pcap(&soak_spec()).expect("wire corpus synthesises");
     for seed in SOAK_SEEDS {
         let a = FaultPlan::new(seed, Profile::Harsh);
         let b = FaultPlan::parse(&format!("{seed}:harsh")).unwrap();

@@ -58,6 +58,27 @@ fn exit_1_on_usage_errors() {
 }
 
 #[test]
+fn exit_1_when_a_monitor_override_fails_spec_validation() {
+    // `repro monitor` runs a scenario spec lowered from the scale, and
+    // its sizing flags edit that spec: a value the spec rejects is a
+    // usage error that prints the spec's own validation message.
+    for (flag, value, message) in [
+        ("--pairs", "0", "upstreams must be in 1..=4096"),
+        ("--shards", "65", "shards must be in 1..=64"),
+    ] {
+        let output = repro()
+            .args(["--scale", "quick", flag, value, "monitor"])
+            .output()
+            .expect("repro runs");
+        assert_eq!(output.status.code(), Some(1), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag} {value}: no report prints");
+    }
+}
+
+#[test]
 fn exit_3_on_a_stream_error() {
     // A capture that opens correctly and dies mid-packet: the classic
     // pcap magic + one truncated record.

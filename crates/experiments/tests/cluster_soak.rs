@@ -22,12 +22,12 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use stepstone_chaos::{FaultPlan, Profile};
 use stepstone_cluster::HashRing;
 use stepstone_experiments::cluster::{cluster_replay, ClusterOptions, ClusterRunReport};
-use stepstone_experiments::live::LiveScenario;
+use stepstone_experiments::live::monitor_spec;
 use stepstone_experiments::{ExperimentConfig, Scale};
 use stepstone_monitor::PairId;
+use stepstone_scenario::{ChaosProfile, ScenarioSpec};
 use stepstone_telemetry::Registry;
 
 const WORKERS: u32 = 3;
@@ -37,8 +37,8 @@ const CHAOS_SEED: u64 = 44;
 /// inside the ~10k-packet replay, so batches are in flight.
 const KILL_AFTER: u64 = 4_000;
 
-fn soak_scenario() -> LiveScenario {
-    LiveScenario::from_config(&ExperimentConfig::new(Scale::Quick))
+fn soak_spec() -> ScenarioSpec {
+    monitor_spec(&ExperimentConfig::new(Scale::Quick))
 }
 
 fn worker_options() -> ClusterOptions {
@@ -65,7 +65,7 @@ fn assert_one_terminal_per_pair(report: &ClusterRunReport) -> HashMap<PairId, us
     );
     assert_eq!(
         terminal.len(),
-        report.scenario.candidate_pairs(),
+        report.spec.candidate_pairs(),
         "every candidate pair must resolve exactly once\n{report}"
     );
     terminal
@@ -73,7 +73,8 @@ fn assert_one_terminal_per_pair(report: &ClusterRunReport) -> HashMap<PairId, us
 
 #[test]
 fn three_workers_survive_kill_nine_mid_replay() {
-    let scenario = soak_scenario();
+    let mut spec = soak_spec();
+    spec.chaos = Some((CHAOS_SEED, ChaosProfile::Harsh));
     let mut opts = worker_options();
     // Kill the worker that owns flow 0, so the rehash after the death
     // provably has flows to move.
@@ -81,11 +82,10 @@ fn three_workers_survive_kill_nine_mid_replay() {
         .owner(0)
         .expect("non-empty ring owns every key");
     let registry = Arc::new(Registry::new());
-    opts.chaos = Some(FaultPlan::new(CHAOS_SEED, Profile::Harsh));
     opts.registry = Some(Arc::clone(&registry));
     opts.kill_after = Some((victim, KILL_AFTER));
 
-    let report = cluster_replay(&scenario, &opts).expect("topology survives the kill");
+    let report = cluster_replay(&spec, None, &opts).expect("topology survives the kill");
     let stats = &report.cluster;
 
     // The coordinator's cross-process ledger balances even with a
@@ -128,8 +128,8 @@ fn three_workers_survive_kill_nine_mid_replay() {
 
 #[test]
 fn clean_three_worker_run_matches_single_process_detection() {
-    let scenario = soak_scenario();
-    let report = cluster_replay(&scenario, &worker_options()).expect("clean replay succeeds");
+    let spec = soak_spec();
+    let report = cluster_replay(&spec, None, &worker_options()).expect("clean replay succeeds");
     let stats = &report.cluster;
 
     // A clean shutdown retires workers instead of counting deaths.
@@ -145,9 +145,12 @@ fn clean_three_worker_run_matches_single_process_detection() {
     // pair latches (false positives are corpus behaviour, shared with
     // the single-process path, and not asserted here).
     assert_eq!(
-        report.true_positives, scenario.upstreams,
+        report.detection.true_positives as usize, spec.upstreams,
         "all true pairs must correlate\n{report}"
     );
-    assert_eq!(report.missed, 0, "no true pair may be missed\n{report}");
+    assert_eq!(
+        report.detection.missed, 0,
+        "no true pair may be missed\n{report}"
+    );
     assert_one_terminal_per_pair(&report);
 }

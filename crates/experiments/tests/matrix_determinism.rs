@@ -51,7 +51,8 @@ fn two_runs_of_the_same_matrix_are_byte_identical() {
     let mut spec = stepstone_scenario::preset("quick-smoke").expect("preset");
     spec.seed = 1;
     spec.backend = Backend::Paper;
-    let direct = stepstone_experiments::scenario_run::run_spec(&spec, None).expect("direct");
+    let direct =
+        stepstone_experiments::scenario_run::run(&spec, &Default::default()).expect("direct");
     let cell = first
         .cells
         .iter()

@@ -1,7 +1,7 @@
 //! Acceptance: the live pipeline served over the telemetry endpoint.
 //!
 //! Mirrors what the `repro monitor --metrics-addr` path does — replay
-//! the wire scenario's capture with the monitor publishing into a
+//! the wire spec's capture with the monitor publishing into a
 //! shared registry, serve that registry over HTTP, and check the
 //! scraped `/metrics` text carries the decode-latency histogram, the
 //! per-shard queue series, and verdict counters that sum to the final
@@ -11,7 +11,9 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use stepstone_experiments::{live, ExperimentConfig, Scale};
+use stepstone_experiments::live::{monitor_spec, wire_spec};
+use stepstone_experiments::scenario_run::{export_pcap, run, RunOptions};
+use stepstone_experiments::{ExperimentConfig, Scale};
 use stepstone_ingest::ReplayClock;
 use stepstone_telemetry::{MetricsServer, Registry};
 
@@ -55,18 +57,18 @@ fn family_total(rendered: &str, family: &str) -> u64 {
 #[test]
 fn replayed_capture_is_scrapable_over_http() {
     let cfg = ExperimentConfig::new(Scale::Quick);
-    let scenario = live::LiveScenario::wire(&cfg);
-    let bytes = live::export_pcap(&scenario).expect("wire flows carry the small watermark");
+    let spec = wire_spec(&cfg);
+    let bytes = export_pcap(&spec).expect("wire flows carry the small watermark");
 
     let registry = Arc::new(Registry::new());
     let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-    let report = live::replay_pcap_with(
-        &scenario,
-        &bytes,
-        ReplayClock::Fast,
-        Some(Arc::clone(&registry)),
-    )
-    .expect("capture replays");
+    let opts = RunOptions {
+        capture: Some((&bytes, ReplayClock::Fast)),
+        registry: Some(Arc::clone(&registry)),
+        ..RunOptions::default()
+    };
+    let report = run(&spec, &opts).expect("capture replays");
+    let (_, demux) = report.capture.expect("a capture replay reports its demux");
     let addr = server.local_addr();
 
     let (status, metrics) = get(addr, "/metrics");
@@ -81,7 +83,7 @@ fn replayed_capture_is_scrapable_over_http() {
         metrics.contains("monitor_decode_latency_micros_bucket{le=\"+Inf\"}"),
         "{metrics}"
     );
-    let decodes = report.outcome.monitor_stats.decodes_run;
+    let decodes = report.stats.decodes_run;
     assert_eq!(
         family_total(&metrics, "monitor_decode_latency_micros_count"),
         decodes
@@ -92,17 +94,17 @@ fn replayed_capture_is_scrapable_over_http() {
         .lines()
         .filter(|l| l.starts_with("monitor_shard_queue_depth{"))
         .count();
-    assert_eq!(depth_series, scenario.shards);
+    assert_eq!(depth_series, spec.shards);
     assert_eq!(family_total(&metrics, "monitor_shard_queue_depth"), 0);
 
     // Verdict counters sum to the report's verdict total, and the
     // correlated count matches the detected pairs.
     let verdict_total = family_total(&metrics, "monitor_verdicts_total");
-    assert_eq!(verdict_total as usize, report.outcome.verdicts.len());
+    assert_eq!(verdict_total as usize, report.verdicts.len());
     assert!(
         metrics.contains(&format!(
             "monitor_verdicts_total{{kind=\"correlated\"}} {}",
-            report.true_positives + report.false_positives
+            report.detection.true_positives + report.detection.false_positives
         )),
         "{metrics}"
     );
@@ -110,11 +112,11 @@ fn replayed_capture_is_scrapable_over_http() {
     // The ingest layer publishes into the same registry.
     assert_eq!(
         family_total(&metrics, "ingest_packets_total"),
-        report.outcome.demux_stats.packets
+        demux.packets
     );
     assert_eq!(
         family_total(&metrics, "ingest_replay_events_total"),
-        report.outcome.events
+        report.events
     );
 
     let (status, body) = get(addr, "/healthz");
@@ -132,10 +134,12 @@ fn replayed_capture_is_scrapable_over_http() {
 #[test]
 fn in_memory_replay_also_publishes_when_given_a_registry() {
     let cfg = ExperimentConfig::new(Scale::Quick);
-    let scenario = live::LiveScenario::from_config(&cfg);
     let registry = Arc::new(Registry::new());
-    let report =
-        live::replay_with(&scenario, Some(Arc::clone(&registry))).expect("scenario replays");
+    let opts = RunOptions {
+        registry: Some(Arc::clone(&registry)),
+        ..RunOptions::default()
+    };
+    let report = run(&monitor_spec(&cfg), &opts).expect("the monitor spec runs");
 
     let rendered = registry.render_prometheus();
     assert_eq!(

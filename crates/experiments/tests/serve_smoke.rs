@@ -163,7 +163,7 @@ fn interrupted_session_reruns_to_the_same_verdicts() {
     let detail = wait_terminal(server.addr, 1);
     assert!(detail.contains("\"status\":\"completed\""), "{detail}");
     let (_, verdicts) = request(server.addr, "GET", "/sessions/1/verdicts", b"");
-    let expected = scenario_run::run_spec(&preset("baseline").unwrap(), None)
+    let expected = scenario_run::run(&preset("baseline").unwrap(), &Default::default())
         .unwrap()
         .canonical_verdicts();
     assert_eq!(verdicts, expected);
@@ -182,7 +182,7 @@ fn mid_session_stream_error_fails_only_that_session() {
     // server — matching one-shot `repro monitor --pcap` semantics
     // (partial verdicts printed, non-zero exit).
     let spec = preset("quick-smoke").unwrap();
-    let pcap = scenario_run::export_spec_pcap(&spec).unwrap();
+    let pcap = scenario_run::export_pcap(&spec).unwrap();
     let truncated = &pcap[..pcap.len() * 3 / 4];
     let (status, body) = request(
         server.addr,
