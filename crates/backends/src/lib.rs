@@ -91,11 +91,11 @@ pub trait CorrelatorBackend: Send + Sync {
     /// [`Screen::Unmatched`] only when [`decode`](Self::decode) of the
     /// window's snapshot is uncorrelated with no Hamming distance, and
     /// [`Screen::OverBudget`] only when it is a robust decode that is
-    /// uncorrelated with `budget_blown` set. The monitor counts an
-    /// `Unmatched` boundary as decoded; it postpones an `OverBudget`
-    /// decode, whose erasures and confidence a verdict may report, and
-    /// runs it later on the same packets unless a later boundary makes
-    /// it moot.
+    /// uncorrelated with `budget_blown` set, on a window that has never
+    /// evicted. The monitor counts an `Unmatched` boundary as decoded;
+    /// it postpones an `OverBudget` decode, whose erasures and
+    /// confidence a verdict may report, and runs it later on the same
+    /// packets, which only a window that has never evicted still holds.
     fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
         let _ = (window, state);
         Screen::Decode

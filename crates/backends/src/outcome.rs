@@ -23,7 +23,7 @@ pub struct RobustOutcome {
 }
 
 impl RobustOutcome {
-    /// Robust accounting read off a [`MatchStats`] from the
+    /// Robust accounting read off a [`MatchStats`](crate::MatchStats) from the
     /// budget-absorbing sweep
     /// ([`robust_order_consistent_stats`][crate::robust_order_consistent_stats]):
     /// erasures are the absorbed misses, the budget is blown when any

@@ -7,7 +7,7 @@ use stepstone_adversary::{
 };
 use stepstone_bench::Fixture;
 use stepstone_flow::{Flow, SlidingWindow, TimeDelta, Timestamp};
-use stepstone_matching::{CostMeter, GappedSets, Matcher};
+use stepstone_matching::{CostMeter, GappedSets, Matcher, Screen, ScreenState};
 use stepstone_netsim::SteppingStoneChain;
 use stepstone_traffic::{tcplib::TelnetModel, InteractiveProfile, Seed, SessionGenerator};
 
@@ -70,13 +70,9 @@ fn bench_watermark(c: &mut Criterion) {
 }
 
 /// The robust-decode shape of the `lossy-robust` pipeline workload: a
-/// 1,500-packet upstream against a 2,300-packet window of its relay
-/// after Δ = 1 s perturbation, λc = 2/s Poisson chaff and 2% packet
-/// loss. The window is a prefix, as the monitor's windows are while the
-/// relay is still arriving (2,300 is about the mean window of a
-/// scheduled decode on that workload), so the upstream packets past its
-/// end are erasures.
-fn lossy_pair() -> (Flow, Flow) {
+/// 1,500-packet upstream and its relay after Δ = 1 s perturbation,
+/// λc = 2/s Poisson chaff and 2% packet loss, about 3,000 packets.
+fn lossy_relay() -> (Flow, Flow) {
     let seed = Seed::new(0x1055);
     let upstream = SessionGenerator::new(InteractiveProfile::ssh()).generate(
         1500,
@@ -88,10 +84,7 @@ fn lossy_pair() -> (Flow, Flow) {
         .then(ChaffInjector::new(ChaffModel::Poisson { rate: 2.0 }))
         .then(PacketLoss::new(0.02))
         .apply(&upstream, seed.child(1));
-    let window = relayed
-        .subsequence(0..2300)
-        .expect("the relay outlasts the window");
-    (upstream, window)
+    (upstream, relayed)
 }
 
 /// The latching-decode shape of the `decode-heavy` pipeline workload: a
@@ -152,8 +145,15 @@ fn bench_matching(c: &mut Criterion) {
         })
     });
     // Gap-tolerant matching, as a robust decode runs it: the strict
-    // matcher would abort on the first deleted packet.
-    let (upstream, window) = lossy_pair();
+    // matcher would abort on the first deleted packet. The window is a
+    // 2,300-packet prefix of the relay, as the monitor's windows are
+    // while the relay is still arriving (about the mean window of a
+    // scheduled decode on lossy-robust), so the upstream packets past
+    // its end are erasures.
+    let (upstream, relay) = lossy_relay();
+    let window = relay
+        .subsequence(0..2300)
+        .expect("the relay outlasts the window");
     let lossy = Matcher::new(TimeDelta::from_secs(1));
     group.bench_function("gapped_compute_tighten", |b| {
         b.iter(|| {
@@ -163,14 +163,25 @@ fn bench_matching(c: &mut Criterion) {
             sets
         })
     });
-    // The screen that lets the monitor skip that decode: does the
-    // window leave more empty sets than lossy-robust's erasure budget?
-    let mut live = SlidingWindow::new(window.len());
-    for &packet in window.packets() {
-        live.push(packet).expect("a flow is time-ordered");
-    }
+    // The screen that lets the monitor skip that decode, run as the
+    // monitor runs it: the whole relay streams into a window, and every
+    // 32 pushes (a decode boundary) one carried state checks whether the
+    // window leaves more empty sets than lossy-robust's erasure budget.
     group.bench_function("robust_screen", |b| {
-        b.iter(|| lossy.over_budget(&upstream, &live, 64))
+        b.iter(|| {
+            let mut live = SlidingWindow::new(4096);
+            let mut state = ScreenState::default();
+            let mut over = 0;
+            for (k, &packet) in relay.packets().iter().enumerate() {
+                live.push(packet).expect("a flow is time-ordered");
+                if (k + 1) % 32 == 0
+                    && lossy.screen_robust(&upstream, &live, 64, &mut state) == Screen::OverBudget
+                {
+                    over += 1;
+                }
+            }
+            over
+        })
     });
     group.finish();
 }

@@ -101,7 +101,7 @@ impl WireFaults {
     }
 
     /// Corrupts and possibly truncates raw capture bytes in place,
-    /// sparing the first [`FILE_HEADER`] bytes. Deterministic in
+    /// sparing the first `FILE_HEADER` (24) bytes. Deterministic in
     /// `(seed, bytes.len())`; the parser downstream must survive
     /// whatever comes out (that guarantee is property-tested in
     /// `tests/hardening.rs`).

@@ -1,7 +1,7 @@
 //! Consistent-hash ring mapping flow ids onto worker slots.
 //!
 //! Classic consistent hashing over a `BTreeSet<(u64, u32)>`: each
-//! worker contributes [`VNODES`] points keyed by a splitmix64 hash of
+//! worker contributes `VNODES` (64) points keyed by a splitmix64 hash of
 //! `(worker, replica)`, a key is owned by the first point clockwise
 //! from its own hash. Keying the set by the `(point, worker)` *pair*
 //! makes removal exact even if two workers ever collide on a point.

@@ -1,5 +1,5 @@
 //! The worker side of the cluster: a framed-IPC loop around one
-//! unmodified [`Monitor`](stepstone_monitor::Monitor).
+//! unmodified [`stepstone_monitor::Monitor`].
 //!
 //! A worker process reads [`Message`]s off stdin and answers on stdout.
 //! All correlation logic lives in the monitor the factory builds; this

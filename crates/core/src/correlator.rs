@@ -343,21 +343,19 @@ impl CorrelatorBackend for PaperBackend {
     }
 
     /// Strict decodes abort on an empty matching set, so the matcher's
-    /// screen applies. Robust decodes absorb empty sets as erasures and
-    /// can correlate on a window that has not yet reached the
-    /// upstream's last packet; they are screened only when the window
-    /// leaves more empty sets than the erasure budget, which
+    /// strict screen applies. Robust decodes absorb empty sets as
+    /// erasures and can correlate on a window that has not yet reached
+    /// the upstream's last packet; the robust screen, walking the same
+    /// frontier, proves them over the erasure budget only on a window
+    /// that has never evicted, where its erasure count is exact. There
     /// `correlate_robust` reports `budget_blown`, never correlated.
     fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
         let matcher = self.cfg.matcher();
-        if !self.cfg.decode.is_robust() {
-            return matcher.screen(&self.upstream, window, state);
-        }
-        let budget = self.cfg.decode.erasure_budget as usize;
-        if matcher.over_budget(&self.upstream, window, budget) {
-            Screen::OverBudget
+        if self.cfg.decode.is_robust() {
+            let budget = self.cfg.decode.erasure_budget as usize;
+            matcher.screen_robust(&self.upstream, window, budget, state)
         } else {
-            Screen::Decode
+            matcher.screen(&self.upstream, window, state)
         }
     }
 }

@@ -40,7 +40,9 @@ pub struct SlidingWindow {
     /// size, so a monitor churning through many windows reuses freed
     /// chunks instead of fragmenting its heap with doubling buffers.
     chunks: VecDeque<Vec<Packet>>,
-    /// Packets per chunk: [`CHUNK`], or the capacity if smaller.
+    /// Packets per chunk: [`CHUNK`], or the capacity rounded up to a
+    /// power of two if smaller, so that [`get`](Self::get) splits an
+    /// index with a shift and a mask rather than a division.
     chunk: usize,
     head: usize,
     len: usize,
@@ -49,7 +51,7 @@ pub struct SlidingWindow {
     evicted: u64,
 }
 
-/// Packets per window chunk, at most.
+/// Packets per window chunk, at most; a power of two.
 const CHUNK: usize = 256;
 
 impl SlidingWindow {
@@ -62,7 +64,7 @@ impl SlidingWindow {
         assert!(capacity > 0, "window capacity must be positive");
         SlidingWindow {
             chunks: VecDeque::new(),
-            chunk: CHUNK.min(capacity),
+            chunk: CHUNK.min(capacity.next_power_of_two()),
             head: 0,
             len: 0,
             capacity,
@@ -186,7 +188,8 @@ impl SlidingWindow {
             return None;
         }
         let at = self.head + index;
-        self.chunks.get(at / self.chunk)?.get(at % self.chunk)
+        let shift = self.chunk.trailing_zeros();
+        self.chunks.get(at >> shift)?.get(at & (self.chunk - 1))
     }
 
     /// Iterates over the retained packets, oldest first.
@@ -283,9 +286,10 @@ mod tests {
 
     #[test]
     fn chunked_storage_matches_a_plain_model() {
-        // Capacities on both sides of the chunk size, pushed far past
-        // several chunk boundaries.
-        for capacity in [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+        // Capacities on both sides of the chunk size, and one whose
+        // chunk rounds up to a power of two, pushed far past several
+        // chunk boundaries.
+        for capacity in [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
             let mut w = SlidingWindow::new(capacity);
             let mut model: VecDeque<Packet> = VecDeque::new();
             for i in 0..(5 * CHUNK + 3) {

@@ -1,4 +1,4 @@
-//! Incremental screening of strict decodes over a growing window.
+//! Incremental screening of decodes over a growing window.
 //!
 //! Under the timing constraint `0 ≤ t′ − t ≤ Δ`, upstream packet `pᵢ`
 //! admits candidates only inside `[tᵢ, tᵢ + Δ]`. Once a live window
@@ -9,16 +9,23 @@
 //! an empty set, unmatched for this window and every later window of
 //! the flow.
 //!
-//! [`Matcher::screen`] keeps a frontier over the closed intervals and
-//! reports when that applies, so a monitor can skip decodes whose
-//! outcome is already known.
+//! A [`ScreenState`] is one frontier over the closed intervals: each
+//! call visits only the intervals closed since the last one, and counts
+//! those it finds empty. Both screens walk it.
 //!
-//! Robust decodes absorb an empty set as an erasure instead, and never
-//! correlate once the erasures exceed their budget.
-//! [`Matcher::over_budget`] counts the empty sets of a window without
-//! building them, so a monitor can tell such decodes apart cheaply.
+//! - [`Matcher::screen`] (strict) stops the walk at the first empty
+//!   set and reports the pair unmatched from then on.
+//! - [`Matcher::screen_robust`] keeps counting. Robust decodes absorb
+//!   an empty set as an erasure, and never correlate once the erasures
+//!   exceed their budget. On a window that has never evicted, the
+//!   erasure count is the carried count of closed empty sets, plus the
+//!   open intervals with no candidate yet, plus the upstream packets
+//!   after the window's last one. That is exact: a closed set gains no
+//!   packet, and a window that has never evicted loses none. An
+//!   evicted window may have lost candidates of sets counted non-empty,
+//!   so the robust screen proves nothing there.
 
-use stepstone_flow::{Flow, SlidingWindow};
+use stepstone_flow::{Flow, SlidingWindow, Timestamp};
 
 use crate::sets::Matcher;
 
@@ -36,24 +43,24 @@ pub enum Screen {
     OverBudget,
 }
 
-/// The frontier [`Matcher::screen`] resumes from: one per (upstream,
-/// window) pair, starting from [`Default`].
+/// The frontier both screens resume from: one per (upstream, window)
+/// pair, starting from [`Default`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScreenState {
-    /// Upstream packets whose interval is closed, each seen with a
-    /// non-empty matching set when it closed.
+    /// Upstream packets whose interval is closed and was visited.
     closed: usize,
+    /// How many of those had an empty matching set when they closed.
+    empty: usize,
     /// Push index of the first window packet not earlier than the next
     /// upstream packet to close.
     lo: u64,
-    /// A closed set was empty: every later window is unmatched too.
-    settled: bool,
 }
 
 impl ScreenState {
-    /// `true` once an empty closed set has settled the pair for good.
+    /// `true` once a closed set was found empty: the strict decode of
+    /// this window and of every later one is unmatched.
     pub const fn settled(&self) -> bool {
-        self.settled
+        self.empty > 0
     }
 }
 
@@ -78,112 +85,126 @@ impl Matcher {
         if n == 0 {
             return Screen::Decode;
         }
-        if state.settled {
+        if state.settled() {
             return Screen::Unmatched;
         }
         let Some(last) = window.last_timestamp() else {
             return Screen::Unmatched;
         };
-        let base = window.evicted();
-        state.lo = state.lo.max(base);
-        let at = |push: u64| {
-            let index = usize::try_from(push - base).unwrap_or(usize::MAX);
-            // lint: allow(no_panic) callers only pass push indices in evicted()..pushed()
-            *window.get(index).expect("push index inside the window")
-        };
-        while state.closed < n {
-            let i = state.closed;
-            let t = upstream.timestamp(i);
-            let latest = t + self.delta();
-            if last <= latest {
-                break;
-            }
-            // The window holds a packet after `latest`, so both scans
-            // below stop inside it.
-            while at(state.lo).timestamp() < t {
-                state.lo += 1;
-            }
-            let class = self
-                .size_quantum()
-                .map(|q| (upstream[i].size().div_ceil(q), q));
-            let mut j = state.lo;
-            let nonempty = loop {
-                let packet = at(j);
-                if packet.timestamp() > latest {
-                    break false;
-                }
-                match class {
-                    Some((c, q)) if packet.size().div_ceil(q) != c => j += 1,
-                    _ => break true,
-                }
-            };
-            if !nonempty {
-                state.settled = true;
-                return Screen::Unmatched;
-            }
-            state.closed += 1;
-        }
+        self.close(upstream, window, last, state, 0);
         // The last upstream packet needs a candidate at or after its
         // own time; a window ending earlier has none.
-        if last < upstream.timestamp(n - 1) {
+        if state.settled() || last < upstream.timestamp(n - 1) {
             return Screen::Unmatched;
         }
         Screen::Decode
     }
 
-    /// `true` exactly when [`GappedSets::compute`](crate::GappedSets::compute)
-    /// on `window`'s snapshot leaves more than `budget` slots erased,
-    /// before any tightening. Tightening only erases more, so a robust
-    /// decode of such a window blows its budget. Never charges a cost
-    /// meter.
+    /// Screens the robust decode of `window` against `upstream` under
+    /// an erasure `budget`, advancing `state` over the intervals closed
+    /// since the last call. [`Screen::OverBudget`] exactly when
+    /// [`GappedSets::compute`](crate::GappedSets::compute) on the
+    /// window's snapshot leaves more than `budget` slots erased, before
+    /// any tightening; tightening only erases more, so such a decode
+    /// blows its budget. Never charges a cost meter.
     ///
-    /// The upstream packets whose interval `[tᵢ, tᵢ + Δ]` misses the
-    /// window's time span are counted by binary search. Only if they
-    /// stay within the budget does one two-pointer scan visit the rest,
-    /// stopping as soon as the count passes it.
-    pub fn over_budget(&self, upstream: &Flow, window: &SlidingWindow, budget: usize) -> bool {
+    /// Only a window that has never evicted is screened; an evicted one
+    /// always answers [`Screen::Decode`]. Once the carried count passes
+    /// the budget the walk stops, since the answer is then known.
+    pub fn screen_robust(
+        &self,
+        upstream: &Flow,
+        window: &SlidingWindow,
+        budget: usize,
+        state: &mut ScreenState,
+    ) -> Screen {
         let n = upstream.len();
-        if n <= budget {
-            return false;
+        if n <= budget || window.evicted() > 0 {
+            return Screen::Decode;
         }
-        let (Some(first), Some(last)) = (window.first_timestamp(), window.last_timestamp()) else {
-            return true;
+        let Some(last) = window.last_timestamp() else {
+            return Screen::OverBudget;
         };
-        let delta = self.delta();
-        let packets = upstream.packets();
-        // Intervals ending before the window's first packet, and
-        // intervals starting after its last.
-        let early = packets.partition_point(|p| p.timestamp() + delta < first);
-        let late = packets.partition_point(|p| p.timestamp() <= last);
-        let mut erased = early + (n - late);
+        self.close(upstream, window, last, state, budget);
+        // Upstream packets after the window's last one: their sets are
+        // empty until it grows.
+        let late = n - upstream
+            .packets()
+            .partition_point(|p| p.timestamp() <= last);
+        let mut erased = state.empty + late;
         if erased > budget {
-            return true;
+            return Screen::OverBudget;
         }
-        let quantum = self.size_quantum();
-        let at = |j: usize| window.get(j).copied();
-        let mut lo = 0;
-        for up in &packets[early..late] {
-            let t = up.timestamp();
-            let latest = t + delta;
-            while at(lo).is_some_and(|p| p.timestamp() < t) {
-                lo += 1;
+        // The open intervals, `tᵢ ≤ last ≤ tᵢ + Δ`, hold the window's
+        // last packet; only a size class can leave one empty.
+        if self.size_quantum().is_some() {
+            let mut lo = state.lo;
+            for i in state.closed..n - late {
+                if !self.holds_candidate(upstream, i, window, &mut lo) {
+                    erased += 1;
+                    if erased > budget {
+                        return Screen::OverBudget;
+                    }
+                }
             }
-            let class = quantum.map(|q| (up.size().div_ceil(q), q));
-            let mut j = lo;
-            let nonempty = loop {
-                match at(j) {
-                    Some(p) if p.timestamp() <= latest => match class {
-                        Some((c, q)) if p.size().div_ceil(q) != c => j += 1,
-                        _ => break true,
-                    },
-                    _ => break false,
-                }
-            };
-            if !nonempty {
-                erased += 1;
-                if erased > budget {
-                    return true;
-                }
+        }
+        Screen::Decode
+    }
+
+    /// Walks the intervals of `upstream` closed by `last` since the
+    /// last call, counting the empty ones in `state`, until the count
+    /// passes `limit`.
+    fn close(
+        &self,
+        upstream: &Flow,
+        window: &SlidingWindow,
+        last: Timestamp,
+        state: &mut ScreenState,
+        limit: usize,
+    ) {
+        state.lo = state.lo.max(window.evicted());
+        while state.closed < upstream.len() && state.empty <= limit {
+            let i = state.closed;
+            if last <= upstream.timestamp(i) + self.delta() {
+                break;
+            }
+            if !self.holds_candidate(upstream, i, window, &mut state.lo) {
+                state.empty += 1;
+            }
+            state.closed += 1;
+        }
+    }
+
+    /// `true` if `window` holds a packet of upstream packet `i`'s size
+    /// class inside `[tᵢ, tᵢ + Δ]`. `lo` is a push index at or before
+    /// the first packet not earlier than `tᵢ`; it is advanced to that
+    /// packet, so successive calls for ascending `i` each scan forward
+    /// from where the last one started.
+    fn holds_candidate(
+        &self,
+        upstream: &Flow,
+        i: usize,
+        window: &SlidingWindow,
+        lo: &mut u64,
+    ) -> bool {
+        let base = window.evicted();
+        let at = |push: u64| window.get(usize::try_from(push - base).unwrap_or(usize::MAX));
+        let t = upstream.timestamp(i);
+        let latest = t + self.delta();
+        while at(*lo).is_some_and(|p| p.timestamp() < t) {
+            *lo += 1;
+        }
+        let class = self
+            .size_quantum()
+            .map(|q| (upstream[i].size().div_ceil(q), q));
+        let mut j = *lo;
+        while let Some(packet) = at(j) {
+            if packet.timestamp() > latest {
+                return false;
+            }
+            match class {
+                Some((c, q)) if packet.size().div_ceil(q) != c => j += 1,
+                _ => return true,
             }
         }
         false
@@ -300,44 +321,88 @@ mod tests {
         GappedSets::compute(m, up, &w.snapshot(), &mut CostMeter::new()).erasures()
     }
 
+    fn over_budget(m: &Matcher, up: &Flow, w: &SlidingWindow, budget: usize) -> bool {
+        m.screen_robust(up, w, budget, &mut ScreenState::default()) == Screen::OverBudget
+    }
+
     #[test]
-    fn over_budget_counts_sets_outside_the_window_span() {
+    fn robust_screen_counts_sets_outside_the_window_span() {
         let up = flow(&[0.0, 1.0, 2.0, 3.0, 10.0]);
         // [0, 1] ends before 1.5 and [10, 11] starts after 3.5; [1, 2]
         // and [3, 4] hold 1.5 and 3.5, and [2, 3] holds nothing.
         let w = window(&[1.5, 3.5], 8);
         assert_eq!(erasures(&matcher(), &up, &w), 3);
-        assert!(matcher().over_budget(&up, &w, 2));
-        assert!(!matcher().over_budget(&up, &w, 3));
+        assert!(over_budget(&matcher(), &up, &w, 2));
+        assert!(!over_budget(&matcher(), &up, &w, 3));
     }
 
     #[test]
-    fn over_budget_bounds_are_inclusive() {
+    fn robust_screen_bounds_are_inclusive() {
         // 1.0 is exactly Δ after the first upstream packet and exactly
         // at the last one: both sets hold it.
         let up = flow(&[0.0, 1.0]);
         let w = window(&[1.0], 8);
         assert_eq!(erasures(&matcher(), &up, &w), 0);
-        assert!(!matcher().over_budget(&up, &w, 0));
+        assert!(!over_budget(&matcher(), &up, &w, 0));
     }
 
     #[test]
-    fn over_budget_respects_size_classes() {
+    fn robust_screen_respects_size_classes() {
         let up = Flow::from_packets([Packet::new(Timestamp::from_secs(0), 60)]).unwrap();
         let mut w = SlidingWindow::new(8);
         w.push(Packet::new(Timestamp::from_secs_f64(0.5), 90))
             .unwrap();
         let quantum = matcher().with_size_quantum(16);
-        assert!(quantum.over_budget(&up, &w, 0));
-        assert!(!matcher().over_budget(&up, &w, 0));
+        assert!(over_budget(&quantum, &up, &w, 0));
+        assert!(!over_budget(&matcher(), &up, &w, 0));
     }
 
     #[test]
-    fn over_budget_on_an_empty_window_or_upstream() {
+    fn robust_screen_on_an_empty_window_or_upstream() {
         let up = flow(&[0.0, 1.0]);
         let empty = SlidingWindow::new(4);
-        assert!(matcher().over_budget(&up, &empty, 1));
-        assert!(!matcher().over_budget(&up, &empty, 2));
-        assert!(!matcher().over_budget(&Flow::new(), &empty, 0));
+        assert!(over_budget(&matcher(), &up, &empty, 1));
+        assert!(!over_budget(&matcher(), &up, &empty, 2));
+        assert!(!over_budget(&matcher(), &Flow::new(), &empty, 0));
+    }
+
+    #[test]
+    fn robust_screen_carries_closed_empty_sets() {
+        let up = flow(&[0.0, 2.0, 4.0]);
+        let mut state = ScreenState::default();
+        let mut w = SlidingWindow::new(8);
+        // [0, 1] closes empty; [2, 3] and [4, 5] are still ahead.
+        w.push(Packet::new(Timestamp::from_secs_f64(1.5), 64))
+            .unwrap();
+        assert_eq!(
+            matcher().screen_robust(&up, &w, 2, &mut state),
+            Screen::OverBudget
+        );
+        assert!(state.settled());
+        // [2, 3] fills and closes; the first empty set stays counted.
+        for s in [2.5, 4.5] {
+            w.push(Packet::new(Timestamp::from_secs_f64(s), 64))
+                .unwrap();
+        }
+        assert_eq!(erasures(&matcher(), &up, &w), 1);
+        assert_eq!(
+            matcher().screen_robust(&up, &w, 0, &mut state),
+            Screen::OverBudget
+        );
+        assert_eq!(
+            matcher().screen_robust(&up, &w, 1, &mut state),
+            Screen::Decode
+        );
+    }
+
+    #[test]
+    fn robust_screen_proves_nothing_once_the_window_evicts() {
+        let up = flow(&[0.0, 5.0]);
+        let w = window(&[2.0, 3.0, 4.0], 2);
+        assert_eq!(w.evicted(), 1);
+        assert_eq!(
+            matcher().screen_robust(&up, &w, 0, &mut ScreenState::default()),
+            Screen::Decode
+        );
     }
 }

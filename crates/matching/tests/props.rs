@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use stepstone_flow::{Flow, Packet, SlidingWindow, TimeDelta, Timestamp};
 use stepstone_matching::{
-    is_order_consistent, CostMeter, GappedSets, Matcher, MatchingSets, Selection,
+    is_order_consistent, CostMeter, GappedSets, Matcher, MatchingSets, Screen, ScreenState,
+    Selection,
 };
 
 fn sorted_flow(max_len: usize, span_micros: i64) -> impl Strategy<Value = Flow> {
@@ -262,6 +263,47 @@ fn coarsened(flow: &Flow, grain: i64) -> Flow {
     .unwrap()
 }
 
+/// Whether `GappedSets::compute` on `window`'s snapshot leaves more
+/// than `budget` slots erased, by one full scan of the window: the
+/// stateless screen the incremental [`Matcher::screen_robust`] replaced,
+/// and the model it must agree with on windows that have never evicted.
+/// Intervals missing the window's time span are counted by binary
+/// search, the rest by a two-pointer scan.
+fn full_scan_over_budget(
+    matcher: &Matcher,
+    upstream: &Flow,
+    window: &SlidingWindow,
+    budget: usize,
+) -> bool {
+    let n = upstream.len();
+    if n <= budget {
+        return false;
+    }
+    let (Some(first), Some(last)) = (window.first_timestamp(), window.last_timestamp()) else {
+        return true;
+    };
+    let delta = matcher.delta();
+    let packets = upstream.packets();
+    let early = packets.partition_point(|p| p.timestamp() + delta < first);
+    let late = packets.partition_point(|p| p.timestamp() <= last);
+    let mut erased = early + (n - late);
+    let class = |size: u32| matcher.size_quantum().map(|q| size.div_ceil(q));
+    let mut lo = 0;
+    for up in &packets[early..late] {
+        let t = up.timestamp();
+        while window.get(lo).is_some_and(|p| p.timestamp() < t) {
+            lo += 1;
+        }
+        let nonempty = (lo..window.len())
+            .map_while(|j| window.get(j).filter(|p| p.timestamp() <= t + delta))
+            .any(|p| class(p.size()) == class(up.size()));
+        if !nonempty {
+            erased += 1;
+        }
+    }
+    erased > budget
+}
+
 /// Random non-empty sorted candidate sets over `0..m`.
 fn candidate_sets() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
     (1usize..40).prop_flat_map(|m| {
@@ -425,11 +467,14 @@ proptest! {
         prop_assert_eq!(&sets, &once);
     }
 
-    /// `Matcher::over_budget` agrees with the erasures `GappedSets`
-    /// leaves before tightening, for every budget, on a window streamed
-    /// from a lossy relay that may evict, with and without a size
-    /// quantum. On the coarse grid, packets often sit exactly at an
-    /// interval's end, where an off-by-one bound shows.
+    /// The robust screen agrees with the erasures `GappedSets` leaves
+    /// before tightening, for every budget, on a window streamed from a
+    /// lossy relay that may evict, with and without a size quantum. One
+    /// `ScreenState` per budget is carried through every push, as the
+    /// monitor carries one per pair. Before the first eviction it
+    /// answers exactly as the full-scan model; after, it proves nothing.
+    /// On the coarse grid, packets often sit exactly at an interval's
+    /// end, where an off-by-one bound shows.
     #[test]
     fn over_budget_agrees_with_the_erasure_count(
         (up, down) in lossy_pair(),
@@ -445,6 +490,7 @@ proptest! {
             matcher = matcher.with_size_quantum(quantum);
         }
         let mut window = SlidingWindow::new((down.len() * capacity_pct / 100).max(1));
+        let mut states = vec![ScreenState::default(); up.len() + 1];
         for k in 0..=down.len() {
             if k > 0 {
                 window.push(down[k - 1]).unwrap();
@@ -452,13 +498,19 @@ proptest! {
             let erasures =
                 GappedSets::compute(&matcher, &up, &window.snapshot(), &mut CostMeter::new())
                     .erasures();
-            for budget in 0..=up.len() {
-                prop_assert_eq!(
-                    matcher.over_budget(&up, &window, budget),
-                    erasures > budget,
-                    "after {} pushes, {} evicted, budget {}, erasures {}",
-                    k, window.evicted(), budget, erasures
+            for (budget, state) in states.iter_mut().enumerate() {
+                let label = format!(
+                    "after {k} pushes, {} evicted, budget {budget}, erasures {erasures}",
+                    window.evicted()
                 );
+                let over = erasures > budget;
+                prop_assert_eq!(full_scan_over_budget(&matcher, &up, &window, budget), over, "{}", label);
+                let expected = if window.evicted() == 0 && over {
+                    Screen::OverBudget
+                } else {
+                    Screen::Decode
+                };
+                prop_assert_eq!(matcher.screen_robust(&up, &window, budget, state), expected, "{}", label);
             }
         }
     }

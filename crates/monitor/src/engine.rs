@@ -86,15 +86,14 @@ impl PairState {
     /// verdict may report its erasures, so its decode is postponed: the
     /// pair keeps the boundary's push count, and the decode runs later
     /// on the window's first that many packets (see
-    /// [`Monitor::submit_postponed`]). Only a window that has never
-    /// evicted still holds them; an evicted one decodes at once.
+    /// [`Monitor::submit_postponed`]). Screens answer `OverBudget`
+    /// only while the window has never evicted, so it still holds them.
     fn screen(&mut self, correlator: &BoundCorrelator, window: &SlidingWindow) -> bool {
         let pushed = window.pushed();
         match correlator.screen(window, &mut self.screen) {
             Screen::Decode => return true,
             Screen::Unmatched => self.record(pushed, None),
-            Screen::OverBudget if window.evicted() == 0 => self.postponed = Some(pushed),
-            Screen::OverBudget => return true,
+            Screen::OverBudget => self.postponed = Some(pushed),
         }
         self.decoded_through = pushed;
         false
@@ -163,8 +162,10 @@ struct Suspect {
 /// The final report returned by [`Monitor::finish`].
 #[derive(Debug, Clone)]
 pub struct MonitorReport {
-    /// Verdicts not yet drained, including the terminal `Cleared`
-    /// verdicts emitted during the flush (pair order, deterministic).
+    /// Verdicts not yet drained, including those the flush emits: the
+    /// `Correlated` verdicts its decodes latch, in flow order on one
+    /// shard (across shards, in completion order), then the terminal
+    /// verdicts of the remaining pairs, in pair order.
     pub verdicts: Vec<Verdict>,
     /// Final counter snapshot.
     pub stats: MonitorStats,
@@ -551,7 +552,7 @@ impl Monitor {
         // not `self.control` (which `emit` below needs mutably).
         let registry = Arc::clone(&self.control.metrics.registry);
         span!(registry.spans(), "evict_sweep");
-        let expired: Vec<(FlowId, stepstone_flow::TimeDelta)> = self
+        let mut expired: Vec<(FlowId, stepstone_flow::TimeDelta)> = self
             .control
             .suspects
             .iter()
@@ -560,6 +561,9 @@ impl Monitor {
                 (idle > timeout).then_some((id, idle))
             })
             .collect();
+        // Flow order, not the registry's hash order, so the verdicts
+        // come out the same on every run.
+        expired.sort_unstable_by_key(|&(id, _)| id);
         for &(id, idle) in &expired {
             self.submit_postponed(id);
             let Some(suspect) = self.control.suspects.remove(&id) else {
@@ -671,8 +675,11 @@ impl Monitor {
             std::thread::yield_now();
         }
         // Final decode for every unresolved pair that has data beyond
-        // its last decode (or was never decoded at all).
-        let flows: Vec<FlowId> = self.control.suspects.keys().copied().collect();
+        // its last decode (or was never decoded at all), in flow order:
+        // a shard's completions, and so the `Correlated` verdicts they
+        // latch, follow the order of submission.
+        let mut flows: Vec<FlowId> = self.control.suspects.keys().copied().collect();
+        flows.sort_unstable();
         for flow in flows {
             let Some(suspect) = self.control.suspects.get_mut(&flow) else {
                 continue;

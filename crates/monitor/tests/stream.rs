@@ -243,3 +243,70 @@ fn duplicate_upstream_registration_panics() {
     monitor.register_upstream(UpstreamId(9), bound.clone());
     monitor.register_upstream(UpstreamId(9), bound);
 }
+
+#[test]
+fn flush_verdicts_come_out_in_the_same_order_on_every_run() {
+    // Six upstreams, each with its own attacked relay, on one shard;
+    // the batch outlasts the flows, so only the flush decodes.
+    let run = || {
+        let mut monitor = Monitor::new(
+            MonitorConfig::default()
+                .with_shards(1)
+                .with_decode_batch(1 << 20),
+        );
+        let relays: Vec<Flow> = (0..6u64)
+            .map(|i| {
+                let s = scenario(40 + i, 300, 2);
+                monitor.register_upstream(
+                    UpstreamId(i),
+                    s.correlator.bind(&s.original, &s.marked).unwrap(),
+                );
+                attack(&s.marked, 2, 1.0, 40 + i)
+            })
+            .collect();
+        let streams: Vec<(FlowId, &Flow)> = relays
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (FlowId(i as u64), f))
+            .collect();
+        for (flow, packet) in merge_streams(&streams) {
+            assert!(monitor.ingest(flow, packet));
+            assert!(
+                monitor.drain_verdicts().is_empty(),
+                "no boundary before the flush"
+            );
+        }
+        monitor.finish().verdicts
+    };
+    let first = run();
+    assert_eq!(
+        first.iter().filter(|v| v.is_correlated()).count(),
+        6,
+        "every relay latches in the flush: {first:?}"
+    );
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
+}
+
+#[test]
+fn idle_eviction_verdicts_come_out_in_the_same_order_on_every_run() {
+    let run = || {
+        let mut monitor = Monitor::new(
+            MonitorConfig::default()
+                .with_idle_timeout(TimeDelta::from_secs(1))
+                .with_decode_batch(1 << 20),
+        );
+        for flow in 0..8u64 {
+            let packet = Packet::new(Timestamp::from_micros(flow as i64), 64);
+            assert!(monitor.ingest(FlowId(flow), packet));
+        }
+        assert_eq!(monitor.evict_idle(Timestamp::from_secs(10)), 8);
+        monitor.drain_verdicts()
+    };
+    let first = run();
+    assert_eq!(first.len(), 8);
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
+}

@@ -50,7 +50,7 @@ pub enum ScenarioError {
         /// The violated constraint.
         reason: String,
     },
-    /// [`preset`](crate::preset) was asked for a name that is not in
+    /// [`preset`](fn@crate::preset) was asked for a name that is not in
     /// the checked-in library.
     UnknownPreset {
         /// The unknown preset name.

@@ -23,7 +23,7 @@
 //! assert_eq!(round.digest(), spec.digest());
 //! ```
 //!
-//! The checked-in [`preset`] library names the scenarios the rest of
+//! The checked-in [`preset`](mod@preset) library names the scenarios the rest of
 //! the workspace runs — `repro serve` accepts them by name over HTTP,
 //! `repro matrix` fans them across worker processes — including the
 //! `multi-flow` staging for the Kiyavash et al. multi-flow attack and

@@ -12,7 +12,7 @@
 //!
 //! Where `lint` checks one file at a time, this pass parses every
 //! `src/` file of the analyzed crates into [`FileFacts`], links them
-//! into a workspace symbol graph ([`Graph`](crate::graph::Graph)), and
+//! into a workspace symbol graph ([`crate::graph::Graph`]), and
 //! evaluates graph-level rules. Every run parses every file: the
 //! whole pass takes tens of milliseconds. Findings are ratcheted against the
 //! checked-in `analyze-baseline.json`: only findings *not* in the

@@ -1,6 +1,6 @@
 //! Workspace symbol graph for the cross-file analyze rules.
 //!
-//! Consumes per-file [`FileFacts`](crate::parse::FileFacts) and builds
+//! Consumes per-file [`crate::parse::FileFacts`] and builds
 //! a call graph with conservative name resolution, then closes lock
 //! acquisition and blocking behaviour over call edges. Resolution is
 //! deliberately under-approximate: a call that cannot be matched to

@@ -78,7 +78,7 @@ pub fn lint_file(class: &FileClass, src: &str) -> Vec<Finding> {
 }
 
 /// Runs one rule (by id) over a pre-lexed file, applying the same
-/// file-class gating as [`lint_file`]. Lets the driver lex each file
+/// file-class gating as `lint_file`. Lets the driver lex each file
 /// once and time rules individually. Unknown ids are a no-op.
 pub fn run_rule(
     rule: &str,
