@@ -50,8 +50,8 @@ use stepstone_flow::{Flow, SlidingWindow};
 /// The contract every correlator backend implements: one watched
 /// upstream flow, judged against many suspicious flows.
 ///
-/// Implementations must be `Send + Sync` — the online monitor shares a
-/// backend across its shard worker threads behind an `Arc`.
+/// Implementations must be `Send + Sync`, so a bound correlator can be
+/// moved to, or shared between, threads.
 pub trait CorrelatorBackend: Send + Sync {
     /// Which backend this is (stable name for CLI flags, metric labels
     /// and cluster specs).

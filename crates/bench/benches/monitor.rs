@@ -1,6 +1,5 @@
 //! Online-engine throughput: replaying a fixed event stream through
-//! the monitor at 1, 8 and 64 concurrent candidate pairs, with a
-//! single shard and with one shard per available core.
+//! the monitor at 1, 8 and 64 concurrent candidate pairs.
 //!
 //! The event stream, flows and correlators are prepared outside the
 //! measured section; each iteration replays the whole stream through a
@@ -77,17 +76,11 @@ fn scenario(pairs: usize) -> (BoundCorrelator, Vec<(FlowId, Packet)>) {
 fn replay_hooked(
     bound: &BoundCorrelator,
     events: &[(FlowId, Packet)],
-    shards: usize,
     hook: Option<FaultHook>,
 ) -> u64 {
-    // The engine decodes every boundary and never drops one, so every
-    // shard count, with or without a hook, runs the same
-    // decode work and the comparison isolates scheduling overhead vs.
-    // parallelism. The queue is sized so its blocking push rarely waits.
-    let mut config = MonitorConfig::default()
-        .with_shards(shards)
-        .with_decode_batch(64)
-        .with_queue_capacity(256);
+    // The engine decodes every boundary, so a run with or without an
+    // idle hook does the same decode work.
+    let mut config = MonitorConfig::default().with_decode_batch(64);
     if let Some(hook) = hook {
         config = config.with_fault_hook(hook);
     }
@@ -100,30 +93,22 @@ fn replay_hooked(
 }
 
 /// Replays the prepared stream through a fresh engine.
-fn replay(bound: &BoundCorrelator, events: &[(FlowId, Packet)], shards: usize) -> u64 {
-    replay_hooked(bound, events, shards, None)
+fn replay(bound: &BoundCorrelator, events: &[(FlowId, Packet)]) -> u64 {
+    replay_hooked(bound, events, None)
 }
 
 fn monitor_throughput(c: &mut Criterion) {
-    let max_shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
     let mut group = c.benchmark_group("monitor_throughput");
     group.sample_size(10);
     for pairs in [1usize, 8, 64] {
         let (bound, events) = scenario(pairs);
-        for shards in [1usize, max_shards] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("pairs{pairs}"), format!("shards{shards}")),
-                &(pairs, shards),
-                |b, &(_, shards)| b.iter(|| replay(&bound, &events, shards)),
-            );
-            println!(
-                "monitor_throughput: pairs{pairs}/shards{shards} decodes_run = {}/iter",
-                replay(&bound, &events, shards)
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("pairs", pairs), &pairs, |b, _| {
+            b.iter(|| replay(&bound, &events))
+        });
+        println!(
+            "monitor_throughput: pairs{pairs} decodes_run = {}/iter",
+            replay(&bound, &events)
+        );
         println!(
             "monitor_throughput: pairs{pairs} stream = {} packets/iter",
             events.len()
@@ -141,29 +126,28 @@ fn monitor_throughput(c: &mut Criterion) {
 fn chaos_seam_overhead(c: &mut Criterion) {
     let (bound, events) = scenario(8);
     let mut group = c.benchmark_group("chaos_seam_overhead");
-    // Worker spawn/join jitter dominates a single replay; a larger
-    // sample keeps the median stable enough to bound a percent-level
-    // difference.
+    // A larger sample keeps the median stable enough to bound a
+    // percent-level difference.
     group.sample_size(40);
     group.bench_function("pairs8/chaos_off", |b| {
-        b.iter(|| replay_hooked(&bound, &events, 1, None))
+        b.iter(|| replay_hooked(&bound, &events, None))
     });
     group.bench_function("pairs8/chaos_armed_idle", |b| {
         b.iter(|| {
             let idle = FaultHook::new(|_, _| DecodeFault::None);
-            replay_hooked(&bound, &events, 1, Some(idle))
+            replay_hooked(&bound, &events, Some(idle))
         })
     });
     let idle = FaultHook::new(|_, _| DecodeFault::None);
     println!(
         "chaos_seam_overhead: pairs8 decodes_run = {}/iter off, {}/iter armed",
-        replay_hooked(&bound, &events, 1, None),
-        replay_hooked(&bound, &events, 1, Some(idle))
+        replay_hooked(&bound, &events, None),
+        replay_hooked(&bound, &events, Some(idle))
     );
     // The seam in isolation: one armed-but-idle oracle consultation,
     // exactly what each decode pays over the unarmed `Option` check.
-    // The end-to-end pair above sits inside worker spawn/join noise, so
-    // this is the number that actually bounds the per-decode cost.
+    // The end-to-end pair above sits inside run-to-run noise, so this
+    // is the number that actually bounds the per-decode cost.
     group.bench_function("hook_dispatch", |b| {
         let idle = FaultHook::new(|_, _| DecodeFault::None);
         let pair = PairId {

@@ -3,7 +3,7 @@
 //! The paper's threat model is an adversarial channel — bounded delay,
 //! chaff insertion — but a deployed monitor also faces faults the paper
 //! never had to model: corrupt captures, lossy and duplicating taps,
-//! panicking decode workers, stalled queues. This crate turns all of
+//! panicking decodes. This crate turns all of
 //! those into a *reproducible experiment*: a [`FaultPlan`] derives
 //! every fault from a single `u64` seed and a [`Profile`], composing
 //! three independent layers:
@@ -12,13 +12,13 @@
 //! |-------|---------|------------|
 //! | [`WireFaults`] | byte corruption, truncation, record drop/duplicate, timestamp skew | around the pcap/pcapng reader |
 //! | [`FlowFaults`] | packet deletion, chaff bursts, bounded extra delay | between demux and the engine |
-//! | [`RuntimeFaults`] | contained panics, worker kills, slow decodes | inside shard workers, via [`FaultHook`](stepstone_monitor::FaultHook) |
+//! | [`RuntimeFaults`] | contained decode panics | inside the engine's decode containment, via [`FaultHook`](stepstone_monitor::FaultHook) |
 //!
 //! Every layer's decision stream is *index-addressed*: the fault for
 //! record `i`, event `i`, or decode `i` is a pure function of `(seed,
 //! layer, i)`. Two runs with the same seed therefore agree on the fault
 //! schedule byte for byte — [`FaultPlan::schedule_digest`] is the
-//! witness — even when thread interleavings differ.
+//! witness.
 //!
 //! # Example
 //!
@@ -27,16 +27,16 @@
 //! use stepstone_monitor::MonitorConfig;
 //!
 //! let plan = FaultPlan::parse("7:harsh").unwrap();
-//! // Arm the engine: runtime faults in, degradation policy on.
+//! // Arm the engine with the runtime faults.
 //! let config = plan.arm_monitor(MonitorConfig::default());
 //! // Same seed, same schedule — reproducible by construction.
 //! assert_eq!(plan.schedule_digest(1024), FaultPlan::new(7, Profile::Harsh).schedule_digest(1024));
 //! # let _ = config;
 //! ```
 //!
-//! The survival half — supervised worker restarts, stall watchdog,
-//! `Degraded` verdicts — lives in `stepstone-monitor`;
-//! this crate only produces the weather.
+//! The survival half — decode containment and exactly one terminal
+//! verdict per pair — lives in `stepstone-monitor`; this crate only
+//! produces the weather.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::time::Duration;
 
 use stepstone_monitor::{DecodeFault, MonitorConfig};
 
@@ -27,7 +26,7 @@ pub enum Profile {
     /// shrug off with near-identical results.
     #[default]
     Mild,
-    /// Frequent faults at every layer, including worker kills — the
+    /// Frequent faults at every layer, including decode panics — the
     /// level the `chaos_soak` test runs under.
     Harsh,
     /// The paper's active-adversary regime turned against our own
@@ -139,28 +138,16 @@ impl FaultPlan {
         self.flow().injector()
     }
 
-    /// The runtime fault layer: scheduled worker panics and kills,
-    /// slow-decode sleeps.
+    /// The runtime fault layer: scheduled contained decode panics.
     pub fn runtime(&self) -> RuntimeFaults {
         RuntimeFaults::from_plan(self.seed, self.profile)
     }
 
-    /// Arms `config` with this plan's runtime faults and the matching
-    /// degradation policy (stall detection, fast restart backoff) so the
-    /// engine both
-    /// *receives* faults and *survives* them. Wire and flow layers are
-    /// armed separately — they wrap the ingest path, not the engine.
+    /// Arms `config` with this plan's runtime faults. Wire and flow
+    /// layers are armed separately — they wrap the ingest path, not the
+    /// engine.
     pub fn arm_monitor(&self, config: MonitorConfig) -> MonitorConfig {
-        let config = config.with_fault_hook(self.runtime().hook());
-        match self.profile {
-            Profile::Mild => config,
-            Profile::Harsh => config
-                .with_stall_timeout(Duration::from_millis(250))
-                .with_restart_backoff(Duration::from_millis(2), Duration::from_millis(50)),
-            Profile::Adversarial => config
-                .with_stall_timeout(Duration::from_millis(100))
-                .with_restart_backoff(Duration::from_millis(1), Duration::from_millis(25)),
-        }
+        config.with_fault_hook(self.runtime().hook())
     }
 
     /// Derives a per-worker plan for a distributed topology: same
@@ -202,8 +189,6 @@ impl FaultPlan {
             eat(match runtime.decision(i) {
                 DecodeFault::None => 0,
                 DecodeFault::Panic => 1,
-                DecodeFault::KillWorker => 2,
-                DecodeFault::Sleep(us) => 0x100 | (us << 16),
             });
         }
         hash

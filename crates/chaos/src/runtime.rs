@@ -1,12 +1,11 @@
-//! Runtime-layer faults: scheduled worker kills, contained decode
-//! panics, and slow-decode sleeps, expressed as a
+//! Runtime-layer faults: contained decode panics, expressed as a
 //! [`FaultHook`](stepstone_monitor::FaultHook) the engine consults once
 //! per decode.
 //!
-//! The decision stream is addressed by the engine's global decode
-//! sequence number, so the *schedule* (which decode numbers fault, and
-//! how) is a pure function of the seed even though which pair a given
-//! decode number lands on depends on thread interleaving.
+//! The decision stream is addressed by the engine's decode sequence
+//! number, so the *schedule* (which decode numbers panic) is a pure
+//! function of the seed; the engine decodes in event-stream order, so
+//! which pair a given decode number lands on is too.
 
 use stepstone_monitor::{DecodeFault, FaultHook};
 
@@ -17,46 +16,28 @@ use crate::rng::{mix, SplitMix64};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeFaults {
     seed: u64,
-    /// Per-decode probability of a contained panic (worker survives).
+    /// Per-decode probability of a contained panic.
     pub panic_decode: f64,
-    /// Per-decode probability of killing the worker thread (the
-    /// supervisor restarts it).
-    pub kill_worker: f64,
-    /// Per-decode probability of an artificial pre-decode sleep.
-    pub slow_decode: f64,
-    /// Maximum sleep in microseconds.
-    pub slow_max_micros: u64,
 }
 
 impl RuntimeFaults {
     pub(crate) fn from_plan(seed: u64, profile: Profile) -> Self {
-        let (panic_decode, kill_worker, slow_decode, slow_max_micros) = match profile {
-            Profile::Mild => (0.0, 0.0, 0.01, 500),
-            Profile::Harsh => (0.02, 0.02, 0.05, 2_000),
-            Profile::Adversarial => (0.05, 0.05, 0.10, 5_000),
+        let panic_decode = match profile {
+            Profile::Mild => 0.0,
+            Profile::Harsh => 0.04,
+            Profile::Adversarial => 0.10,
         };
-        RuntimeFaults {
-            seed,
-            panic_decode,
-            kill_worker,
-            slow_decode,
-            slow_max_micros,
-        }
+        RuntimeFaults { seed, panic_decode }
     }
 
     /// The fault for decode sequence number `seq`. Index-addressed.
     pub fn decision(&self, seq: u64) -> DecodeFault {
         let mut r = SplitMix64::new(mix(self.seed, TAG_RUNTIME, seq));
-        if r.chance(self.kill_worker) {
-            return DecodeFault::KillWorker;
-        }
         if r.chance(self.panic_decode) {
-            return DecodeFault::Panic;
+            DecodeFault::Panic
+        } else {
+            DecodeFault::None
         }
-        if r.chance(self.slow_decode) {
-            return DecodeFault::Sleep(1 + r.below(self.slow_max_micros));
-        }
-        DecodeFault::None
     }
 
     /// The first `n` decisions — the runtime layer's fault schedule.
@@ -85,26 +66,21 @@ mod tests {
     }
 
     #[test]
-    fn mild_profile_never_panics_or_kills() {
+    fn mild_profile_never_panics() {
         for fault in RuntimeFaults::from_plan(3, Profile::Mild).schedule(4096) {
-            assert!(
-                !matches!(fault, DecodeFault::Panic | DecodeFault::KillWorker),
-                "{fault:?}"
-            );
+            assert_eq!(fault, DecodeFault::None);
         }
     }
 
     #[test]
-    fn harsh_profile_schedules_kills_and_sleeps() {
+    fn harsh_profile_schedules_panics_at_its_rate() {
         let schedule = RuntimeFaults::from_plan(1, Profile::Harsh).schedule(4096);
-        assert!(schedule.contains(&DecodeFault::KillWorker));
-        assert!(schedule.contains(&DecodeFault::Panic));
-        assert!(schedule.iter().any(|f| matches!(f, DecodeFault::Sleep(_))));
-        for fault in &schedule {
-            if let DecodeFault::Sleep(us) = fault {
-                assert!(*us >= 1 && *us <= 2_000);
-            }
-        }
+        let panics = schedule
+            .iter()
+            .filter(|&&f| f == DecodeFault::Panic)
+            .count();
+        // 4% of 4096 is 164; allow a wide binomial margin.
+        assert!((100..240).contains(&panics), "{panics}");
     }
 
     #[test]

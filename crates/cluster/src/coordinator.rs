@@ -14,8 +14,7 @@
 //! * a worker that closes its pipe, breaks a frame, or goes silent past
 //!   the stall deadline is killed and declared dead;
 //! * its unacked in-flight batches are counted lost (`batches_lost` /
-//!   `packets_lost` — the cluster-level analogue of the engine's
-//!   `jobs_lost`), never silently forgotten;
+//!   `packets_lost`), never silently forgotten;
 //! * its flows are rehashed onto the survivors and announced with
 //!   `Rebalance` frames; packets for those flows buffered after the
 //!   death are delivered to the new owner, not dropped;
@@ -251,8 +250,6 @@ struct SlotMetrics {
     up: Arc<Gauge>,
     deaths: Arc<Counter>,
     packets_ingested: Arc<Gauge>,
-    queue_depth: Arc<Gauge>,
-    jobs_lost: Arc<Gauge>,
     verdicts: Arc<Gauge>,
 }
 
@@ -293,16 +290,6 @@ impl Metrics {
                         "cluster_worker_packets_ingested",
                         labels,
                         "Engine packets_ingested from the last heartbeat",
-                    ),
-                    queue_depth: registry.gauge_with(
-                        "cluster_worker_queue_depth",
-                        labels,
-                        "Engine decode-queue depth from the last heartbeat",
-                    ),
-                    jobs_lost: registry.gauge_with(
-                        "cluster_worker_jobs_lost",
-                        labels,
-                        "Engine jobs_lost from the last heartbeat",
                     ),
                     verdicts: registry.gauge_with(
                         "cluster_worker_verdicts_emitted",
@@ -692,8 +679,6 @@ impl Cluster {
                         if let Some(m) = &self.metrics {
                             let sm = &m.slots[index as usize];
                             sm.packets_ingested.set(stats.packets_ingested as i64);
-                            sm.queue_depth.set(stats.queue_depth as i64);
-                            sm.jobs_lost.set(stats.jobs_lost as i64);
                             sm.verdicts.set(stats.verdicts_emitted as i64);
                         }
                     }

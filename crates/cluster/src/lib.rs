@@ -1,7 +1,7 @@
 //! Multi-process scale-out of the online correlation monitor.
 //!
 //! One [`Monitor`](stepstone_monitor::Monitor) holds as many flow pairs
-//! as its shard threads can decode; the paper's stepping-stone setting
+//! as its one decoding thread can serve; the paper's stepping-stone setting
 //! ("millions of concurrent flow-pairs") wants more than one process.
 //! This crate adds the distribution layer:
 //!
@@ -17,8 +17,7 @@
 //!   unchanged — all decode logic is reused as-is;
 //! * a **cross-process supervisor** inside the coordinator: heartbeat
 //!   stall detection, capped-backoff respawn of dead workers,
-//!   accounting of in-flight batches lost with a death (the engine's
-//!   `jobs_lost` conservation identity carries over one level up), and
+//!   accounting of in-flight batches lost with a death, and
 //!   rehashing of the dead worker's flows onto the survivors with a
 //!   bounded per-flow replay;
 //! * **aggregated telemetry**: per-worker stats and cluster-level

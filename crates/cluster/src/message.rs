@@ -22,7 +22,7 @@
 //!            | 0x03 up:u64 flow:u64 reason:u8
 //!              (reason 3 = erasure budget, followed by
 //!               erasures:u32 confidence:u8)
-//! WireStats  = 17 × u64 (see [`WireStats`] field order)
+//! WireStats  = 9 × u64 (see [`WireStats`] field order)
 //! ```
 //!
 //! Encoding is canonical: `decode(encode(m)) == m` and
@@ -95,9 +95,7 @@ impl BatchEntry {
 
 /// A snapshot of one worker's engine counters, flattened for the wire.
 ///
-/// Field order is the wire order. `queue_depth` collapses the engine's
-/// per-shard depth vector into its sum — that is all the cross-process
-/// conservation identity needs.
+/// Field order is the wire order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)] // field names mirror `MonitorStats` exactly
 pub struct WireStats {
@@ -107,28 +105,12 @@ pub struct WireStats {
     pub flows_evicted: u64,
     pub pairs_active: u64,
     pub pairs_latched: u64,
-    pub decodes_scheduled: u64,
     pub decodes_run: u64,
-    pub decodes_answered: u64,
-    pub decodes_dropped: u64,
-    pub queue_depth: u64,
-    pub queue_enqueued: u64,
-    pub queue_dequeued: u64,
-    pub worker_panics: u64,
-    pub worker_restarts: u64,
-    pub jobs_lost: u64,
+    pub decode_panics: u64,
     pub verdicts_emitted: u64,
 }
 
 impl WireStats {
-    /// The engine's conservation identities, checked on the flattened
-    /// snapshot: accepted work is either waiting, done, or counted
-    /// lost — nothing leaks across the process boundary.
-    pub fn conservation_holds(&self) -> bool {
-        self.queue_enqueued == self.queue_dequeued + self.queue_depth
-            && self.queue_dequeued == self.decodes_run + self.jobs_lost
-    }
-
     /// Field-wise sum, for aggregating surviving workers at shutdown.
     #[must_use]
     pub fn merged(&self, other: &WireStats) -> WireStats {
@@ -139,21 +121,13 @@ impl WireStats {
             flows_evicted: self.flows_evicted + other.flows_evicted,
             pairs_active: self.pairs_active + other.pairs_active,
             pairs_latched: self.pairs_latched + other.pairs_latched,
-            decodes_scheduled: self.decodes_scheduled + other.decodes_scheduled,
             decodes_run: self.decodes_run + other.decodes_run,
-            decodes_answered: self.decodes_answered + other.decodes_answered,
-            decodes_dropped: self.decodes_dropped + other.decodes_dropped,
-            queue_depth: self.queue_depth + other.queue_depth,
-            queue_enqueued: self.queue_enqueued + other.queue_enqueued,
-            queue_dequeued: self.queue_dequeued + other.queue_dequeued,
-            worker_panics: self.worker_panics + other.worker_panics,
-            worker_restarts: self.worker_restarts + other.worker_restarts,
-            jobs_lost: self.jobs_lost + other.jobs_lost,
+            decode_panics: self.decode_panics + other.decode_panics,
             verdicts_emitted: self.verdicts_emitted + other.verdicts_emitted,
         }
     }
 
-    fn fields(&self) -> [u64; 17] {
+    fn fields(&self) -> [u64; 9] {
         [
             self.packets_ingested,
             self.packets_rejected,
@@ -161,16 +135,8 @@ impl WireStats {
             self.flows_evicted,
             self.pairs_active,
             self.pairs_latched,
-            self.decodes_scheduled,
             self.decodes_run,
-            self.decodes_answered,
-            self.decodes_dropped,
-            self.queue_depth,
-            self.queue_enqueued,
-            self.queue_dequeued,
-            self.worker_panics,
-            self.worker_restarts,
-            self.jobs_lost,
+            self.decode_panics,
             self.verdicts_emitted,
         ]
     }
@@ -189,16 +155,8 @@ impl WireStats {
             flows_evicted: c.u64()?,
             pairs_active: c.u64()?,
             pairs_latched: c.u64()?,
-            decodes_scheduled: c.u64()?,
             decodes_run: c.u64()?,
-            decodes_answered: c.u64()?,
-            decodes_dropped: c.u64()?,
-            queue_depth: c.u64()?,
-            queue_enqueued: c.u64()?,
-            queue_dequeued: c.u64()?,
-            worker_panics: c.u64()?,
-            worker_restarts: c.u64()?,
-            jobs_lost: c.u64()?,
+            decode_panics: c.u64()?,
             verdicts_emitted: c.u64()?,
         })
     }
@@ -213,16 +171,8 @@ impl From<&MonitorStats> for WireStats {
             flows_evicted: s.flows_evicted,
             pairs_active: s.pairs_active as u64,
             pairs_latched: s.pairs_latched,
-            decodes_scheduled: s.decodes_scheduled,
             decodes_run: s.decodes_run,
-            decodes_answered: s.decodes_answered,
-            decodes_dropped: s.decodes_dropped,
-            queue_depth: s.queue_depths.iter().map(|&d| d as u64).sum(),
-            queue_enqueued: s.queue_enqueued,
-            queue_dequeued: s.queue_dequeued,
-            worker_panics: s.worker_panics,
-            worker_restarts: s.worker_restarts,
-            jobs_lost: s.jobs_lost,
+            decode_panics: s.decode_panics,
             verdicts_emitted: s.verdicts_emitted,
         }
     }
@@ -339,7 +289,6 @@ fn encode_verdict(v: &Verdict, out: &mut Vec<u8>) {
             out.extend_from_slice(&pair.flow.0.to_le_bytes());
             match reason {
                 DegradeReason::WorkerLost => out.push(0),
-                DegradeReason::Stalled => out.push(1),
                 DegradeReason::ErasureBudget {
                     erasures,
                     confidence,
@@ -385,7 +334,6 @@ fn decode_verdict(c: &mut Cursor<'_>) -> Result<Verdict, WireError> {
             let p = pair(c.u64()?, c.u64()?);
             let reason = match c.u8()? {
                 0 => DegradeReason::WorkerLost,
-                1 => DegradeReason::Stalled,
                 3 => DegradeReason::ErasureBudget {
                     erasures: c.u32()?,
                     confidence: c.u8()?,
@@ -651,10 +599,8 @@ mod tests {
                 seq: 9,
                 stats: WireStats {
                     packets_ingested: 100,
-                    queue_enqueued: 10,
-                    queue_dequeued: 10,
                     decodes_run: 9,
-                    jobs_lost: 1,
+                    decode_panics: 1,
                     ..WireStats::default()
                 },
             },
@@ -699,7 +645,7 @@ mod tests {
                 stats: WireStats::default(),
                 verdicts: vec![Verdict::Degraded {
                     pair,
-                    reason: DegradeReason::Stalled,
+                    reason: DegradeReason::WorkerLost,
                 }],
             },
         ]
@@ -786,21 +732,17 @@ mod tests {
     fn wire_stats_mirror_monitor_stats() {
         let stats = MonitorStats {
             packets_ingested: 5,
-            queue_depths: vec![1, 2, 3],
-            queue_enqueued: 10,
-            queue_dequeued: 4,
             decodes_run: 3,
-            jobs_lost: 1,
+            decode_panics: 1,
             flows_active: 2,
             pairs_active: 4,
             ..MonitorStats::default()
         };
         let wire = WireStats::from(&stats);
-        assert_eq!(wire.queue_depth, 6);
+        assert_eq!(wire.decodes_run, 3);
         assert_eq!(wire.flows_active, 2);
-        assert!(wire.conservation_holds());
         let merged = wire.merged(&wire);
-        assert_eq!(merged.queue_enqueued, 20);
-        assert!(merged.conservation_holds());
+        assert_eq!(merged.decode_panics, 2);
+        assert_eq!(merged.packets_ingested, 10);
     }
 }

@@ -219,10 +219,7 @@ mod tests {
     }
 
     fn tiny_monitor(_worker: u32, _spec: &[u8]) -> Result<Monitor, String> {
-        Ok(Monitor::new(MonitorConfig {
-            shards: 1,
-            ..MonitorConfig::default()
-        }))
+        Ok(Monitor::new(MonitorConfig::default()))
     }
 
     #[test]

@@ -366,10 +366,9 @@ impl CorrelatorBackend for PaperBackend {
 ///
 /// Produced by [`WatermarkCorrelator::bind`] (always the paper arm) or
 /// [`WatermarkCorrelator::bind_backend`]. Unlike [`PreparedCorrelator`]
-/// it borrows nothing, so it can be wrapped in an `Arc` and decoded
-/// against on any thread — the shape the online monitor's sharded
-/// worker pool needs. The monitor and cluster never look inside the
-/// arms: adding a backend means one crate module plus one arm here,
+/// it borrows nothing, so the online monitor can own it and decode
+/// against it on any thread. The monitor and cluster never look inside
+/// the arms: adding a backend means one crate module plus one arm here,
 /// with zero engine changes.
 #[derive(Debug, Clone)]
 pub enum BoundCorrelator {

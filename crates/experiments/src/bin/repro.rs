@@ -11,8 +11,8 @@
 #![forbid(unsafe_code)]
 //!
 //! The `monitor` target runs a scenario spec lowered from the
-//! configuration, and additionally honours `--pairs N`, `--decoys N`,
-//! `--shards N` and `--packets N` to size it, `--backend
+//! configuration, and additionally honours `--pairs N`, `--decoys N`
+//! and `--packets N` to size it, `--backend
 //! paper|elices|game` to pick the correlator backend, and `--decode
 //! strict|robust` (with `--erasure-budget N`) to pick the decode layer;
 //! the edited spec must still validate.
@@ -156,7 +156,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: repro [--scale quick|default|full] [--seed N] [--out DIR] [--chart]
-             [--pairs N] [--decoys N] [--shards N] [--packets N]
+             [--pairs N] [--decoys N] [--packets N]
              [--backend paper|elices|game]
              [--decode strict|robust] [--erasure-budget N]
              [--pcap FILE] [--replay fast|real|xN] [--cluster N]
@@ -174,10 +174,9 @@ struct Options {
     out: Option<PathBuf>,
     chart: bool,
     targets: Vec<String>,
-    /// `monitor` target overrides: upstreams, decoys, shards, packets.
+    /// `monitor` target overrides: upstreams, decoys, packets.
     pairs: Option<usize>,
     decoys: Option<usize>,
-    shards: Option<usize>,
     packets: Option<usize>,
     /// Correlator backend every `monitor` upstream registers with.
     backend: Backend,
@@ -222,7 +221,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
     let mut targets = Vec::new();
     let mut pairs = None;
     let mut decoys = None;
-    let mut shards = None;
     let mut packets = None;
     let mut backend = Backend::default();
     let mut decode_mode: Option<DecodeMode> = None;
@@ -270,7 +268,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
             "--chart" => chart = true,
             "--pairs" => pairs = Some(parse_count(&mut it, "--pairs")?),
             "--decoys" => decoys = Some(parse_count(&mut it, "--decoys")?),
-            "--shards" => shards = Some(parse_count(&mut it, "--shards")?),
             "--packets" => packets = Some(parse_count(&mut it, "--packets")?),
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a name")?;
@@ -371,7 +368,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
         targets,
         pairs,
         decoys,
-        shards,
         packets,
         backend,
         decode: decode_mode.map(|mode| match mode {
@@ -666,7 +662,7 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
 }
 
 /// Applies the `monitor` flags to a lowered spec, then validates it: a
-/// flag value the spec rejects (`--pairs 0`, `--shards 65`) is a usage
+/// flag value the spec rejects (`--pairs 0`, `--packets 100`) is a usage
 /// error carrying the spec's own message.
 fn apply_overrides(mut spec: ScenarioSpec, opts: &Options) -> Result<ScenarioSpec, String> {
     if let Some(n) = opts.pairs {
@@ -674,9 +670,6 @@ fn apply_overrides(mut spec: ScenarioSpec, opts: &Options) -> Result<ScenarioSpe
     }
     if let Some(n) = opts.decoys {
         spec.decoys = n;
-    }
-    if let Some(n) = opts.shards {
-        spec.shards = n;
     }
     if let Some(n) = opts.packets {
         spec.packets = n;

@@ -157,23 +157,16 @@ impl fmt::Display for ClusterRunReport {
             match stats {
                 Some(s) => writeln!(
                     f,
-                    "worker {w}: {} ingested, {} decoded, {} jobs lost, {} verdicts",
-                    s.packets_ingested,
-                    s.decodes_run.saturating_sub(s.decodes_answered),
-                    s.jobs_lost,
-                    s.verdicts_emitted
+                    "worker {w}: {} ingested, {} decoded, {} decode panics, {} verdicts",
+                    s.packets_ingested, s.decodes_run, s.decode_panics, s.verdicts_emitted
                 )?,
                 None => writeln!(f, "worker {w}: died without a final report")?,
             }
         }
         write!(
             f,
-            "engine (merged): {} ingested, {} decoded, {} jobs lost",
-            self.engine.packets_ingested,
-            self.engine
-                .decodes_run
-                .saturating_sub(self.engine.decodes_answered),
-            self.engine.jobs_lost
+            "engine (merged): {} ingested, {} decoded, {} decode panics",
+            self.engine.packets_ingested, self.engine.decodes_run, self.engine.decode_panics
         )
     }
 }

@@ -133,7 +133,7 @@ mod tests {
         assert_eq!(report.detection.true_positives, 2);
         assert_eq!(report.detection.false_positives, 2);
         assert_eq!(report.detection.missed, 0);
-        assert_eq!(report.stats.decoded(), 23);
+        assert_eq!(report.stats.decodes_run, 23);
         assert_eq!(report.stats.decodes_screened, 179);
         assert_eq!(report.stats.packets_rejected, 0);
         assert_eq!(report.verdict_digest(), 0x960a_c7d3_d0c1_de95);

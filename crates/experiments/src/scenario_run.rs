@@ -16,19 +16,20 @@
 //! Everything about the *corpus* derives from the spec (two holders of
 //! the same text build interchangeable corpora). By default a spec's
 //! chaos arms only the *channel* — the flow-fault layer between stream
-//! and engine — and the monitor decodes every batch boundary, so the
-//! set of windows decoded per pair, and therefore which terminal class
-//! each pair lands in, is a pure function of the event stream, not of
-//! worker timing. Decode *latencies* still vary, so the canonical
+//! and engine — and the monitor decodes every batch boundary inline,
+//! so the set of windows decoded per pair, and therefore which terminal
+//! class each pair lands in, is a pure function of the event stream.
+//! Decode *latencies* still vary, so the canonical
 //! [`VerdictLine`]s carry only pair identities and [`TerminalKind`]s,
 //! making [`RunReport::verdict_digest`] stable across runs, processes
 //! and machines — the property the matrix report and the
 //! snapshot/restore acceptance test rely on.
 //!
-//! The digest is stable only while engine faults are off.
 //! [`RunOptions::engine_chaos`] (`repro monitor --chaos`) also arms the
-//! engine's runtime layer, whose worker kills land wherever thread
-//! timing puts them, so those runs promise survival, not a digest.
+//! engine's runtime layer. Its panics are addressed by decode sequence
+//! number and the engine decodes in stream order, so they land on the
+//! same decodes on every run; the matrix and snapshot tests still pin
+//! only channel-chaos runs.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -140,8 +141,8 @@ pub struct Detection {
     pub false_positives: u32,
     /// True pairs not detected.
     pub missed: u32,
-    /// Pairs that ended degraded: worker lost or stalled under engine
-    /// faults, or over the erasure budget under robust decoding.
+    /// Pairs that ended degraded: over the erasure budget under robust
+    /// decoding, or backfilled for a lost cluster worker process.
     pub degraded: u32,
 }
 
@@ -215,8 +216,8 @@ pub struct RunOptions<'a> {
     /// The monitor, and a capture's demux and replay loop, publish into
     /// this registry, so one endpoint covers the whole pipeline.
     pub registry: Option<Arc<Registry>>,
-    /// Arms the spec's chaos on the engine's runtime layer (worker
-    /// kills and stalls, with the profile's degradation policy) and,
+    /// Arms the spec's chaos on the engine's runtime layer (contained
+    /// decode panics) and,
     /// for a capture, on its wire layer (byte and record faults) — the
     /// `repro monitor --chaos` soak. Off, the chaos is the channel
     /// only: its flow layer.
@@ -321,12 +322,11 @@ impl fmt::Display for RunReport {
             None => {
                 writeln!(
                     f,
-                    "monitor replay: {} upstreams, {} decoys, {} candidate pairs, {} shards, \
+                    "monitor replay: {} upstreams, {} decoys, {} candidate pairs, \
                      backend {}, decode {}",
                     s.upstreams,
                     s.decoys,
                     s.candidate_pairs(),
-                    s.shards,
                     s.backend,
                     s.decode
                 )?;
@@ -517,18 +517,17 @@ pub(crate) fn build_spec_corpus(
     })
 }
 
-/// A monitor sized by the spec (shards, decode batch), publishing into
-/// `registry` and armed with `plan`'s runtime faults and degradation
-/// policy when given, with correlator `i` registered as upstream `i`.
+/// A monitor sized by the spec's decode batch, publishing into
+/// `registry` and armed with `plan`'s runtime faults when given, with
+/// correlator `i` registered as upstream `i`. The spec's `shards` key
+/// reaches no engine: decodes run inline.
 pub(crate) fn spec_monitor(
     spec: &ScenarioSpec,
     correlators: Vec<BoundCorrelator>,
     registry: Option<Arc<Registry>>,
     plan: Option<&FaultPlan>,
 ) -> Monitor {
-    let mut config = MonitorConfig::default()
-        .with_shards(spec.shards)
-        .with_decode_batch(spec.decode_batch);
+    let mut config = MonitorConfig::default().with_decode_batch(spec.decode_batch);
     if let Some(registry) = registry {
         config = config.with_registry(registry);
     }
@@ -708,7 +707,7 @@ mod tests {
         // The channel may cost detections, never engine integrity:
         // runtime faults are not armed, so nothing can degrade.
         assert_eq!(report.detection.degraded, 0);
-        assert_eq!(report.stats.worker_restarts, 0);
+        assert_eq!(report.stats.decode_panics, 0);
         let again = run_plain(&spec);
         assert_eq!(
             report.summary(),

@@ -4,15 +4,15 @@
 //!
 //! What "survival" means here, per seed:
 //!
-//! * the run terminates (no deadlock in ingest, drain, or shutdown);
-//! * the queue books balance: `enqueued == dequeued`, all depths 0,
-//!   and `dequeued == decodes_run + jobs_lost` — losses are counted,
-//!   never silent;
+//! * the run terminates;
+//! * packets are conserved: every event delivered to the engine is
+//!   counted ingested or rejected;
 //! * every registered pair ends with **exactly one** terminal verdict
 //!   (`Correlated`, `Cleared`, or `Degraded`) — chaos may degrade a
 //!   pair, it may never silently drop one;
-//! * injected worker kills are visible: `worker_restarts >= 1` both in
-//!   the stats snapshot and on the rendered `/metrics` text.
+//! * injected decode panics are contained and visible:
+//!   `decode_panics >= 1` both in the stats snapshot and on the
+//!   rendered `/metrics` text.
 //!
 //! The seeds are pinned so CI failures reproduce with
 //! `repro monitor --pcap ... --chaos SEED:harsh`.
@@ -30,10 +30,9 @@ use stepstone_scenario::{preset, Backend, ChaosProfile, Decode, ScenarioSpec};
 use stepstone_telemetry::Registry;
 
 /// The pinned harsh seeds. Chosen (by probing the seed space, once) so
-/// each plan schedules a worker kill on decode sequence 0 — the *first*
-/// decode of a run always happens, so the restart machinery is
-/// exercised every run regardless of how worker timing shapes the rest
-/// of the decode schedule.
+/// each plan schedules a fault on decode sequence 0 — the *first*
+/// decode of a run always happens, so the containment is exercised
+/// every run, whatever the rest of the decode schedule.
 const SOAK_SEEDS: [u64; 3] = [44, 116, 225];
 
 /// The soak spec: the scale-independent wire corpus, decoding on
@@ -42,7 +41,7 @@ const SOAK_SEEDS: [u64; 3] = [44, 116, 225];
 /// the wire corpus's 1 s: at 1 s the harsh deletions leave a matching
 /// set of the true downstream empty, the engine's screen proves every
 /// strict paper decode unmatched, and no decode is left for the pinned
-/// kill to hit. At 2 s the strict decodes of the true pair still run.
+/// panic to hit. At 2 s the strict decodes of the true pair still run.
 fn soak_spec() -> ScenarioSpec {
     let mut spec = wire_spec(&ExperimentConfig::new(Scale::Quick));
     spec.delta_ms = 2000;
@@ -78,22 +77,11 @@ fn harsh_soak_survives_pinned_seeds() {
         let (report, registry) = soak(seed);
         let stats = &report.stats;
 
-        // Queue conservation at shutdown: accepted == handed over,
-        // nothing left sitting in a queue.
+        // Packet conservation: every delivered event was ingested or
+        // rejected.
         assert_eq!(
-            stats.queue_enqueued, stats.queue_dequeued,
-            "seed {seed}: {stats}"
-        );
-        assert_eq!(
-            stats.queue_depths.iter().sum::<usize>(),
-            0,
-            "seed {seed}: queues must drain: {stats}"
-        );
-        // Loss accounting: every dequeued job either completed or died
-        // with its worker — and the deaths are counted, not silent.
-        assert_eq!(
-            stats.decodes_run + stats.jobs_lost,
-            stats.queue_dequeued,
+            stats.packets_ingested + stats.packets_rejected,
+            report.events,
             "seed {seed}: {stats}"
         );
         // The strict paper path runs under fire: some boundaries are
@@ -101,25 +89,22 @@ fn harsh_soak_survives_pinned_seeds() {
         assert!(stats.decodes_screened > 0, "seed {seed}: {stats}");
         assert!(stats.decodes_run > 0, "seed {seed}: {stats}");
 
-        // The harsh profile schedules kills and these seeds are pinned
-        // to hit at least one: the supervisor must have restarted.
+        // The harsh profile schedules decode panics and these seeds are
+        // pinned to hit at least one: the containment must have caught
+        // it...
         assert!(
-            stats.worker_restarts >= 1,
-            "seed {seed}: expected at least one restart: {stats}"
+            stats.decode_panics >= 1,
+            "seed {seed}: expected at least one contained panic: {stats}"
         );
-        assert!(
-            stats.jobs_lost >= 1,
-            "seed {seed}: a killed worker loses its in-flight job: {stats}"
-        );
-        // ...and the restart is visible on the scrape endpoint.
+        // ...and the panic is visible on the scrape endpoint.
         let rendered = registry.render_prometheus();
-        let restarts: f64 = rendered
+        let panics: f64 = rendered
             .lines()
-            .find(|l| l.starts_with("monitor_worker_restarts_total"))
+            .find(|l| l.starts_with("monitor_decode_panics_total"))
             .and_then(|l| l.rsplit(' ').next())
             .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("seed {seed}: restart counter must render:\n{rendered}"));
-        assert!(restarts >= 1.0, "seed {seed}: {restarts}");
+            .unwrap_or_else(|| panic!("seed {seed}: panic counter must render:\n{rendered}"));
+        assert!(panics >= 1.0, "seed {seed}: {panics}");
 
         // Zero silently-dropped pairs: every pair that appears in the
         // verdict stream appears exactly once, and every suspicious
@@ -150,7 +135,7 @@ fn harsh_soak_survives_pinned_seeds() {
 /// Every correlator backend survives the *same* fault plan with the
 /// same books: the plan derives from the seed alone, so swapping the
 /// backend must change verdict content at most — never conservation,
-/// restart visibility, or pair accounting. This is the seam contract
+/// panic containment, or pair accounting. This is the seam contract
 /// under fire: the engine cannot tell backends apart.
 #[test]
 fn every_backend_survives_identical_fault_plans() {
@@ -160,17 +145,8 @@ fn every_backend_survives_identical_fault_plans() {
         let stats = &report.stats;
 
         assert_eq!(
-            stats.queue_enqueued, stats.queue_dequeued,
-            "{backend}: {stats}"
-        );
-        assert_eq!(
-            stats.queue_depths.iter().sum::<usize>(),
-            0,
-            "{backend}: queues must drain: {stats}"
-        );
-        assert_eq!(
-            stats.decodes_run + stats.jobs_lost,
-            stats.queue_dequeued,
+            stats.packets_ingested + stats.packets_rejected,
+            report.events,
             "{backend}: {stats}"
         );
         // Only the paper backend's strict decodes are screened.
@@ -180,8 +156,8 @@ fn every_backend_survives_identical_fault_plans() {
             "{backend}: {stats}"
         );
         assert!(
-            stats.worker_restarts >= 1,
-            "{backend}: the pinned kill must fire regardless of backend: {stats}"
+            stats.decode_panics >= 1,
+            "{backend}: the pinned panic must fire regardless of backend: {stats}"
         );
 
         let mut terminal: HashMap<PairId, usize> = HashMap::new();

@@ -44,7 +44,14 @@ fn exit_0_on_a_successful_scenario_run() {
 
 #[test]
 fn exit_1_on_usage_errors() {
-    for args in [&["no-such-target"][..], &["scenario"][..], &[][..]] {
+    // `--shards` is an unknown flag: the monitor decodes inline and has
+    // no worker pool to size.
+    for args in [
+        &["no-such-target"][..],
+        &["scenario"][..],
+        &[][..],
+        &["--shards", "2", "monitor"][..],
+    ] {
         let output = repro().args(args).output().expect("repro runs");
         assert_eq!(output.status.code(), Some(1), "args: {args:?}");
     }
@@ -64,7 +71,7 @@ fn exit_1_when_a_monitor_override_fails_spec_validation() {
     // usage error that prints the spec's own validation message.
     for (flag, value, message) in [
         ("--pairs", "0", "upstreams must be in 1..=4096"),
-        ("--shards", "65", "shards must be in 1..=64"),
+        ("--packets", "100", "packets 100 cannot carry"),
     ] {
         let output = repro()
             .args(["--scale", "quick", flag, value, "monitor"])

@@ -103,14 +103,6 @@ fn three_workers_survive_kill_nine_mid_replay() {
         "the victim owned flow 0\n{report}"
     );
 
-    // The merged engine books balance too: reporting workers drained
-    // their queues and accounted every scheduled decode.
-    assert!(
-        report.engine.conservation_holds(),
-        "engine books must balance\n{report}"
-    );
-    assert_eq!(report.engine.queue_depth, 0, "queues must drain\n{report}");
-
     // No pair is silently dropped: the survivors (or the Degraded
     // backfill) give every candidate pair exactly one terminal verdict.
     assert_one_terminal_per_pair(&report);
@@ -136,9 +128,15 @@ fn clean_three_worker_run_matches_single_process_detection() {
     assert_eq!(stats.worker_deaths, 0, "no deaths in a clean run\n{report}");
     assert_eq!(stats.packets_lost, 0, "no losses in a clean run\n{report}");
     assert!(stats.conservation_holds(), "ledger must balance\n{report}");
-    assert!(
-        report.engine.conservation_holds(),
-        "engine books must balance\n{report}"
+    // With nobody dead, the merged engine counters account for every
+    // acked packet exactly as the coordinator does.
+    assert_eq!(
+        (
+            report.engine.packets_ingested,
+            report.engine.packets_rejected
+        ),
+        (stats.packets_acked, stats.packets_rejected),
+        "{report}"
     );
 
     // Detection parity with the single-process monitor: every true

@@ -4,7 +4,7 @@
 //! the wire spec's capture with the monitor publishing into a
 //! shared registry, serve that registry over HTTP, and check the
 //! scraped `/metrics` text carries the decode-latency histogram, the
-//! per-shard queue series, and verdict counters that sum to the final
+//! decode-run counter, and verdict counters that sum to the final
 //! report's verdict total.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -89,13 +89,8 @@ fn replayed_capture_is_scrapable_over_http() {
         decodes
     );
 
-    // One queue-depth gauge series per shard, drained after finish.
-    let depth_series = metrics
-        .lines()
-        .filter(|l| l.starts_with("monitor_shard_queue_depth{"))
-        .count();
-    assert_eq!(depth_series, spec.shards);
-    assert_eq!(family_total(&metrics, "monitor_shard_queue_depth"), 0);
+    // One decode-run count per decoded window.
+    assert_eq!(family_total(&metrics, "monitor_decodes_run_total"), decodes);
 
     // Verdict counters sum to the report's verdict total, and the
     // correlated count matches the detected pairs.

@@ -1,40 +1,38 @@
-//! The online correlation engine: registry, shard pool, verdicts.
+//! The online correlation engine: flow registry, inline decodes,
+//! verdicts.
 
 use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
-use std::sync::mpsc::Receiver;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::time::Instant;
 
-use stepstone_core::{BackendKind, BoundCorrelator, Correlation, Screen, ScreenState};
-use stepstone_flow::{Packet, SlidingWindow, Timestamp};
-use stepstone_telemetry::{span, Registry};
+use stepstone_core::{BoundCorrelator, Correlation, Screen, ScreenState};
+use stepstone_flow::{Flow, Packet, SlidingWindow, Timestamp};
+use stepstone_telemetry::{span, time, Counter, Histogram, Registry};
 
 use crate::config::MonitorConfig;
+use crate::fault::DecodeFault;
 use crate::ids::{FlowId, PairId, UpstreamId};
 use crate::metrics::EngineMetrics;
-use crate::queue::{shard_queue, ShardGauges, ShardSender};
 use crate::stats::MonitorStats;
-use crate::supervisor::{Completion, DecodeJob, Supervisor, WorkerEvent};
 use crate::verdict::{DegradeReason, Verdict};
 
 /// Ingests evict-sweep cadence: with an idle timeout configured, every
 /// this many accepted packets the engine sweeps for idle flows.
 const EVICT_SWEEP_EVERY: u64 = 1024;
 
-/// Per-pair decode bookkeeping, owned by the control side.
+/// Per-pair decode bookkeeping.
 #[derive(Debug, Clone, Default)]
 struct PairState {
-    /// Decode jobs for this pair queued or running.
-    in_flight: u32,
-    /// The flow's push count covered by the last scheduled or screened
-    /// decode.
+    /// The flow's push count covered by the last decoded or screened
+    /// boundary.
     decoded_through: u64,
     /// Completed decodes, boundaries screened as unmatched included.
     decodes: u32,
     /// Hamming distance of the latest boundary's decode.
     last_hamming: Option<u32>,
-    /// Push count of the boundary `last_hamming` belongs to: an outcome
-    /// of an earlier boundary, arriving late, does not overwrite it.
+    /// Push count of the boundary `last_hamming` belongs to: a
+    /// postponed decode of an earlier boundary, run later, does not
+    /// overwrite it.
     hamming_at: u64,
     /// The backend's screening frontier for this pair.
     screen: ScreenState,
@@ -52,9 +50,8 @@ struct PairState {
     erasures: u32,
     /// Decided-bit confidence of that decode (percent).
     confidence: u8,
-    /// A terminal verdict was emitted for the pair — latched
-    /// `Correlated` or stall-degraded. The pair is done: no more
-    /// scheduling, and the shutdown sweep skips it.
+    /// A `Correlated` verdict was emitted for the pair. The pair is
+    /// done: no more decodes, and the shutdown sweep skips it.
     resolved: bool,
 }
 
@@ -71,7 +68,7 @@ impl PairState {
 
     /// The push count at which this pair's next boundary falls: once
     /// the window holds `min_window` packets, every `batch` pushes after
-    /// the last scheduled or screened decode.
+    /// the last decoded or screened boundary.
     fn due_at(&self, window: &SlidingWindow, min_window: usize, batch: u64) -> u64 {
         let short = min_window.saturating_sub(window.len()) as u64;
         self.decoded_through
@@ -86,7 +83,7 @@ impl PairState {
     /// verdict may report its erasures, so its decode is postponed: the
     /// pair keeps the boundary's push count, and the decode runs later
     /// on the window's first that many packets (see
-    /// [`Monitor::submit_postponed`]). Screens answer `OverBudget`
+    /// [`Monitor::decode_postponed`]). Screens answer `OverBudget`
     /// only while the window has never evicted, so it still holds them.
     fn screen(&mut self, correlator: &BoundCorrelator, window: &SlidingWindow) -> bool {
         let pushed = window.pushed();
@@ -99,12 +96,11 @@ impl PairState {
         false
     }
 
-    /// Takes the postponed boundary if the pair is unresolved. A
-    /// completed decode of a later boundary that blew the budget would
-    /// make the decode redundant, but whether it has completed yet
-    /// depends on worker timing, so it is not consulted: the decode
-    /// runs, and [`note_robust`](Self::note_robust) keeps the later
-    /// boundary's numbers.
+    /// Takes the postponed boundary if the pair is unresolved. A decode
+    /// of a later boundary that blew the budget makes it redundant, but
+    /// it runs anyway — [`note_robust`](Self::note_robust) keeps the
+    /// later boundary's numbers — so the windows decoded do not depend
+    /// on how the boundaries' outcomes fell.
     fn take_postponed(&mut self) -> Option<u64> {
         let at = self.postponed.take()?;
         (!self.resolved).then_some(at)
@@ -154,175 +150,435 @@ struct Suspect {
     /// Push count at which some pair of this flow next reaches a decode
     /// boundary. Ingest skips the per-upstream walk until then.
     next_due: u64,
-    /// Tells this tracking of the flow apart from an earlier one under
-    /// the same [`FlowId`], ended by eviction, in the jobs it schedules.
-    instance: u64,
 }
 
 /// The final report returned by [`Monitor::finish`].
 #[derive(Debug, Clone)]
 pub struct MonitorReport {
     /// Verdicts not yet drained, including those the flush emits: the
-    /// `Correlated` verdicts its decodes latch, in flow order on one
-    /// shard (across shards, in completion order), then the terminal
-    /// verdicts of the remaining pairs, in pair order.
+    /// `Correlated` verdicts its decodes latch, in flow order, then the
+    /// terminal verdicts of the remaining pairs, in pair order.
     pub verdicts: Vec<Verdict>,
     /// Final counter snapshot.
     pub stats: MonitorStats,
 }
 
-/// The single-threaded control half of the engine: flow registry, pair
-/// bookkeeping, verdict buffer and counters. Split from [`Monitor`] so
-/// completion pumping can run while a shard sender is borrowed (the
-/// borrow is disjoint field-by-field), keeping the shutdown flush
-/// deadlock-free.
-struct Control {
+/// The online multi-flow correlation engine.
+///
+/// The caller registers watermarked upstream flows once, then feeds a
+/// time-ordered stream of `(FlowId, Packet)` events through
+/// [`ingest`](Monitor::ingest); the engine windows each suspicious
+/// flow and, when a packet brings a (upstream, suspicious) pair to a
+/// decode boundary, decodes the pair's window right there, on the
+/// calling thread. A latching decode emits its `Correlated` verdict
+/// before `ingest` returns, and results surface through
+/// [`drain_verdicts`](Monitor::drain_verdicts). Which windows are
+/// decoded, every verdict and the verdict order are functions of the
+/// event stream alone.
+///
+/// # Fault tolerance
+///
+/// A panic during a decode is contained: it is caught, counted in
+/// [`MonitorStats::decode_panics`], and folded in as a failed
+/// (non-correlating) decode, so ingest carries on and the owning pair
+/// still resolves to exactly one terminal verdict. A decode's work is
+/// bounded by its window, so no watchdog stands between a decode and
+/// ingest.
+///
+/// See the [crate docs](crate) for an end-to-end example.
+pub struct Monitor {
+    config: MonitorConfig,
+    upstreams: BTreeMap<UpstreamId, BoundCorrelator>,
     suspects: HashMap<FlowId, Suspect>,
-    /// Pairs whose flow was evicted while a decode was in flight; kept
-    /// so the completion still resolves to a terminal verdict.
-    orphans: HashMap<PairId, PairState>,
-    /// Which backend decodes each registered upstream, so terminal
-    /// verdicts can be counted under their backend label without
-    /// touching the correlator `Arc`s.
-    backends: BTreeMap<UpstreamId, BackendKind>,
     /// Verdicts awaiting [`Monitor::drain_verdicts`]. Grows by one per
     /// pair/flow lifecycle event and is bounded by the number of live
     /// pairs between drains; all growth is audited through `emit`.
     // #[bounded(via = "emit")]
     verdicts: VecDeque<Verdict>,
     clock: Option<Timestamp>,
-    /// Engine counters live in the telemetry registry; `Control`
-    /// increments these pre-resolved handles and
-    /// [`Monitor::stats`] reads them back, so the stats snapshot and
-    /// the `/metrics` endpoint share one source of truth.
-    metrics: Arc<EngineMetrics>,
+    /// Engine counters live in the telemetry registry; the engine
+    /// increments these pre-resolved handles and [`Monitor::stats`]
+    /// reads them back, so the stats snapshot and the `/metrics`
+    /// endpoint share one source of truth.
+    metrics: EngineMetrics,
+    /// Decodes run so far: the sequence number the fault hook sees.
+    decode_seq: u64,
+    /// Accepted packets since start, kept as a plain integer purely to
+    /// pace the idle-eviction sweep without summing counter stripes.
+    sweep_tick: u64,
 }
 
-impl Control {
-    fn new(metrics: Arc<EngineMetrics>) -> Self {
-        Control {
+impl Monitor {
+    /// Creates an engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any sizing field of `config` is zero.
+    pub fn new(config: MonitorConfig) -> Self {
+        config.validate();
+        let registry = config
+            .registry
+            .clone()
+            .unwrap_or_else(|| Arc::new(Registry::new()));
+        Monitor {
+            config,
+            upstreams: BTreeMap::new(),
             suspects: HashMap::new(),
-            orphans: HashMap::new(),
-            backends: BTreeMap::new(),
             verdicts: VecDeque::new(),
             clock: None,
-            metrics,
+            metrics: EngineMetrics::new(registry),
+            decode_seq: 0,
+            sweep_tick: 0,
         }
     }
 
-    /// Drains worker events without blocking: completions update pair
-    /// state and may emit `Correlated`; death notices account the lost
-    /// job and hand the shard to the supervisor, which also gets its
-    /// respawn poll here (the pump runs on every ingest).
-    fn pump(&mut self, done_rx: &Receiver<WorkerEvent>, supervisor: &mut Supervisor) {
-        while let Ok(event) = done_rx.try_recv() {
-            match event {
-                WorkerEvent::Done(done) => self.absorb(done),
-                WorkerEvent::Died { shard, inflight } => {
-                    supervisor.note_death(shard);
-                    let Some(pair) = inflight else { continue };
-                    // The job died dequeued-but-incomplete; account it
-                    // so `dequeued == decodes_run + jobs_lost` holds.
-                    self.metrics.jobs_lost.inc();
-                    if let Some(state) = self
-                        .suspects
-                        .get_mut(&pair.flow)
-                        .and_then(|s| s.pairs.get_mut(&pair.upstream))
-                    {
-                        // The pair gets another chance: new packets (or
-                        // the shutdown flush) schedule a fresh decode.
-                        state.in_flight = state.in_flight.saturating_sub(1);
-                    } else if let Some(state) = self.orphans.get_mut(&pair) {
-                        state.in_flight = state.in_flight.saturating_sub(1);
-                        if state.in_flight == 0 {
-                            // Evicted mid-decode and its last decode
-                            // died with its worker: degraded is the
-                            // terminal word.
-                            self.orphans.remove(&pair);
-                            self.emit(Verdict::Degraded {
-                                pair,
-                                reason: DegradeReason::WorkerLost,
-                            });
-                        }
-                    }
+    /// The telemetry registry this engine publishes into — hand it to a
+    /// [`MetricsServer`](stepstone_telemetry::MetricsServer) to expose
+    /// the engine's counters, gauges, and decode-latency histogram over
+    /// HTTP.
+    #[must_use]
+    pub fn registry(&self) -> Arc<Registry> {
+        Arc::clone(&self.metrics.registry)
+    }
+
+    /// Registers a watermarked upstream flow. Every tracked suspicious
+    /// flow — current and future — becomes a candidate pair with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is already registered.
+    pub fn register_upstream(&mut self, id: UpstreamId, correlator: BoundCorrelator) {
+        let previous = self.upstreams.insert(id, correlator);
+        assert!(previous.is_none(), "upstream {id} registered twice");
+        // Tracked flows have no pair with the new upstream yet: their
+        // next packet must walk the upstreams again to create it.
+        for suspect in self.suspects.values_mut() {
+            suspect.next_due = 0;
+        }
+    }
+
+    /// Feeds one packet of suspicious flow `flow` into the engine.
+    /// Returns `true` if the packet was accepted into the flow's
+    /// window; `false` if it was rejected as out-of-order (counted in
+    /// [`MonitorStats::packets_rejected`]).
+    ///
+    /// Runs the decodes of every boundary the packet reaches before
+    /// returning.
+    pub fn ingest(&mut self, flow: FlowId, packet: Packet) -> bool {
+        self.clock = Some(match self.clock {
+            Some(t) if t >= packet.timestamp() => t,
+            _ => packet.timestamp(),
+        });
+        let window_capacity = self.config.window_capacity;
+        let metrics = &self.metrics;
+        let mut suspect = self.suspects.entry(flow).or_insert_with(|| {
+            metrics.flows_active.inc();
+            Suspect {
+                window: SlidingWindow::new(window_capacity),
+                pairs: BTreeMap::new(),
+                next_due: 0,
+            }
+        });
+        if suspect.window.is_full() && suspect.window.evicted() == 0 {
+            // This push may be the window's first eviction: decodes
+            // postponed on its prefix must run while it is whole.
+            self.decode_postponed(flow);
+            let Some(refetched) = self.suspects.get_mut(&flow) else {
+                return false;
+            };
+            suspect = refetched;
+        }
+        if suspect.window.push(packet).is_err() {
+            self.metrics.packets_rejected.inc();
+            return false;
+        }
+        self.metrics.packets_ingested.inc();
+        // A plain local tick, not `packets_ingested.get()`: summing the
+        // counter stripes on every packet is measurable at line rate.
+        self.sweep_tick = self.sweep_tick.wrapping_add(1);
+        self.decode_due(flow);
+        if self.config.idle_timeout.is_some() && self.sweep_tick.is_multiple_of(EVICT_SWEEP_EVERY) {
+            if let Some(now) = self.clock {
+                self.evict_idle(now);
+            }
+        }
+        true
+    }
+
+    /// Moves verdicts emitted since the last drain to the caller,
+    /// oldest first. Non-blocking.
+    pub fn drain_verdicts(&mut self) -> Vec<Verdict> {
+        self.verdicts.drain(..).collect()
+    }
+
+    /// Evicts suspicious flows idle longer than the configured timeout
+    /// as of stream time `now`, emitting `Evicted` (and terminal
+    /// `Cleared`) verdicts. Returns the number of flows evicted.
+    /// No-op when no idle timeout is configured.
+    pub fn evict_idle(&mut self, now: Timestamp) -> usize {
+        let Some(timeout) = self.config.idle_timeout else {
+            return 0;
+        };
+        // Clone the registry handle so the span guard borrows a local,
+        // not `self` (which `emit` below needs mutably).
+        let registry = Arc::clone(&self.metrics.registry);
+        span!(registry.spans(), "evict_sweep");
+        let mut expired: Vec<(FlowId, stepstone_flow::TimeDelta)> = self
+            .suspects
+            .iter()
+            .filter_map(|(&id, s)| {
+                let idle = s.window.idle_since(now)?;
+                (idle > timeout).then_some((id, idle))
+            })
+            .collect();
+        // Flow order, not the registry's hash order, so the verdicts
+        // come out the same on every run.
+        expired.sort_unstable_by_key(|&(id, _)| id);
+        for &(id, idle) in &expired {
+            self.decode_postponed(id);
+            let Some(suspect) = self.suspects.remove(&id) else {
+                continue;
+            };
+            self.metrics.flows_evicted.inc();
+            self.metrics.flows_active.dec();
+            for (upstream, state) in suspect.pairs {
+                if state.resolved {
+                    // Latched: already has its verdict and already left
+                    // the active gauge.
+                    continue;
+                }
+                self.metrics.pairs_active.dec();
+                // Terminal even when never decoded: an eviction must
+                // not silently drop a registered pair. A pair whose
+                // robust decodes blew the erasure budget ends
+                // `Degraded` here, never falsely `Cleared`.
+                self.emit(state.terminal_negative(PairId { upstream, flow: id }));
+            }
+            self.emit(Verdict::Evicted { flow: id, idle });
+        }
+        expired.len()
+    }
+
+    /// A point-in-time snapshot of the engine counters, assembled by
+    /// reading the telemetry registry handles back — the same values
+    /// `/metrics` renders.
+    pub fn stats(&self) -> MonitorStats {
+        let m = &self.metrics;
+        let flows_active = usize::try_from(m.flows_active.get()).unwrap_or(0);
+        let pairs_active = usize::try_from(m.pairs_active.get()).unwrap_or(0);
+        // The incrementally-maintained gauges must agree with the
+        // state they mirror; recompute the truth in debug builds to
+        // catch any missed transition.
+        debug_assert_eq!(flows_active, self.suspects.len());
+        debug_assert_eq!(
+            pairs_active,
+            self.suspects
+                .values()
+                .map(|s| s.pairs.values().filter(|p| !p.resolved).count())
+                .sum::<usize>()
+        );
+        MonitorStats {
+            packets_ingested: m.packets_ingested.get(),
+            packets_rejected: m.packets_rejected.get(),
+            flows_active,
+            flows_evicted: m.flows_evicted.get(),
+            pairs_active,
+            pairs_latched: m.pairs_latched.get(),
+            decodes_run: m.decodes_run.get(),
+            decodes_screened: m.decodes_screened.get(),
+            queue_depths: Vec::new(),
+            decode_panics: m.decode_panics.get(),
+            verdicts_emitted: m.verdicts_emitted(),
+        }
+    }
+
+    /// Flushes and shuts down: runs one final decode for every pair
+    /// with undecoded packets, plus any decode still postponed,
+    /// resolves every remaining pair to a terminal verdict, and returns
+    /// the undrained verdicts plus a final stats snapshot.
+    pub fn finish(mut self) -> MonitorReport {
+        // Final decode for every unresolved pair that has data beyond
+        // its last decode (or was never decoded at all), in flow order.
+        let mut flows: Vec<FlowId> = self.suspects.keys().copied().collect();
+        flows.sort_unstable();
+        for flow in flows {
+            let Some(suspect) = self.suspects.get_mut(&flow) else {
+                continue;
+            };
+            let mut due = Vec::new();
+            for (&upstream, correlator) in &self.upstreams {
+                let Some(state) = suspect.pairs.get_mut(&upstream) else {
+                    continue;
+                };
+                if state.resolved
+                    || suspect.window.len() < min_window(&self.config, correlator)
+                    || state.decoded_through >= suspect.window.pushed()
+                {
+                    continue;
+                }
+                if state.screen(correlator, &suspect.window) {
+                    due.push(upstream);
+                } else {
+                    self.metrics.decodes_screened.inc();
+                }
+            }
+            let pushed = suspect.window.pushed();
+            self.decode_boundary(flow, pushed, &due);
+            self.decode_postponed(flow);
+        }
+        // Terminal verdicts for everything still undecided, in
+        // deterministic (flow, upstream) order.
+        let mut remaining: Vec<(PairId, Verdict)> = Vec::new();
+        for (&flow, suspect) in &self.suspects {
+            for (&upstream, state) in &suspect.pairs {
+                if !state.resolved {
+                    // The degradation ladder applies to the shutdown
+                    // sweep too: budget-blown pairs end `Degraded`.
+                    let pair = PairId { upstream, flow };
+                    remaining.push((pair, state.terminal_negative(pair)));
                 }
             }
         }
-        supervisor.respawn_due(false);
+        remaining.sort_unstable_by_key(|&(pair, _)| (pair.flow, pair.upstream));
+        for (_, verdict) in remaining {
+            self.emit(verdict);
+        }
+        let stats = self.stats();
+        MonitorReport {
+            verdicts: self.verdicts.drain(..).collect(),
+            stats,
+        }
     }
 
-    /// Applies one completed decode to its pair.
-    fn absorb(&mut self, done: Completion) {
-        let Completion {
-            pair,
-            outcome,
-            pushed,
-        } = done;
-        let state = match self.suspects.get_mut(&pair.flow) {
-            Some(s) => s.pairs.get_mut(&pair.upstream),
-            None => None,
-        };
-        let Some(outcome) = outcome else {
-            // Answered without a decode: the pair latched on an earlier
-            // job, so its verdict is out and the job only releases it.
-            if let Some(state) = state {
-                state.in_flight = state.in_flight.saturating_sub(1);
-                state.decodes += 1;
-            }
+    /// Decodes `flow`'s pairs that have reached a decode boundary,
+    /// after screening each one. Between boundaries this is a single
+    /// comparison against the flow's `next_due`.
+    fn decode_due(&mut self, flow: FlowId) {
+        let Some(suspect) = self.suspects.get_mut(&flow) else {
             return;
         };
+        let pushed = suspect.window.pushed();
+        if pushed < suspect.next_due {
+            return;
+        }
+        let batch = self.config.decode_batch as u64;
+        let mut next_due = u64::MAX;
+        let mut due = Vec::new();
+        for (&upstream, correlator) in &self.upstreams {
+            let state = match suspect.pairs.entry(upstream) {
+                btree_map::Entry::Vacant(entry) => {
+                    // A fresh pair enters the active gauge (PairState
+                    // defaults to unresolved).
+                    self.metrics.pairs_active.inc();
+                    entry.insert(PairState::default())
+                }
+                btree_map::Entry::Occupied(entry) => entry.into_mut(),
+            };
+            if state.resolved {
+                continue;
+            }
+            let due_at = state.due_at(&suspect.window, min_window(&self.config, correlator), batch);
+            if due_at > pushed {
+                next_due = next_due.min(due_at);
+                continue;
+            }
+            if state.screen(correlator, &suspect.window) {
+                due.push(upstream);
+            } else {
+                self.metrics.decodes_screened.inc();
+            }
+            next_due = next_due.min(pushed.saturating_add(batch));
+        }
+        suspect.next_due = next_due;
+        self.decode_boundary(flow, pushed, &due);
+    }
+
+    /// Runs the postponed decodes of `flow`'s pairs that still have to
+    /// run (see [`PairState::take_postponed`]), each on the window
+    /// prefix its boundary saw. Runs while the window has never
+    /// evicted: in the shutdown flush, before the first eviction, and
+    /// at idle eviction.
+    fn decode_postponed(&mut self, flow: FlowId) {
+        let Some(suspect) = self.suspects.get_mut(&flow) else {
+            return;
+        };
+        let mut due: Vec<(u64, UpstreamId)> = suspect
+            .pairs
+            .iter_mut()
+            .filter_map(|(&upstream, state)| Some((state.take_postponed()?, upstream)))
+            .collect();
+        due.sort_unstable();
+        for boundary in due.chunk_by(|a, b| a.0 == b.0) {
+            let upstreams: Vec<UpstreamId> = boundary.iter().map(|&(_, up)| up).collect();
+            self.decode_boundary(flow, boundary[0].0, &upstreams);
+        }
+    }
+
+    /// Decodes the `upstreams` pairs of `flow`'s boundary at push count
+    /// `pushed`, all on one snapshot of the packets the window held
+    /// then — the whole window for the current boundary, else a prefix
+    /// of a window that has never evicted — and folds each outcome into
+    /// its pair.
+    fn decode_boundary(&mut self, flow: FlowId, pushed: u64, upstreams: &[UpstreamId]) {
+        if upstreams.is_empty() {
+            return;
+        }
+        let Some(suspect) = self.suspects.get(&flow) else {
+            return;
+        };
+        let window = &suspect.window;
+        debug_assert!(pushed == window.pushed() || window.evicted() == 0);
+        let snapshot = window.prefix(pushed.saturating_sub(window.evicted()) as usize);
+        for &upstream in upstreams {
+            let pair = PairId { upstream, flow };
+            let fault = self.next_fault(pair);
+            let Some(correlator) = self.upstreams.get(&upstream) else {
+                continue;
+            };
+            let outcome = decode(&self.metrics, correlator, &snapshot, fault);
+            self.absorb(pair, pushed, &outcome);
+        }
+    }
+
+    /// Consults the fault hook, if one is installed, for the next
+    /// decode. Sequence numbers count decodes in the order they run.
+    fn next_fault(&mut self, pair: PairId) -> DecodeFault {
+        let Some(hook) = &self.config.fault_hook else {
+            return DecodeFault::None;
+        };
+        let seq = self.decode_seq;
+        self.decode_seq += 1;
+        hook.fault(seq, pair)
+    }
+
+    /// Folds the decode of `pair`'s boundary at push count `pushed`
+    /// into the pair's state; a correlating decode latches the pair and
+    /// emits its `Correlated` verdict.
+    fn absorb(&mut self, pair: PairId, pushed: u64, outcome: &Correlation) {
         if let Some(r) = outcome.robust {
             self.metrics.decode_erasures.add(u64::from(r.erasures));
         }
-        if let Some(state) = state {
-            state.in_flight = state.in_flight.saturating_sub(1);
-            state.record(pushed, outcome.hamming);
-            state.note_robust(pushed, &outcome);
-            if outcome.correlated && !state.resolved {
-                state.resolved = true;
-                self.metrics.pairs_latched.inc();
-                // Latched pairs stop being candidates.
-                self.metrics.pairs_active.dec();
-                self.emit(Verdict::Correlated {
-                    pair,
-                    hamming: outcome.hamming.unwrap_or(0),
-                    cost: outcome.cost + outcome.matching_cost,
-                });
-            }
-        } else if let Some(state) = self.orphans.get_mut(&pair) {
-            // The flow was evicted mid-decode: the pair's last
-            // completion, or its first correlating one, is its terminal
-            // word. (The pair left the active gauge when its flow was
-            // evicted.)
-            state.in_flight = state.in_flight.saturating_sub(1);
-            state.record(pushed, outcome.hamming);
-            state.note_robust(pushed, &outcome);
-            if !outcome.correlated && state.in_flight > 0 {
-                return;
-            }
-            let Some(state) = self.orphans.remove(&pair) else {
-                return;
-            };
-            if outcome.correlated {
-                self.metrics.pairs_latched.inc();
-                self.emit(Verdict::Correlated {
-                    pair,
-                    hamming: outcome.hamming.unwrap_or(0),
-                    cost: outcome.cost + outcome.matching_cost,
-                });
-            } else {
-                self.emit(state.terminal_negative(pair));
-            }
+        let Some(state) = self
+            .suspects
+            .get_mut(&pair.flow)
+            .and_then(|s| s.pairs.get_mut(&pair.upstream))
+        else {
+            return;
+        };
+        state.decoded_through = state.decoded_through.max(pushed);
+        state.record(pushed, outcome.hamming);
+        state.note_robust(pushed, outcome);
+        if outcome.correlated && !state.resolved {
+            state.resolved = true;
+            self.metrics.pairs_latched.inc();
+            // Latched pairs stop being candidates.
+            self.metrics.pairs_active.dec();
+            self.emit(Verdict::Correlated {
+                pair,
+                hamming: outcome.hamming.unwrap_or(0),
+                cost: outcome.cost + outcome.matching_cost,
+            });
         }
-    }
-
-    /// `true` while any pair still has a queued or running decode.
-    fn any_in_flight(&self) -> bool {
-        !self.orphans.is_empty()
-            || self
-                .suspects
-                .values()
-                .any(|s| s.pairs.values().any(|p| p.in_flight > 0))
     }
 
     /// The single choke point through which the verdict queue grows.
@@ -337,619 +593,70 @@ impl Control {
             Verdict::Evicted { .. } | Verdict::Degraded { .. } => None,
         };
         if let Some((upstream, correlated)) = attributed {
-            if let Some(&backend) = self.backends.get(&upstream) {
-                self.metrics.count_backend_verdict(backend, correlated);
+            if let Some(correlator) = self.upstreams.get(&upstream) {
+                self.metrics
+                    .count_backend_verdict(correlator.backend(), correlated);
             }
         }
         self.verdicts.push_back(verdict);
     }
 }
 
-/// The online multi-flow correlation engine.
-///
-/// A `Monitor` owns a pool of decode worker threads ("shards"). The
-/// caller registers watermarked upstream flows once, then feeds a
-/// time-ordered stream of `(FlowId, Packet)` events through
-/// [`ingest`](Monitor::ingest); the engine windows each suspicious
-/// flow, schedules (upstream, suspicious) pair decodes onto the shard
-/// owning the pair, and surfaces results through
-/// [`drain_verdicts`](Monitor::drain_verdicts). Every batch boundary
-/// is decoded: when a shard queue is full, ingest blocks, absorbing
-/// completions while it waits, so which windows are decoded — and
-/// therefore every terminal verdict — depends only on the event stream.
-///
-/// # Fault tolerance
-///
-/// A worker panic during a decode is contained: the panic is caught,
-/// counted in [`MonitorStats::worker_panics`], and reported as a
-/// failed (non-correlating) decode, so the owning pair still resolves
-/// to a terminal verdict instead of wedging [`finish`](Monitor::finish).
-///
-/// A panic that kills the worker thread outright is survived: the
-/// supervisor respawns the shard's worker with capped exponential
-/// backoff ([`MonitorStats::worker_restarts`]), the job that died with
-/// the worker is accounted ([`MonitorStats::jobs_lost`]) and its pair
-/// released to retry, and queued jobs survive because the queue's
-/// receiving side outlives the worker. An optional watchdog
-/// ([`MonitorConfig::stall_timeout`]) flags wedged shards, whose pairs
-/// are degraded instead of scheduled or waited on. Every such giving-up
-/// is an explicit [`Verdict::Degraded`] — the engine never silently
-/// drops a registered pair.
-///
-/// See the [crate docs](crate) for an end-to-end example.
-pub struct Monitor {
-    config: MonitorConfig,
-    upstreams: BTreeMap<UpstreamId, Arc<BoundCorrelator>>,
-    control: Control,
-    shards: Vec<ShardSender<DecodeJob>>,
-    /// Gauge handles outliving `shards`, so the final stats snapshot in
-    /// [`finish`](Monitor::finish) still sees per-shard depths/drops
-    /// after the senders are dropped to release the workers.
-    gauges: Vec<ShardGauges>,
-    done_rx: Receiver<WorkerEvent>,
-    /// Owns worker threads and restart policy. Declared after `shards`
-    /// and `done_rx` so that on a plain drop the senders and the done
-    /// receiver go first, letting workers exit before the supervisor's
-    /// drop joins them.
-    supervisor: Supervisor,
-    /// Accepted packets since start, kept as a plain integer purely to
-    /// pace the idle-eviction sweep without summing counter stripes.
-    sweep_tick: u64,
-    /// Flows tracked so far: the next [`Suspect::instance`].
-    flows_tracked: u64,
+/// Panic payload for an injected decode panic — unwinding with
+/// `resume_unwind` keeps the default panic hook (and its backtrace
+/// spew) out of scheduled chaos.
+struct InjectedPanic;
+
+/// Decodes `window` against `correlator`, timed into the
+/// decode-latency histograms, with panic containment; an injected
+/// [`DecodeFault::Panic`] fires inside the containment.
+fn decode(
+    metrics: &EngineMetrics,
+    correlator: &BoundCorrelator,
+    window: &Flow,
+    fault: DecodeFault,
+) -> Correlation {
+    span!(metrics.registry.spans(), "decode");
+    let backend_latency: &Histogram = &metrics.backend_decode_latency[correlator.backend().index()];
+    let mode_latency: &Histogram = &metrics.mode_decode_latency[correlator.decode_mode().index()];
+    metrics.decodes_run.inc();
+    time!(metrics.decode_latency, {
+        time!(backend_latency, {
+            time!(mode_latency, {
+                run_contained(
+                    || {
+                        if fault == DecodeFault::Panic {
+                            // Quiet unwind, caught by the containment.
+                            std::panic::resume_unwind(Box::new(InjectedPanic));
+                        }
+                        correlator.correlate(window)
+                    },
+                    &metrics.decode_panics,
+                )
+            })
+        })
+    })
 }
 
-impl Monitor {
-    /// Creates an engine and spawns its shard workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sizing field of `config` is zero or a worker
-    /// thread cannot be spawned.
-    pub fn new(config: MonitorConfig) -> Self {
-        config.validate();
-        let registry = config
-            .registry
-            .clone()
-            .unwrap_or_else(|| Arc::new(Registry::new()));
-        let metrics = Arc::new(EngineMetrics::new(registry));
-        // The done channel is intentionally unbounded: its occupancy is
-        // bounded by construction — at most (queue_capacity + 1) jobs
-        // per shard are ever in flight, each contributing one
-        // completion (or one death notice), and the control side drains
-        // on every ingest.
-        // lint: allow(bounded_queue) occupancy bounded by shards * (queue_capacity + 1) in-flight jobs
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<WorkerEvent>();
-        let mut shards = Vec::with_capacity(config.shards);
-        let mut receivers = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let (tx, rx) = shard_queue::<DecodeJob>(config.queue_capacity);
-            shards.push(tx);
-            receivers.push(rx);
+/// Runs one decode with panic containment: a panicking decode is
+/// counted and mapped to a failed outcome — not correlated, no
+/// watermark, flagged incomplete — so ingest carries on and the pair
+/// still resolves. `AssertUnwindSafe` is sound because the closure only
+/// reads state the caller consumes afterwards and writes nothing
+/// shared.
+fn run_contained(decode: impl FnOnce() -> Correlation, panics: &Counter) -> Correlation {
+    std::panic::catch_unwind(AssertUnwindSafe(decode)).unwrap_or_else(|_| {
+        panics.inc();
+        Correlation {
+            correlated: false,
+            hamming: None,
+            best: None,
+            cost: 0,
+            matching_cost: 0,
+            completed: false,
+            robust: None,
         }
-        let gauges: Vec<ShardGauges> = shards.iter().map(ShardSender::gauges).collect();
-        for (shard, shard_gauges) in gauges.iter().enumerate() {
-            metrics.register_shard(shard, shard_gauges);
-        }
-        let supervisor = Supervisor::new(
-            &config,
-            Arc::clone(&metrics),
-            receivers,
-            gauges.clone(),
-            done_tx,
-        );
-        Monitor {
-            config,
-            upstreams: BTreeMap::new(),
-            control: Control::new(metrics),
-            shards,
-            gauges,
-            done_rx,
-            supervisor,
-            sweep_tick: 0,
-            flows_tracked: 0,
-        }
-    }
-
-    /// The telemetry registry this engine publishes into — hand it to a
-    /// [`MetricsServer`](stepstone_telemetry::MetricsServer) to expose
-    /// the engine's counters, queue gauges, and decode-latency
-    /// histogram over HTTP.
-    #[must_use]
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.control.metrics.registry)
-    }
-
-    /// Registers a watermarked upstream flow. Every tracked suspicious
-    /// flow — current and future — becomes a candidate pair with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already registered.
-    pub fn register_upstream(&mut self, id: UpstreamId, correlator: BoundCorrelator) {
-        self.control.backends.insert(id, correlator.backend());
-        let previous = self.upstreams.insert(id, Arc::new(correlator));
-        assert!(previous.is_none(), "upstream {id} registered twice");
-        // Tracked flows have no pair with the new upstream yet: their
-        // next packet must walk the upstreams again to create it.
-        for suspect in self.control.suspects.values_mut() {
-            suspect.next_due = 0;
-        }
-    }
-
-    /// Feeds one packet of suspicious flow `flow` into the engine.
-    /// Returns `true` if the packet was accepted into the flow's
-    /// window; `false` if it was rejected as out-of-order (counted in
-    /// [`MonitorStats::packets_rejected`]).
-    ///
-    /// Blocks while a decode this packet schedules meets a full shard
-    /// queue, absorbing completions until the shard's worker frees a
-    /// slot; nothing is dropped.
-    pub fn ingest(&mut self, flow: FlowId, packet: Packet) -> bool {
-        self.control.pump(&self.done_rx, &mut self.supervisor);
-        self.control.clock = Some(match self.control.clock {
-            Some(t) if t >= packet.timestamp() => t,
-            _ => packet.timestamp(),
-        });
-        let window_capacity = self.config.window_capacity;
-        // `metrics` and `suspects` are disjoint fields of `control`,
-        // so the closure can bump the gauge exactly when the entry is
-        // inserted — no second map lookup on the hot path.
-        let metrics = &self.control.metrics;
-        let flows_tracked = &mut self.flows_tracked;
-        let mut suspect = self.control.suspects.entry(flow).or_insert_with(|| {
-            metrics.flows_active.inc();
-            *flows_tracked += 1;
-            Suspect {
-                window: SlidingWindow::new(window_capacity),
-                pairs: BTreeMap::new(),
-                next_due: 0,
-                instance: *flows_tracked,
-            }
-        });
-        if suspect.window.is_full() && suspect.window.evicted() == 0 {
-            // This push may be the window's first eviction: decodes
-            // postponed on its prefix must run while it is whole.
-            self.submit_postponed(flow);
-            let Some(refetched) = self.control.suspects.get_mut(&flow) else {
-                return false;
-            };
-            suspect = refetched;
-        }
-        if suspect.window.push(packet).is_err() {
-            self.control.metrics.packets_rejected.inc();
-            return false;
-        }
-        self.control.metrics.packets_ingested.inc();
-        // A plain local tick, not `packets_ingested.get()`: summing the
-        // counter stripes on every packet is measurable at line rate.
-        self.sweep_tick = self.sweep_tick.wrapping_add(1);
-        self.schedule_pairs(flow);
-        if self.config.idle_timeout.is_some() && self.sweep_tick.is_multiple_of(EVICT_SWEEP_EVERY) {
-            if let Some(now) = self.control.clock {
-                self.evict_idle(now);
-            }
-        }
-        true
-    }
-
-    /// Moves verdicts emitted since the last drain to the caller,
-    /// oldest first. Non-blocking.
-    pub fn drain_verdicts(&mut self) -> Vec<Verdict> {
-        self.control.pump(&self.done_rx, &mut self.supervisor);
-        self.control.verdicts.drain(..).collect()
-    }
-
-    /// Evicts suspicious flows idle longer than the configured timeout
-    /// as of stream time `now`, emitting `Evicted` (and terminal
-    /// `Cleared`) verdicts. Returns the number of flows evicted.
-    /// No-op when no idle timeout is configured.
-    pub fn evict_idle(&mut self, now: Timestamp) -> usize {
-        let Some(timeout) = self.config.idle_timeout else {
-            return 0;
-        };
-        // Clone the registry handle so the span guard borrows a local,
-        // not `self.control` (which `emit` below needs mutably).
-        let registry = Arc::clone(&self.control.metrics.registry);
-        span!(registry.spans(), "evict_sweep");
-        let mut expired: Vec<(FlowId, stepstone_flow::TimeDelta)> = self
-            .control
-            .suspects
-            .iter()
-            .filter_map(|(&id, s)| {
-                let idle = s.window.idle_since(now)?;
-                (idle > timeout).then_some((id, idle))
-            })
-            .collect();
-        // Flow order, not the registry's hash order, so the verdicts
-        // come out the same on every run.
-        expired.sort_unstable_by_key(|&(id, _)| id);
-        for &(id, idle) in &expired {
-            self.submit_postponed(id);
-            let Some(suspect) = self.control.suspects.remove(&id) else {
-                continue;
-            };
-            self.control.metrics.flows_evicted.inc();
-            self.control.metrics.flows_active.dec();
-            for (upstream, state) in suspect.pairs {
-                let pair = PairId { upstream, flow: id };
-                if state.resolved {
-                    // Already has its terminal verdict (latched or
-                    // degraded) and already left the active gauge.
-                    continue;
-                }
-                // Non-resolved pairs leave the active gauge with their
-                // flow.
-                self.control.metrics.pairs_active.dec();
-                if state.in_flight > 0 {
-                    // Let the in-flight decodes resolve the pair.
-                    self.control.orphans.insert(pair, state);
-                } else {
-                    // Terminal even when never decoded: an eviction
-                    // must not silently drop a registered pair. A pair
-                    // whose robust decodes blew the erasure budget ends
-                    // `Degraded` here, never falsely `Cleared`.
-                    self.control.emit(state.terminal_negative(pair));
-                }
-            }
-            self.control.emit(Verdict::Evicted { flow: id, idle });
-        }
-        expired.len()
-    }
-
-    /// A point-in-time snapshot of the engine counters, assembled by
-    /// reading the telemetry registry handles back — the same values
-    /// `/metrics` renders.
-    pub fn stats(&self) -> MonitorStats {
-        let m = &self.control.metrics;
-        let flows_active = usize::try_from(m.flows_active.get()).unwrap_or(0);
-        let pairs_active = usize::try_from(m.pairs_active.get()).unwrap_or(0);
-        // The incrementally-maintained gauges must agree with the
-        // control state they mirror; recompute the truth in debug
-        // builds to catch any missed transition.
-        debug_assert_eq!(flows_active, self.control.suspects.len());
-        debug_assert_eq!(
-            pairs_active,
-            self.control
-                .suspects
-                .values()
-                .map(|s| s.pairs.values().filter(|p| !p.resolved).count())
-                .sum::<usize>()
-        );
-        MonitorStats {
-            packets_ingested: m.packets_ingested.get(),
-            packets_rejected: m.packets_rejected.get(),
-            flows_active,
-            flows_evicted: m.flows_evicted.get(),
-            pairs_active,
-            pairs_latched: m.pairs_latched.get(),
-            decodes_scheduled: m.decodes_scheduled.get(),
-            decodes_run: m.decodes_run.get(),
-            decodes_answered: m.decodes_answered.get(),
-            decodes_screened: m.decodes_screened.get(),
-            decodes_dropped: self.gauges.iter().map(ShardGauges::dropped).sum(),
-            queue_depths: self.gauges.iter().map(ShardGauges::depth).collect(),
-            queue_enqueued: self.gauges.iter().map(ShardGauges::enqueued).sum(),
-            queue_dequeued: self.gauges.iter().map(ShardGauges::dequeued).sum(),
-            worker_panics: m.worker_panics.get(),
-            worker_restarts: m.worker_restarts.get(),
-            jobs_lost: m.jobs_lost.get(),
-            verdicts_emitted: m.verdicts_emitted(),
-        }
-    }
-
-    /// Flushes and shuts down: runs one final decode for every pair
-    /// with undecoded packets, plus any decode still postponed, joins
-    /// the workers, resolves every remaining pair to a terminal
-    /// verdict, and returns the undrained verdicts plus a final stats
-    /// snapshot.
-    ///
-    /// Downed shards are respawned immediately (no backoff) so their
-    /// queued work drains; shards the watchdog flags as stalled get
-    /// `Degraded` verdicts for their pending pairs instead of more work.
-    pub fn finish(mut self) -> MonitorReport {
-        // Bring every downed shard back first: the drain below needs
-        // someone to work the queues.
-        self.control.pump(&self.done_rx, &mut self.supervisor);
-        self.supervisor.respawn_due(true);
-        // Let in-flight decodes land first: a pair whose last decode
-        // covered only a prefix must still get its full-window flush
-        // decode below, and an in-flight completion may latch the pair
-        // and make that flush unnecessary. Workers cannot wedge this
-        // loop: every accepted job produces a completion even when the
-        // decode panics (see supervisor::worker_loop), a dead worker is
-        // respawned without backoff, and a stalled shard's pairs are
-        // abandoned as `Degraded` once the grace period lapses.
-        let drain_started = Instant::now();
-        loop {
-            self.control.pump(&self.done_rx, &mut self.supervisor);
-            self.supervisor.respawn_due(true);
-            if !self.control.any_in_flight() {
-                break;
-            }
-            if let Some(timeout) = self.config.stall_timeout {
-                if self.supervisor.any_stalled() && drain_started.elapsed() > timeout * 2 {
-                    self.abandon_stalled();
-                }
-            }
-            std::thread::yield_now();
-        }
-        // Final decode for every unresolved pair that has data beyond
-        // its last decode (or was never decoded at all), in flow order:
-        // a shard's completions, and so the `Correlated` verdicts they
-        // latch, follow the order of submission.
-        let mut flows: Vec<FlowId> = self.control.suspects.keys().copied().collect();
-        flows.sort_unstable();
-        for flow in flows {
-            let Some(suspect) = self.control.suspects.get_mut(&flow) else {
-                continue;
-            };
-            let mut jobs = Vec::new();
-            for (&upstream, correlator) in &self.upstreams {
-                let Some(state) = suspect.pairs.get_mut(&upstream) else {
-                    continue;
-                };
-                if state.resolved
-                    || state.in_flight > 0
-                    || suspect.window.len() < min_window(&self.config, correlator)
-                    || state.decoded_through >= suspect.window.pushed()
-                {
-                    continue;
-                }
-                if state.screen(correlator, &suspect.window) {
-                    jobs.push((upstream, Arc::clone(correlator)));
-                } else {
-                    self.control.metrics.decodes_screened.inc();
-                }
-            }
-            // A push error means the shard's receiver is gone —
-            // impossible while the supervisor holds it, but if it ever
-            // happens the pair still resolves through the terminal
-            // sweep below.
-            let pushed = suspect.window.pushed();
-            self.submit(flow, pushed, jobs);
-            self.submit_postponed(flow);
-        }
-        // Closing the job channels lets workers drain and exit; the
-        // supervisor joins them, respawning as needed until every
-        // queue is verifiably empty.
-        self.shards.clear();
-        self.supervisor.drain_to_exit();
-        self.control.pump(&self.done_rx, &mut self.supervisor);
-        debug_assert!(
-            self.control.orphans.is_empty(),
-            "all in-flight decodes resolved"
-        );
-        // Terminal verdicts for everything still undecided, in
-        // deterministic (flow, upstream) order.
-        let mut remaining: Vec<(FlowId, UpstreamId, PairState)> = Vec::new();
-        for (&flow, suspect) in &self.control.suspects {
-            for (&upstream, state) in &suspect.pairs {
-                if !state.resolved {
-                    remaining.push((flow, upstream, state.clone()));
-                }
-            }
-        }
-        remaining.sort_by_key(|&(flow, upstream, _)| (flow, upstream));
-        for (flow, upstream, state) in remaining {
-            // The degradation ladder applies to the shutdown sweep too:
-            // budget-blown pairs end `Degraded`, not `Cleared`.
-            self.control
-                .emit(state.terminal_negative(PairId { upstream, flow }));
-        }
-        let stats = self.stats();
-        MonitorReport {
-            verdicts: self.control.verdicts.drain(..).collect(),
-            stats,
-        }
-    }
-
-    /// Resolves every pending pair pinned to a stalled shard with a
-    /// `Degraded` verdict, releasing the shutdown drain from waiting on
-    /// a wedged worker. Idempotent: abandoned pairs are `resolved`, and
-    /// a completion that arrives late for one is counted but not
-    /// re-emitted.
-    fn abandon_stalled(&mut self) {
-        let shard_count = self.shards.len() as u64;
-        let mut victims: Vec<PairId> = Vec::new();
-        for (&flow, suspect) in &self.control.suspects {
-            for (&upstream, state) in &suspect.pairs {
-                let pair = PairId { upstream, flow };
-                let shard = (pair.shard_hash() % shard_count) as usize;
-                if state.in_flight > 0 && !state.resolved && self.supervisor.is_stalled(shard) {
-                    victims.push(pair);
-                }
-            }
-        }
-        for pair in victims {
-            if let Some(state) = self
-                .control
-                .suspects
-                .get_mut(&pair.flow)
-                .and_then(|s| s.pairs.get_mut(&pair.upstream))
-            {
-                state.in_flight = 0;
-                state.resolved = true;
-            }
-            self.control.metrics.pairs_active.dec();
-            self.control.emit(Verdict::Degraded {
-                pair,
-                reason: DegradeReason::Stalled,
-            });
-        }
-        let orphaned: Vec<PairId> = self
-            .control
-            .orphans
-            .keys()
-            .copied()
-            .filter(|pair| {
-                let shard = (pair.shard_hash() % shard_count) as usize;
-                self.supervisor.is_stalled(shard)
-            })
-            .collect();
-        for pair in orphaned {
-            self.control.orphans.remove(&pair);
-            self.control.emit(Verdict::Degraded {
-                pair,
-                reason: DegradeReason::Stalled,
-            });
-        }
-    }
-
-    /// Emits a terminal `Stalled` verdict for a live, unresolved pair.
-    fn degrade_stalled(&mut self, pair: PairId) {
-        let Some(state) = self
-            .control
-            .suspects
-            .get_mut(&pair.flow)
-            .and_then(|s| s.pairs.get_mut(&pair.upstream))
-        else {
-            return;
-        };
-        if state.resolved {
-            return;
-        }
-        state.resolved = true;
-        self.control.metrics.pairs_active.dec();
-        self.control.emit(Verdict::Degraded {
-            pair,
-            reason: DegradeReason::Stalled,
-        });
-    }
-
-    /// Schedules decodes for `flow`'s pairs that have reached a decode
-    /// boundary, after screening each one. Between boundaries this is a
-    /// single comparison against the flow's `next_due`.
-    fn schedule_pairs(&mut self, flow: FlowId) {
-        let Some(suspect) = self.control.suspects.get_mut(&flow) else {
-            return;
-        };
-        let pushed = suspect.window.pushed();
-        if pushed < suspect.next_due {
-            return;
-        }
-        let batch = self.config.decode_batch as u64;
-        let mut next_due = u64::MAX;
-        let mut jobs = Vec::new();
-        for (&upstream, correlator) in &self.upstreams {
-            let state = match suspect.pairs.entry(upstream) {
-                btree_map::Entry::Vacant(entry) => {
-                    // A fresh pair enters the active gauge (PairState
-                    // defaults to unresolved).
-                    self.control.metrics.pairs_active.inc();
-                    entry.insert(PairState::default())
-                }
-                btree_map::Entry::Occupied(entry) => entry.into_mut(),
-            };
-            if state.resolved {
-                continue;
-            }
-            let due = state.due_at(&suspect.window, min_window(&self.config, correlator), batch);
-            // A boundary is never skipped for an in-flight decode:
-            // multiple jobs for one pair may queue, and `absorb`
-            // tolerates completions in any order.
-            if due > pushed {
-                next_due = next_due.min(due);
-                continue;
-            }
-            if state.screen(correlator, &suspect.window) {
-                jobs.push((upstream, Arc::clone(correlator)));
-            } else {
-                self.control.metrics.decodes_screened.inc();
-            }
-            next_due = next_due.min(pushed.saturating_add(batch));
-        }
-        suspect.next_due = next_due;
-        self.submit(flow, pushed, jobs);
-    }
-
-    /// Schedules the postponed decodes of `flow`'s pairs that still
-    /// have to run (see [`PairState::take_postponed`]), each on the
-    /// window prefix its boundary saw. Runs while the window has never
-    /// evicted: in the shutdown flush, before the first eviction, and
-    /// at idle eviction.
-    fn submit_postponed(&mut self, flow: FlowId) {
-        let Some(suspect) = self.control.suspects.get_mut(&flow) else {
-            return;
-        };
-        let mut due: Vec<(u64, UpstreamId)> = suspect
-            .pairs
-            .iter_mut()
-            .filter_map(|(&upstream, state)| Some((state.take_postponed()?, upstream)))
-            .collect();
-        due.sort_unstable();
-        for boundary in due.chunk_by(|a, b| a.0 == b.0) {
-            let jobs = boundary
-                .iter()
-                .filter_map(|(_, upstream)| {
-                    Some((*upstream, Arc::clone(self.upstreams.get(upstream)?)))
-                })
-                .collect();
-            self.submit(flow, boundary[0].0, jobs);
-        }
-    }
-
-    /// Pushes the jobs of `flow`'s boundary at push count `pushed` onto
-    /// their shards, all sharing one snapshot of the packets the window
-    /// held then: the whole window for the current boundary, else a
-    /// prefix of a window that has never evicted. A full queue blocks
-    /// the push; a pair whose shard the watchdog flags stalled is
-    /// degraded instead of pushed.
-    fn submit(&mut self, flow: FlowId, pushed: u64, jobs: Vec<(UpstreamId, Arc<BoundCorrelator>)>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let Some(suspect) = self.control.suspects.get(&flow) else {
-            return;
-        };
-        let instance = suspect.instance;
-        let window = &suspect.window;
-        debug_assert!(pushed == window.pushed() || window.evicted() == 0);
-        let window = Arc::new(window.prefix(pushed.saturating_sub(window.evicted()) as usize));
-        for (upstream, correlator) in jobs {
-            let pair = PairId { upstream, flow };
-            let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
-            if self.supervisor.is_stalled(shard) {
-                // Scheduling onto a wedged shard would block ingest or
-                // hang the flush; degraded is the honest terminal word.
-                self.degrade_stalled(pair);
-                continue;
-            }
-            let job = DecodeJob {
-                pair,
-                correlator,
-                window: Arc::clone(&window),
-                pushed,
-                instance,
-            };
-            // A full queue blocks instead of dropping, so the decoded
-            // windows are a pure function of the event stream. The pump
-            // callback keeps draining completions so a full queue and
-            // an undrained done stream cannot deadlock — and keeps
-            // respawning dead workers, so the queue is always
-            // eventually drained; the disjoint
-            // `control`/`shards`/`supervisor` borrows make this legal.
-            let sender = &self.shards[shard];
-            let control = &mut self.control;
-            let supervisor = &mut self.supervisor;
-            let done_rx = &self.done_rx;
-            let accepted = sender
-                .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
-                .is_ok();
-            if accepted {
-                self.control.metrics.decodes_scheduled.inc();
-                if let Some(state) = self
-                    .control
-                    .suspects
-                    .get_mut(&flow)
-                    .and_then(|s| s.pairs.get_mut(&upstream))
-                {
-                    state.in_flight += 1;
-                    state.decoded_through = state.decoded_through.max(pushed);
-                }
-            }
-        }
-    }
+    })
 }
 
 /// The window size a pair needs before decoding is worthwhile: a
@@ -972,4 +679,48 @@ fn min_window(config: &MonitorConfig, correlator: &BoundCorrelator) -> usize {
         .min(config.window_capacity)
         .max(config.min_window.min(config.window_capacity))
         .max(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn contained_decode_passes_results_through() {
+        let panics = Counter::new();
+        let ok = Correlation {
+            correlated: true,
+            hamming: Some(1),
+            best: None,
+            cost: 3,
+            matching_cost: 4,
+            completed: true,
+            robust: None,
+        };
+        let got = run_contained(|| ok.clone(), &panics);
+        assert!(got.correlated);
+        assert_eq!(got.hamming, Some(1));
+        assert_eq!(panics.get(), 0);
+    }
+
+    #[test]
+    fn contained_decode_maps_panic_to_failed_outcome() {
+        // Silence the default hook for the intentional panic; restore
+        // it so other tests keep readable failure output.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let panics = Counter::new();
+        let got = run_contained(|| panic!("decode bug"), &panics);
+        std::panic::set_hook(hook);
+        assert!(!got.correlated);
+        assert!(!got.completed);
+        assert_eq!(got.hamming, None);
+        assert_eq!(panics.get(), 1, "panic must be counted exactly once");
+        // A second contained panic keeps counting.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let _ = run_contained(|| panic!("again"), &panics);
+        std::panic::set_hook(hook);
+        assert_eq!(panics.get(), 2);
+    }
 }

@@ -1,11 +1,9 @@
 //! Deterministic fault-injection hooks for the engine.
 //!
-//! A [`FaultHook`] lets a test (or the `stepstone-chaos` crate) direct
-//! the engine's shard workers to misbehave on chosen decodes: panic
-//! inside the containment boundary, kill the whole worker thread, or
-//! sleep before decoding. The hook is consulted once per decode with a
-//! global decode sequence number, so a seed-deterministic schedule maps
-//! cleanly onto it. Production configurations simply leave the hook
+//! A [`FaultHook`] lets a test (or the `stepstone-chaos` crate) make
+//! chosen decodes panic inside the engine's containment boundary. The
+//! hook is consulted once per decode with the engine's decode sequence
+//! number, so a seed-deterministic schedule maps cleanly onto it. Production configurations simply leave the hook
 //! unset — the per-decode cost of an absent hook is one `Option` check.
 
 use std::fmt;
@@ -19,18 +17,10 @@ pub enum DecodeFault {
     /// Run the decode normally.
     #[default]
     None,
-    /// Panic *inside* the worker's containment boundary: the panic is
-    /// caught, counted in `worker_panics`, and reported as a failed
-    /// completion — the worker survives.
+    /// Panic *inside* the decode's containment boundary: the panic is
+    /// caught, counted in `decode_panics`, and folded in as a failed
+    /// decode — ingest carries on.
     Panic,
-    /// Unwind *outside* the containment boundary, killing the worker
-    /// thread. The supervisor notices the death, accounts the job as
-    /// lost, and respawns the worker with capped exponential backoff.
-    KillWorker,
-    /// Sleep this many microseconds before decoding — simulates a slow
-    /// or wedged decode so the watchdog's stall detection has something
-    /// to detect.
-    Sleep(u64),
 }
 
 /// A shared, thread-safe decode-fault oracle: `(decode sequence number,
@@ -41,9 +31,8 @@ pub enum DecodeFault {
 pub struct FaultHook(Arc<dyn Fn(u64, PairId) -> DecodeFault + Send + Sync>);
 
 impl FaultHook {
-    /// Wraps a fault oracle. `seq` is a global (cross-shard) decode
-    /// sequence number assigned in dequeue order; `pair` is the decode's
-    /// pair id.
+    /// Wraps a fault oracle. `seq` numbers the engine's decodes in the
+    /// order they run, from 0; `pair` is the decode's pair id.
     pub fn new(oracle: impl Fn(u64, PairId) -> DecodeFault + Send + Sync + 'static) -> Self {
         FaultHook(Arc::new(oracle))
     }
@@ -69,7 +58,7 @@ mod tests {
     fn hook_routes_by_sequence_number() {
         let hook = FaultHook::new(|seq, _| {
             if seq == 3 {
-                DecodeFault::KillWorker
+                DecodeFault::Panic
             } else {
                 DecodeFault::None
             }
@@ -79,7 +68,7 @@ mod tests {
             flow: FlowId(0),
         };
         assert_eq!(hook.fault(0, pair), DecodeFault::None);
-        assert_eq!(hook.fault(3, pair), DecodeFault::KillWorker);
+        assert_eq!(hook.fault(3, pair), DecodeFault::Panic);
         assert_eq!(format!("{:?}", hook), "FaultHook(..)");
     }
 }

@@ -35,28 +35,6 @@ pub struct PairId {
     pub flow: FlowId,
 }
 
-impl PairId {
-    /// A stable 64-bit hash of the pair, used to place it on a shard.
-    /// FNV-1a over both ids: cheap, deterministic across runs, and
-    /// well-mixed for sequential id spaces.
-    pub fn shard_hash(self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for byte in self
-            .upstream
-            .0
-            .to_le_bytes()
-            .into_iter()
-            .chain(self.flow.0.to_le_bytes())
-        {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
-    }
-}
-
 impl fmt::Display for PairId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.upstream, self.flow)
@@ -74,31 +52,5 @@ mod tests {
             flow: FlowId(17),
         };
         assert_eq!(pair.to_string(), "u3:f17");
-    }
-
-    #[test]
-    fn shard_hash_is_stable_and_spreads() {
-        let a = PairId {
-            upstream: UpstreamId(0),
-            flow: FlowId(0),
-        };
-        let b = PairId {
-            upstream: UpstreamId(0),
-            flow: FlowId(1),
-        };
-        assert_eq!(a.shard_hash(), a.shard_hash());
-        assert_ne!(a.shard_hash(), b.shard_hash());
-        // Sequential flow ids should not all land on one of two shards.
-        let shards: std::collections::HashSet<u64> = (0..64)
-            .map(|i| {
-                PairId {
-                    upstream: UpstreamId(1),
-                    flow: FlowId(i),
-                }
-                .shard_hash()
-                    % 2
-            })
-            .collect();
-        assert_eq!(shards.len(), 2);
     }
 }

@@ -11,12 +11,13 @@
 //! * a **flow registry** with bounded per-flow
 //!   [`SlidingWindow`](stepstone_flow::SlidingWindow)s, so memory stays
 //!   proportional to active flows, not stream length;
-//! * a **sharded worker pool**: candidate (upstream, suspicious) pairs
-//!   are pinned to a shard by pair-id hash, keeping each pair's decodes
-//!   serialized while different pairs decode in parallel;
+//! * **inline decodes**: when a packet brings an (upstream,
+//!   suspicious) pair to a decode boundary, [`Monitor::ingest`] decodes
+//!   the pair's window right there, on the calling thread, so a
+//!   `Correlated` verdict is out before `ingest` returns;
 //! * **incremental scheduling**: a pair is re-decoded each time its
 //!   window accrues [`decode_batch`](MonitorConfig::decode_batch) new
-//!   packets, even while an earlier decode is still in flight;
+//!   packets, until a decode correlates and latches it;
 //! * **decode screening**: at each boundary the backend's
 //!   [`screen`](stepstone_core::CorrelatorBackend::screen) may prove the
 //!   decode's outcome without running it — a strict paper decode whose
@@ -25,16 +26,14 @@
 //!   ([`MonitorStats::decodes_screened`]) instead of decoded. A robust
 //!   pair's latest over-budget decode still runs later, on the same
 //!   packets, since a `Degraded` verdict reports its erasures;
-//! * **blocking backpressure**: shard queues are bounded, and ingest
-//!   blocks on a full one, absorbing completions until its worker frees
-//!   a slot — every boundary is decoded, so the terminal verdicts are a
-//!   function of the event stream alone, not of worker timing;
+//! * **determinism**: the windows decoded, every verdict and the order
+//!   of the verdict stream are functions of the event stream alone;
 //! * a **live verdict stream** ([`Verdict`]) plus a counters snapshot
 //!   ([`MonitorStats`]) for dashboards and tests;
-//! * **supervised degradation**: dead shard workers are respawned with
-//!   capped exponential backoff, lost jobs are accounted, and stalled
-//!   shards are flagged by a watchdog — every giving-up surfaces as an
-//!   explicit [`Verdict::Degraded`], never a silently dropped pair.
+//! * **decode containment**: a panicking decode is caught, counted
+//!   ([`MonitorStats::decode_panics`]) and folded in as a failed
+//!   decode, so ingest carries on and every registered pair still ends
+//!   with exactly one terminal verdict.
 //!
 //! # Example
 //!
@@ -77,16 +76,12 @@ mod engine;
 mod fault;
 mod ids;
 mod metrics;
-#[doc(hidden)]
-pub mod queue;
 mod stats;
-mod supervisor;
 mod verdict;
 
 pub use config::MonitorConfig;
 pub use engine::{Monitor, MonitorReport};
 pub use fault::{DecodeFault, FaultHook};
 pub use ids::{FlowId, PairId, UpstreamId};
-pub use queue::PushError;
 pub use stats::MonitorStats;
 pub use verdict::{DegradeReason, TerminalKind, Verdict};

@@ -14,7 +14,6 @@ use std::sync::Arc;
 use stepstone_core::{BackendKind, DecodeMode};
 use stepstone_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::queue::ShardGauges;
 use crate::verdict::Verdict;
 
 /// The engine's interned metric handles plus the registry they live in.
@@ -32,30 +31,19 @@ pub(crate) struct EngineMetrics {
     pub pairs_active: Arc<Gauge>,
     /// Pairs latched with a `Correlated` verdict.
     pub pairs_latched: Arc<Counter>,
-    /// Decode jobs accepted onto a shard queue.
-    pub decodes_scheduled: Arc<Counter>,
-    /// Decode jobs completed by workers.
+    /// Windows decoded (contained panics included).
     pub decodes_run: Arc<Counter>,
-    /// Of `decodes_run`, jobs answered without decoding because their
-    /// pair had already latched.
-    pub decodes_answered: Arc<Counter>,
     /// Decode boundaries whose outcome the backend's screen proved, so
-    /// no job was scheduled at the boundary.
+    /// no decode ran at the boundary.
     pub decodes_screened: Arc<Counter>,
-    /// Decode panics caught in worker threads.
-    pub worker_panics: Arc<Counter>,
-    /// Shard workers respawned by the supervisor after a death.
-    pub worker_restarts: Arc<Counter>,
-    /// Decode jobs lost with a worker death (dequeued, never completed).
-    pub jobs_lost: Arc<Counter>,
-    /// Shards currently flagged stalled by the watchdog.
-    pub shards_stalled: Arc<Gauge>,
+    /// Decode panics caught by the containment.
+    pub decode_panics: Arc<Counter>,
     /// Verdicts by kind; summed for `verdicts_emitted`.
     pub verdicts_correlated: Arc<Counter>,
     pub verdicts_cleared: Arc<Counter>,
     pub verdicts_evicted: Arc<Counter>,
     pub verdicts_degraded: Arc<Counter>,
-    /// Wall-clock decode latency, recorded by shard workers.
+    /// Wall-clock decode latency, one sample per decode run.
     pub decode_latency: Arc<Histogram>,
     /// Decode latency split by correlator backend, indexed by
     /// [`BackendKind::index`]. Recorded alongside `decode_latency` (the
@@ -100,38 +88,17 @@ impl EngineMetrics {
                 "monitor_pairs_latched_total",
                 "Pairs latched with a Correlated verdict",
             ),
-            // conserve(decode_ledger): decodes_scheduled = decodes_run + jobs_lost
-            decodes_scheduled: r.counter(
-                "monitor_decodes_scheduled_total",
-                "Decode jobs accepted onto a shard queue",
-            ),
             decodes_run: r.counter(
                 "monitor_decodes_run_total",
-                "Decode jobs completed by shard workers",
-            ),
-            decodes_answered: r.counter(
-                "monitor_decodes_answered_total",
-                "Decode jobs completed without decoding because their pair had already latched",
+                "Windows decoded, contained panics included",
             ),
             decodes_screened: r.counter(
                 "monitor_decodes_screened_total",
-                "Decode boundaries resolved by the backend's screen without a decode job",
+                "Decode boundaries resolved by the backend's screen without a decode",
             ),
-            worker_panics: r.counter(
-                "monitor_worker_panics_total",
-                "Decode panics caught in worker threads",
-            ),
-            worker_restarts: r.counter(
-                "monitor_worker_restarts_total",
-                "Shard workers respawned by the supervisor after a death",
-            ),
-            jobs_lost: r.counter(
-                "monitor_jobs_lost_total",
-                "Decode jobs lost with a worker death (dequeued, never completed)",
-            ),
-            shards_stalled: r.gauge(
-                "monitor_shards_stalled",
-                "Shards currently flagged stalled by the watchdog",
+            decode_panics: r.counter(
+                "monitor_decode_panics_total",
+                "Decode panics caught by the containment",
             ),
             verdicts_correlated: r.counter_with(
                 "monitor_verdicts_total",
@@ -224,44 +191,5 @@ impl EngineMetrics {
             + self.verdicts_cleared.get()
             + self.verdicts_evicted.get()
             + self.verdicts_degraded.get()
-    }
-
-    /// Registers render-time callbacks exposing one shard queue's
-    /// accounting (depth gauge, drop counter, enqueued/dequeued
-    /// conservation pair) under a `shard` label. The callbacks own a
-    /// clone of the gauges, so they stay readable after the engine
-    /// drops its senders at shutdown.
-    pub fn register_shard(&self, shard: usize, gauges: &ShardGauges) {
-        let shard_label = shard.to_string();
-        let labels: &[(&str, &str)] = &[("shard", shard_label.as_str())];
-        // conserve(shard_queue): enqueued = dequeued + depth; dropped
-        let g = gauges.clone();
-        self.registry.gauge_fn(
-            "monitor_shard_queue_depth",
-            labels,
-            "Decode jobs sitting unstarted in this shard's queue",
-            move || g.depth() as f64,
-        );
-        let g = gauges.clone();
-        self.registry.counter_fn(
-            "monitor_shard_queue_dropped_total",
-            labels,
-            "Decode jobs rejected because this shard's receiving side was gone",
-            move || g.dropped(),
-        );
-        let g = gauges.clone();
-        self.registry.counter_fn(
-            "monitor_shard_queue_enqueued_total",
-            labels,
-            "Decode jobs accepted onto this shard's queue",
-            move || g.enqueued(),
-        );
-        let g = gauges.clone();
-        self.registry.counter_fn(
-            "monitor_shard_queue_dequeued_total",
-            labels,
-            "Decode jobs handed to this shard's worker",
-            move || g.dequeued(),
-        );
     }
 }

@@ -13,9 +13,9 @@ use crate::ids::{FlowId, PairId};
 /// again. `Cleared` is a terminal negative: the pair's flow ended
 /// (eviction or [`finish`][fin]) without any decode correlating.
 /// `Evicted` reports a suspicious flow dropped for inactivity.
-/// `Degraded` is terminal like `Cleared`, but means the engine could
-/// not decode the pair reliably (worker death, stalled shard, load
-/// shedding) — see [`DegradeReason`].
+/// `Degraded` is terminal like `Cleared`, but means the pair could not
+/// be decoded reliably (a blown erasure budget, or a cluster worker
+/// process lost) — see [`DegradeReason`].
 ///
 /// [fin]: crate::Monitor::finish
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,12 +64,9 @@ pub enum Verdict {
 /// Why a pair's verdict is [`Verdict::Degraded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
-    /// The pair's decode was lost when its shard worker died; the pair
-    /// had no later chance to decode.
+    /// The cluster worker process hosting the pair died without
+    /// reporting a verdict for it; the coordinator backfills this one.
     WorkerLost,
-    /// The pair's shard was flagged stalled by the watchdog and its
-    /// pending work was abandoned at shutdown.
-    Stalled,
     /// Under `--decode robust` the pair's erasure demand exceeded the
     /// configured budget: too many upstream packets had no downstream
     /// candidate for the decode to vouch for a clean negative. The
@@ -88,7 +85,6 @@ impl fmt::Display for DegradeReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DegradeReason::WorkerLost => f.write_str("worker lost"),
-            DegradeReason::Stalled => f.write_str("shard stalled"),
             DegradeReason::ErasureBudget {
                 erasures,
                 confidence,
@@ -104,7 +100,7 @@ impl fmt::Display for DegradeReason {
 ///
 /// The Hamming distance and decode count attached to a [`Verdict`]
 /// record how the engine reached it — which boundaries it decoded, and
-/// any worker fault on the way — so they can differ between engine
+/// any decode fault on the way — so they can differ between engine
 /// configurations over the same corpus; the terminal class is the
 /// outcome (the streaming≡batch property tests pin it). Anything that
 /// persists or compares verdicts across runs — session snapshots, the

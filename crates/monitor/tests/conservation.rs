@@ -1,22 +1,9 @@
-//! Satellite property: shard-queue drop-counter conservation.
-//!
-//! Every decode attempt either lands on a shard queue (`enqueued`),
-//! or is rejected and counted (`dropped`); everything enqueued is
-//! eventually handed to a worker (`dequeued`) or still sitting in the
-//! queue (`depth`). After [`Monitor::finish`] the queues are drained
-//! and the senders dropped, so the books must balance exactly:
-//!
-//! ```text
-//! enqueued == dequeued + Σ depth      (and Σ depth == 0)
-//! decodes_scheduled == enqueued
-//! decodes_run == dequeued
-//! ```
-//!
-//! The same numbers are exposed per shard on the telemetry registry as
-//! `monitor_shard_queue_{enqueued,dequeued,dropped}_total` and
-//! `monitor_shard_queue_depth`, so the test also re-derives the totals
-//! from the rendered `/metrics` text and checks they agree with the
-//! [`MonitorStats`] snapshot.
+//! Decode-count agreement: every window the engine decodes is one
+//! `decodes_run`, one sample in the `monitor_decode_latency_micros`
+//! histogram and one unit of the rendered `monitor_decodes_run_total`,
+//! and every candidate pair ends with exactly one terminal verdict.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -63,10 +50,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn queue_books_balance_at_shutdown(
+    fn decode_counts_agree_at_shutdown(
         flow_seed in 0u64..5000,
-        shards in 1usize..4,
-        queue_capacity in 1usize..3,
         decode_batch in 1usize..8,
         flows in 1usize..4,
     ) {
@@ -81,14 +66,11 @@ proptest! {
             Algorithm::GreedyPlus,
         );
 
-        // Tiny queues + small batches force backpressure drops, the
-        // regime where sloppy accounting would show.
+        // Small batches decode often, so a miscounted path would show.
         let mut monitor = Monitor::new(
             MonitorConfig::default()
                 .with_window_capacity(marked.len())
-                .with_decode_batch(decode_batch)
-                .with_queue_capacity(queue_capacity)
-                .with_shards(shards),
+                .with_decode_batch(decode_batch),
         );
         monitor
             .register_upstream(UpstreamId(0), correlator.bind(&original, &marked).unwrap());
@@ -101,83 +83,23 @@ proptest! {
         let report = monitor.finish();
         let stats = &report.stats;
 
-        // Conservation at shutdown: queues drained, every accepted job
-        // handed over, every handover completed.
-        prop_assert_eq!(
-            stats.queue_depths.iter().sum::<usize>(), 0,
-            "queues must drain: {}", stats
-        );
-        prop_assert_eq!(stats.queue_enqueued, stats.queue_dequeued, "{}", stats);
-        prop_assert_eq!(stats.decodes_scheduled, stats.queue_enqueued, "{}", stats);
-        // Every dequeued job either completed or died with a worker;
-        // without a fault hook nothing dies, so jobs_lost must be 0 and
-        // the classic `decodes_run == dequeued` form falls out.
-        prop_assert_eq!(
-            stats.decodes_run + stats.jobs_lost, stats.queue_dequeued,
-            "{}", stats
-        );
-        prop_assert_eq!(stats.jobs_lost, 0, "{}", stats);
-        prop_assert_eq!(stats.worker_restarts, 0, "{}", stats);
-
-        // The same books, re-read from the rendered exposition text.
-        let rendered = registry.render_prometheus();
-        prop_assert_eq!(
-            family_total(&rendered, "monitor_shard_queue_enqueued_total"),
-            stats.queue_enqueued
-        );
-        prop_assert_eq!(
-            family_total(&rendered, "monitor_shard_queue_dequeued_total"),
-            stats.queue_dequeued
-        );
-        prop_assert_eq!(
-            family_total(&rendered, "monitor_shard_queue_dropped_total"),
-            stats.decodes_dropped
-        );
-        prop_assert_eq!(family_total(&rendered, "monitor_shard_queue_depth"), 0);
-        // One depth/drop/enqueued/dequeued series per shard.
-        let depth_series = rendered
-            .lines()
-            .filter(|l| l.starts_with("monitor_shard_queue_depth{"))
+        prop_assert!(stats.decodes_run > 0, "{}", stats);
+        prop_assert_eq!(stats.decode_panics, 0);
+        prop_assert!(stats.queue_depths.is_empty());
+        let sampled = registry
+            .histogram("monitor_decode_latency_micros", "")
+            .snapshot()
             .count();
-        prop_assert_eq!(depth_series, shards);
+        prop_assert_eq!(sampled, stats.decodes_run, "{}", stats);
+        let rendered = registry.render_prometheus();
+        prop_assert_eq!(family_total(&rendered, "monitor_decodes_run_total"), stats.decodes_run);
+
+        let mut terminal: BTreeMap<FlowId, usize> = BTreeMap::new();
+        for verdict in &report.verdicts {
+            let pair = verdict.pair().expect("no idle eviction configured");
+            *terminal.entry(pair.flow).or_insert(0) += 1;
+        }
+        prop_assert_eq!(terminal.len(), flows);
+        prop_assert!(terminal.values().all(|&n| n == 1), "{:?}", terminal);
     }
-}
-
-/// Regression (the pre-chaos queue API returned a bare `bool`):
-/// enqueueing onto a shard whose receiving side is gone must surface a
-/// *typed* `Disconnected` error carrying the job back — not a silent
-/// accept that would break `enqueued == dequeued + depth`, and not an
-/// indistinguishable "queue full" drop that would make the caller
-/// retry forever.
-#[test]
-fn dead_shard_enqueue_is_a_typed_error() {
-    use stepstone_monitor::queue::shard_queue;
-    use stepstone_monitor::PushError;
-
-    let (tx, rx) = shard_queue::<u32>(4);
-    assert!(tx.try_push(1).is_ok());
-    assert_eq!(rx.recv(), Some(1));
-    // The worker side dies and takes the receiver with it.
-    drop(rx);
-
-    let err = tx.try_push(2).expect_err("dead shard must reject");
-    assert!(err.is_disconnected(), "got {err:?}, want Disconnected");
-    assert_eq!(err.into_inner(), 2, "the rejected job is handed back");
-    // Full and Disconnected are distinct cases callers can match on.
-    assert!(matches!(tx.try_push(3), Err(PushError::Disconnected(3))));
-
-    // The blocking flush path reports the same condition instead of
-    // spinning forever against a queue nobody will ever drain.
-    let mut pumped = 0u32;
-    let err = tx
-        .push_blocking(4, || pumped += 1)
-        .expect_err("blocking push must fail fast on a dead shard");
-    assert!(err.is_disconnected());
-    assert_eq!(pumped, 0, "no pump spins against a disconnected queue");
-
-    // Conservation survives the rejections: nothing was accepted after
-    // the death, so nothing is owed — and the rejects were counted.
-    assert_eq!(tx.enqueued(), 1);
-    assert_eq!(tx.depth(), 0);
-    assert_eq!(tx.dropped(), 3);
 }

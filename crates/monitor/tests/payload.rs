@@ -1,5 +1,5 @@
 //! Terminal verdicts of robust pairs equal a batch model, payload
-//! included, however slow the decode workers are.
+//! included.
 //!
 //! The engine screens robust decodes that provably blow their erasure
 //! budget and postpones them, while a `Degraded` verdict reports the
@@ -17,16 +17,12 @@ use stepstone_adversary::{
 use stepstone_core::{Algorithm, BoundCorrelator, DecodeOptions, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
 use stepstone_monitor::{
-    DecodeFault, DegradeReason, FaultHook, FlowId, Monitor, MonitorConfig, PairId, UpstreamId,
-    Verdict,
+    DegradeReason, FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict,
 };
 use stepstone_traffic::Seed;
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
 const DELTA: TimeDelta = TimeDelta::from_secs(2);
-
-/// How long every decode sleeps in the slow-worker runs.
-const SLOW_DECODE_MICROS: u64 = 500;
 
 /// A small scheme so each decode stays cheap: 4 bits, r = 1.
 fn tiny_params() -> WatermarkParams {
@@ -150,31 +146,19 @@ fn model(
 }
 
 /// Runs `flows`, merged in time order, through a monitor and checks
-/// every pair's terminal verdict against the model. With `slow`, every
-/// decode sleeps and each shard queue holds one job, so ingest keeps
-/// meeting full queues and completions arrive long after their
-/// boundary. Returns how many verdicts of each kind were seen.
+/// every pair's terminal verdict against the model. Returns how many
+/// verdicts of each kind were seen.
 fn check(
     upstreams: &[BoundCorrelator],
     flows: &[Flow],
     capacity: usize,
     batch: usize,
-    shards: usize,
-    slow: bool,
 ) -> BTreeMap<&'static str, usize> {
-    let mut config = MonitorConfig::default()
-        .with_window_capacity(capacity)
-        .with_decode_batch(batch)
-        .with_shards(shards)
-        .with_queue_capacity(4);
-    if slow {
-        config = config
-            .with_queue_capacity(1)
-            .with_fault_hook(FaultHook::new(|_, _| {
-                DecodeFault::Sleep(SLOW_DECODE_MICROS)
-            }));
-    }
-    let mut monitor = Monitor::new(config);
+    let mut monitor = Monitor::new(
+        MonitorConfig::default()
+            .with_window_capacity(capacity)
+            .with_decode_batch(batch),
+    );
     for (u, correlator) in upstreams.iter().enumerate() {
         monitor.register_upstream(UpstreamId(u as u64), correlator.clone());
     }
@@ -191,11 +175,7 @@ fn check(
             verdicts.extend(monitor.drain_verdicts());
         }
     }
-    let report = monitor.finish();
-    verdicts.extend(report.verdicts);
-    let stats = report.stats;
-    assert_eq!(stats.decodes_scheduled, stats.decodes_run, "{stats}");
-    assert_eq!(stats.queue_enqueued, stats.queue_dequeued, "{stats}");
+    verdicts.extend(monitor.finish().verdicts);
 
     let mut seen: BTreeMap<PairId, Verdict> = BTreeMap::new();
     for verdict in verdicts {
@@ -208,10 +188,7 @@ fn check(
         let correlator = &upstreams[pair.upstream.0 as usize];
         let flow = &flows[pair.flow.0 as usize];
         let expected = model(pair, correlator, flow, capacity, batch);
-        assert_eq!(
-            verdict, expected,
-            "capacity {capacity}, batch {batch}, shards {shards}, slow {slow}"
-        );
+        assert_eq!(verdict, expected, "capacity {capacity}, batch {batch}");
         let kind = match verdict {
             Verdict::Correlated { .. } => "correlated",
             Verdict::Cleared { .. } => "cleared",
@@ -258,26 +235,20 @@ fn robust_verdicts_match_the_batch_model_with_and_without_eviction() {
         // packets then matter to the erasure count. A capacity just above the led
         // flow's relay makes every window after its first eviction
         // blow the budget except the last.
-        for (capacity, batch, shards) in [
-            (4096, 8, 1),
-            (4096, 1, 2),
-            (4096, 4096, 1),
-            (longest / 2, 8, 1),
-            (longest * 3 / 4, 5, 2),
-            (led.len() - 2, 8, 1),
-            (flows[5].len() - 4, 8, 1),
-            (led.len() - 55, 4, 2),
+        for (capacity, batch) in [
+            (4096, 8),
+            (4096, 1),
+            (4096, 4096),
+            (longest / 2, 8),
+            (longest * 3 / 4, 5),
+            (led.len() - 2, 8),
+            (flows[5].len() - 4, 8),
+            (led.len() - 55, 4),
         ] {
             let upstreams = [a.clone(), b.clone(), c.clone(), d.clone(), e.clone()];
-            for (kind, n) in check(&upstreams, &flows, capacity, batch, shards, false) {
+            for (kind, n) in check(&upstreams, &flows, capacity, batch) {
                 *totals.entry(kind).or_insert(0) += n;
             }
-        }
-        // Slow workers must not change a verdict: the decoded windows
-        // depend on the stream alone.
-        for shards in [1, 3] {
-            let upstreams = [a.clone(), b.clone(), c.clone(), d.clone(), e.clone()];
-            check(&upstreams, &flows, led.len() - 55, 4, shards, true);
         }
     }
     // Every kind of terminal verdict was exercised.

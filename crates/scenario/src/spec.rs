@@ -10,7 +10,7 @@
 //! upstreams = 2              # watermarked flows
 //! decoys = 2                 # unrelated suspicious flows
 //! packets = 600              # packets per upstream flow
-//! shards = 2                 # decode worker shards
+//! shards = 2                 # inert (see `ScenarioSpec::shards`)
 //! decode-batch = 64          # new packets per scheduled decode
 //! seed = 1                   # corpus master seed
 //! delta-ms = 1000            # adversary perturbation max Δ
@@ -45,7 +45,7 @@ use crate::error::ScenarioError;
 pub const MAX_PACKETS: usize = 1_000_000;
 /// Cap on watermarked + decoy flow counts (each).
 pub const MAX_FLOWS: usize = 4_096;
-/// Cap on decode shards.
+/// Cap on the inert `shards` key (see [`ScenarioSpec::shards`]).
 pub const MAX_SHARDS: usize = 64;
 /// Longest accepted scenario text, in bytes.
 pub const MAX_SPEC_BYTES: usize = 64 * 1024;
@@ -221,7 +221,11 @@ pub struct ScenarioSpec {
     pub decoys: usize,
     /// Packets per upstream flow.
     pub packets: usize,
-    /// Decode worker shards.
+    /// Inert: parsed, validated and kept in the canonical text, but read
+    /// by no engine — the monitor decodes inline, with no worker shards.
+    /// It stays because [`digest`](ScenarioSpec::digest) hashes the
+    /// canonical text and pinned reports carry that digest; it goes
+    /// with the next regeneration of those reports.
     pub shards: usize,
     /// New packets per scheduled decode.
     pub decode_batch: usize,

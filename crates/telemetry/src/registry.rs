@@ -9,7 +9,7 @@
 //! Besides owned metrics, a registry accepts *collector callbacks*
 //! ([`Registry::gauge_fn`] / [`Registry::counter_fn`]): closures read
 //! at render time, for values that already live in someone else's
-//! atomics (e.g. the monitor's shard queues).
+//! atomics.
 
 use std::collections::BTreeMap;
 use std::fmt;
