@@ -1,13 +1,15 @@
 //! Substrate micro-benchmarks: every subsystem the correlation pipeline
-//! sits on, in isolation.
+//! sits on, in isolation, plus the monitor's per-packet ingest path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stepstone_adversary::{
     AdversaryPipeline, ChaffInjector, ChaffModel, PacketLoss, Transform, UniformPerturbation,
 };
 use stepstone_bench::Fixture;
-use stepstone_flow::{Flow, SlidingWindow, TimeDelta, Timestamp};
+use stepstone_flow::{Flow, FlowBuilder, Packet, SlidingWindow, TimeDelta, Timestamp};
+use stepstone_ingest::{parse_capture, write_flows, FiveTuple, FlowDemux};
 use stepstone_matching::{CostMeter, GappedSets, Matcher, Screen, ScreenState};
+use stepstone_monitor::{Monitor, MonitorConfig};
 use stepstone_netsim::SteppingStoneChain;
 use stepstone_traffic::{tcplib::TelnetModel, InteractiveProfile, Seed, SessionGenerator};
 
@@ -186,12 +188,70 @@ fn bench_matching(c: &mut Criterion) {
     group.finish();
 }
 
+/// Flows and packets per flow of the `ingest_path` capture: 256
+/// interleaved TCP flows of 128 packets each, 32,768 packets in all.
+const PATH_FLOWS: usize = 256;
+const PATH_PACKETS: usize = 128;
+
+/// A classic-pcap capture of [`PATH_FLOWS`] flows whose packets
+/// interleave the way a tap sees them: flow `f` sends at
+/// `t = f*37 µs + i*10 ms`.
+fn path_capture() -> Vec<u8> {
+    let flows: Vec<(FiveTuple, Flow)> = (0..PATH_FLOWS)
+        .map(|f| {
+            let tuple = FiveTuple::tcp_v4(
+                [10, 1, (f >> 8) as u8, (f & 0xFF) as u8],
+                50_000 + f as u16,
+                [192, 0, 2, 7],
+                22,
+            );
+            let mut b = FlowBuilder::with_capacity(PATH_PACKETS);
+            for i in 0..PATH_PACKETS {
+                let micros = (f as i64) * 37 + (i as i64) * 10_000;
+                b.push(Packet::new(
+                    Timestamp::from_micros(micros),
+                    64 + (i % 7) as u32,
+                ))
+                .expect("timestamps increase");
+            }
+            (tuple, b.finish())
+        })
+        .collect();
+    let tagged: Vec<(FiveTuple, &Flow)> = flows.iter().map(|(t, f)| (*t, f)).collect();
+    let mut bytes = Vec::new();
+    write_flows(&mut bytes, &tagged).expect("in-memory write cannot fail");
+    bytes
+}
+
+/// The monitor's per-packet path, as a live capture drives it: parse a
+/// record, route it through the demux, and ingest the event. No
+/// upstream is registered, so no pair ever reaches a decode boundary
+/// and the time per iteration divided by 32,768 is the cost every
+/// packet pays before any decode.
+fn bench_monitor(c: &mut Criterion) {
+    let bytes = path_capture();
+    c.bench_function("monitor/ingest_path", |b| {
+        b.iter(|| {
+            let mut demux = FlowDemux::new();
+            let mut monitor = Monitor::new(MonitorConfig::default());
+            for record in parse_capture(&bytes).expect("capture header is valid") {
+                let record = record.expect("capture body is valid");
+                if let Some((flow, packet)) = demux.push(&record) {
+                    assert!(monitor.ingest(flow, packet), "packets arrive in order");
+                }
+            }
+            monitor.stats().packets_ingested
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_traffic,
     bench_netsim,
     bench_adversary,
     bench_watermark,
-    bench_matching
+    bench_matching,
+    bench_monitor
 );
 criterion_main!(benches);

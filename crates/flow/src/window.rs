@@ -54,6 +54,27 @@ pub struct SlidingWindow {
 /// Packets per window chunk, at most; a power of two.
 const CHUNK: usize = 256;
 
+/// The iterator of [`SlidingWindow::iter_from`]: the rest of one chunk,
+/// then the chunks after it.
+#[derive(Clone)]
+struct Packets<'a> {
+    run: std::slice::Iter<'a, Packet>,
+    chunks: std::collections::vec_deque::Iter<'a, Vec<Packet>>,
+}
+
+impl<'a> Iterator for Packets<'a> {
+    type Item = &'a Packet;
+
+    fn next(&mut self) -> Option<&'a Packet> {
+        loop {
+            if let Some(packet) = self.run.next() {
+                return Some(packet);
+            }
+            self.run = self.chunks.next()?.iter();
+        }
+    }
+}
+
 impl SlidingWindow {
     /// Creates an empty window holding at most `capacity` packets.
     ///
@@ -194,7 +215,26 @@ impl SlidingWindow {
 
     /// Iterates over the retained packets, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.chunks.iter().flatten().skip(self.head)
+        self.iter_from(self.evicted)
+    }
+
+    /// Iterates over the retained packets from the `push`-th ever
+    /// pushed (counting from zero) on, oldest first, walking the chunk
+    /// slices directly; from the oldest retained packet if `push` was
+    /// already evicted, and nothing if it is not yet pushed. Starting
+    /// costs one index split, as [`get`](Self::get) does.
+    pub fn iter_from(&self, push: u64) -> impl Iterator<Item = &Packet> + Clone {
+        let skip = usize::try_from(push.saturating_sub(self.evicted))
+            .map_or(self.len, |s| s.min(self.len));
+        let at = self.head + skip;
+        let mut chunks = self.chunks.range(at >> self.chunk.trailing_zeros()..);
+        let run = chunks
+            .next()
+            .map_or(&[][..], |chunk| &chunk[at & (self.chunk - 1)..]);
+        Packets {
+            run: run.iter(),
+            chunks,
+        }
     }
 
     /// Materialises the retained packets as a [`Flow`] for batch
@@ -308,6 +348,15 @@ mod tests {
                 assert_eq!(w.last_timestamp(), model.back().map(Packet::timestamp));
             }
             assert!(w.iter().eq(model.iter()), "capacity {capacity}");
+            for skip in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, model.len()] {
+                let push = w.evicted() + skip as u64;
+                assert!(
+                    w.iter_from(push).eq(model.iter().skip(skip)),
+                    "capacity {capacity}, from push {push}"
+                );
+            }
+            assert!(w.iter_from(0).eq(model.iter()));
+            assert!(w.iter_from(u64::MAX).next().is_none());
             assert_eq!(w.snapshot().packets(), model.make_contiguous());
             for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, capacity, capacity + 1] {
                 let n = len.min(model.len());

@@ -8,6 +8,12 @@
 //! * **incremental** — [`FlowDemux::push`] returns the `(FlowId,
 //!   Packet)` event for the record just seen, which callers forward
 //!   straight into `stepstone_monitor::Monitor::ingest`.
+//!
+//! The tuple map is the one keyed hash on the per-packet path, and it
+//! stays keyed (std's `RandomState`): tuples come off the wire, so an
+//! attacker chooses them and could aim collisions at an unkeyed
+//! hasher. The [`FlowId`]s it hands out are dense and in first-seen
+//! order, so everything downstream may index them without a keyed hash.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -94,7 +100,6 @@ impl DemuxMetrics {
 struct Slot {
     id: FlowId,
     builder: FlowBuilder,
-    last_seen: Timestamp,
 }
 
 /// Groups capture records into flows keyed by transport 5-tuple.
@@ -177,18 +182,18 @@ impl FlowDemux {
             Slot {
                 id,
                 builder: FlowBuilder::new(),
-                last_seen: record.timestamp,
             }
         });
-        let mut ts = record.timestamp;
-        if ts < slot.last_seen {
-            ts = slot.last_seen;
-            self.stats.clamped += 1;
-            if let Some(m) = &self.metrics {
-                m.clamped.inc();
+        let ts = match slot.builder.last_timestamp() {
+            Some(last) if record.timestamp < last => {
+                self.stats.clamped += 1;
+                if let Some(m) = &self.metrics {
+                    m.clamped.inc();
+                }
+                last
             }
-        }
-        slot.last_seen = ts;
+            _ => record.timestamp,
+        };
         let packet = Packet::new(ts, record.wire_len);
         // Infallible: ts was clamped to be non-decreasing above.
         if slot.builder.push(packet).is_err() {
@@ -214,7 +219,7 @@ impl FlowDemux {
         let expired: Vec<FiveTuple> = self
             .live
             .iter()
-            .filter(|(_, slot)| slot.last_seen < cutoff)
+            .filter(|(_, slot)| slot.builder.last_timestamp().is_none_or(|t| t < cutoff))
             .map(|(tuple, _)| *tuple)
             .collect();
         let mut closed = Vec::with_capacity(expired.len());
@@ -288,6 +293,7 @@ impl Default for FlowDemux {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Transport;
 
     fn record(tuple: FiveTuple, millis: i64, size: u32) -> CaptureRecord {
         CaptureRecord {
@@ -425,6 +431,59 @@ mod tests {
             rendered.contains("ingest_flows_live 0"),
             "live gauge must settle to zero after finish: {rendered}"
         );
+    }
+
+    #[test]
+    fn a_v4_tuple_and_its_v4_mapped_twin_are_two_flows() {
+        let (v4, _) = tuples();
+        let mapped = |ip: std::net::IpAddr| match ip {
+            std::net::IpAddr::V4(v4) => std::net::IpAddr::V6(v4.to_ipv6_mapped()),
+            v6 => v6,
+        };
+        let twin = FiveTuple {
+            src: mapped(v4.src),
+            dst: mapped(v4.dst),
+            ..v4
+        };
+        let mut demux = FlowDemux::new();
+        let (first, _) = demux.push(&record(v4, 1, 64)).unwrap();
+        let (second, _) = demux.push(&record(twin, 2, 64)).unwrap();
+        assert_ne!(first, second);
+        let (flows, _) = demux.finish();
+        assert_eq!(flows.len(), 2);
+        assert_eq!((flows[0].tuple, flows[1].tuple), (v4, twin));
+    }
+
+    #[test]
+    fn v6_tuples_roundtrip_through_push_and_finish() {
+        let v6 = |src: &str, src_port, dst: &str, dst_port| FiveTuple {
+            src: src.parse().unwrap(),
+            dst: dst.parse().unwrap(),
+            src_port,
+            dst_port,
+            transport: Transport::Tcp,
+        };
+        let a = v6("2001:db8::1", 40_000, "2001:db8::2", 22);
+        let b = v6("2001:db8::1", 40_001, "2001:db8::2", 22);
+        let c = v6("fe80::1", 40_000, "2001:db8::2", 22);
+        let mut demux = FlowDemux::new();
+        for (k, tuple) in [a, b, c, a, c, a].into_iter().enumerate() {
+            demux.push(&record(tuple, k as i64, 60 + k as u32)).unwrap();
+        }
+        let (flows, stats) = demux.finish();
+        let got: Vec<(FlowId, FiveTuple, Vec<u32>)> = flows
+            .iter()
+            .map(|f| (f.id, f.tuple, f.flow.iter().map(Packet::size).collect()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (FlowId(0), a, vec![60, 63, 65]),
+                (FlowId(1), b, vec![61]),
+                (FlowId(2), c, vec![62, 64]),
+            ]
+        );
+        assert_eq!(stats.flows_opened, 3);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! are full of such traffic and the demultiplexer simply counts it.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// The transport protocol of a demultiplexed flow.
@@ -38,7 +39,14 @@ impl fmt::Display for Transport {
 }
 
 /// The classic unidirectional flow key: addresses, ports, protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// `Hash` is written by hand to feed a hasher few, wide words: an IPv4
+/// pair hashes as two `u64`s (both addresses, then ports and protocol);
+/// any other pair as two `u128` addresses plus the ports word. Equal
+/// tuples take the same branch with the same words, so it agrees with
+/// the derived `Eq`. A v4 tuple and its v4-mapped v6 twin are distinct
+/// keys, as `Eq` says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source address.
     pub src: IpAddr,
@@ -73,6 +81,32 @@ impl FiveTuple {
             dst_port,
             transport: Transport::Udp,
         }
+    }
+}
+
+impl Hash for FiveTuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ports = u64::from(self.src_port) << 32
+            | u64::from(self.dst_port) << 16
+            | u64::from(self.transport.protocol_number());
+        match (self.src, self.dst) {
+            (IpAddr::V4(src), IpAddr::V4(dst)) => {
+                state.write_u64(u64::from(src.to_bits()) << 32 | u64::from(dst.to_bits()));
+            }
+            (src, dst) => {
+                state.write_u128(addr_bits(src));
+                state.write_u128(addr_bits(dst));
+            }
+        }
+        state.write_u64(ports);
+    }
+}
+
+/// An address as one integer, IPv4 zero-extended.
+fn addr_bits(addr: IpAddr) -> u128 {
+    match addr {
+        IpAddr::V4(v4) => u128::from(v4.to_bits()),
+        IpAddr::V6(v6) => v6.to_bits(),
     }
 }
 
@@ -453,5 +487,57 @@ mod tests {
     fn tuple_display_reads_naturally() {
         let t = FiveTuple::tcp_v4([10, 0, 0, 1], 4000, [10, 0, 0, 2], 22);
         assert_eq!(t.to_string(), "10.0.0.1:4000 -> 10.0.0.2:22/tcp");
+    }
+
+    /// Addresses that are close in every encoding: a v4 address, its
+    /// v4-mapped and v4-compatible v6 forms (unequal to it, but alike
+    /// in their low bits), another v4 address and two v6 ones.
+    fn address(k: usize) -> IpAddr {
+        [
+            "10.0.0.1",
+            "::ffff:10.0.0.1",
+            "::10.0.0.1",
+            "10.0.0.2",
+            "2001:db8::1",
+            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+        ][k]
+            .parse()
+            .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn equal_tuples_hash_equally_under_a_keyed_hasher(
+            parts in proptest::collection::vec(
+                (0usize..6, 0usize..6, 0u16..3, 0u16..3, proptest::bool::ANY),
+                1..48,
+            ),
+        ) {
+            use std::collections::{BTreeSet, HashSet};
+            use std::hash::BuildHasher;
+            // Small domains, so equal tuples are drawn often.
+            let tuples: Vec<FiveTuple> = parts
+                .iter()
+                .map(|&(src, dst, src_port, dst_port, tcp)| FiveTuple {
+                    src: address(src),
+                    dst: address(dst),
+                    src_port,
+                    dst_port,
+                    transport: if tcp { Transport::Tcp } else { Transport::Udp },
+                })
+                .collect();
+            let keyed = std::collections::hash_map::RandomState::new();
+            for a in &tuples {
+                for b in &tuples {
+                    proptest::prop_assert!(a != b || keyed.hash_one(a) == keyed.hash_one(b));
+                }
+            }
+            // A hash that split equal keys would leave duplicates here.
+            let hashed: HashSet<FiveTuple> = tuples.iter().copied().collect();
+            let ordered: BTreeSet<FiveTuple> = tuples.iter().copied().collect();
+            proptest::prop_assert_eq!(hashed.len(), ordered.len());
+        }
     }
 }

@@ -25,7 +25,9 @@
 //!   evicted window may have lost candidates of sets counted non-empty,
 //!   so the robust screen proves nothing there.
 
-use stepstone_flow::{Flow, SlidingWindow, Timestamp};
+use std::iter::Peekable;
+
+use stepstone_flow::{Flow, Packet, SlidingWindow, Timestamp};
 
 use crate::sets::Matcher;
 
@@ -138,9 +140,9 @@ impl Matcher {
         // The open intervals, `tᵢ ≤ last ≤ tᵢ + Δ`, hold the window's
         // last packet; only a size class can leave one empty.
         if self.size_quantum().is_some() {
-            let mut lo = state.lo;
+            let mut walk = walk(window, state.lo);
             for i in state.closed..n - late {
-                if !self.holds_candidate(upstream, i, window, &mut lo) {
+                if !self.holds_candidate(upstream, i, &mut walk) {
                     erased += 1;
                     if erased > budget {
                         return Screen::OverBudget;
@@ -162,52 +164,63 @@ impl Matcher {
         state: &mut ScreenState,
         limit: usize,
     ) {
-        state.lo = state.lo.max(window.evicted());
+        let mut walk = walk(window, state.lo.max(window.evicted()));
         while state.closed < upstream.len() && state.empty <= limit {
             let i = state.closed;
             if last <= upstream.timestamp(i) + self.delta() {
                 break;
             }
-            if !self.holds_candidate(upstream, i, window, &mut state.lo) {
+            if !self.holds_candidate(upstream, i, &mut walk) {
                 state.empty += 1;
             }
             state.closed += 1;
         }
+        state.lo = walk.push;
     }
 
-    /// `true` if `window` holds a packet of upstream packet `i`'s size
-    /// class inside `[tᵢ, tᵢ + Δ]`. `lo` is a push index at or before
-    /// the first packet not earlier than `tᵢ`; it is advanced to that
-    /// packet, so successive calls for ascending `i` each scan forward
-    /// from where the last one started.
-    fn holds_candidate(
-        &self,
-        upstream: &Flow,
-        i: usize,
-        window: &SlidingWindow,
-        lo: &mut u64,
-    ) -> bool {
-        let base = window.evicted();
-        let at = |push: u64| window.get(usize::try_from(push - base).unwrap_or(usize::MAX));
+    /// `true` if the window `walk` runs over holds a packet of upstream
+    /// packet `i`'s size class inside `[tᵢ, tᵢ + Δ]`. `walk` stands at
+    /// or before the first packet not earlier than `tᵢ`; it is advanced
+    /// to that packet, so successive calls for ascending `i` each scan
+    /// forward from where the last one started.
+    fn holds_candidate<'w, I>(&self, upstream: &Flow, i: usize, walk: &mut Walk<I>) -> bool
+    where
+        I: Iterator<Item = &'w Packet> + Clone,
+    {
         let t = upstream.timestamp(i);
         let latest = t + self.delta();
-        while at(*lo).is_some_and(|p| p.timestamp() < t) {
-            *lo += 1;
+        while walk.packets.next_if(|p| p.timestamp() < t).is_some() {
+            walk.push += 1;
         }
         let class = self
             .size_quantum()
             .map(|q| (upstream[i].size().div_ceil(q), q));
-        let mut j = *lo;
-        while let Some(packet) = at(j) {
+        for packet in walk.packets.clone() {
             if packet.timestamp() > latest {
                 return false;
             }
-            match class {
-                Some((c, q)) if packet.size().div_ceil(q) != c => j += 1,
-                _ => return true,
+            if class.is_none_or(|(c, q)| packet.size().div_ceil(q) == c) {
+                return true;
             }
         }
         false
+    }
+}
+
+/// A forward walk over a window's packets, straight over its chunk
+/// slices, that knows the push index of the packet it stands at.
+struct Walk<I: Iterator> {
+    packets: Peekable<I>,
+    push: u64,
+}
+
+/// A walk over `window` from push index `push`, which must not be
+/// evicted.
+fn walk(window: &SlidingWindow, push: u64) -> Walk<impl Iterator<Item = &Packet> + Clone> {
+    debug_assert!(push >= window.evicted());
+    Walk {
+        packets: window.iter_from(push).peekable(),
+        push,
     }
 }
 

@@ -11,7 +11,7 @@ use stepstone_telemetry::{span, time, Counter, Histogram, Registry};
 
 use crate::config::MonitorConfig;
 use crate::fault::DecodeFault;
-use crate::ids::{FlowId, PairId, UpstreamId};
+use crate::ids::{BuildFlowIdHasher, FlowId, PairId, UpstreamId};
 use crate::metrics::EngineMetrics;
 use crate::stats::MonitorStats;
 use crate::verdict::{DegradeReason, Verdict};
@@ -189,7 +189,9 @@ pub struct MonitorReport {
 pub struct Monitor {
     config: MonitorConfig,
     upstreams: BTreeMap<UpstreamId, BoundCorrelator>,
-    suspects: HashMap<FlowId, Suspect>,
+    /// Keyed by program-assigned ids, so hashed unkeyed (see
+    /// [`FlowId`]). A map, not a `Vec`: ids may be sparse.
+    suspects: HashMap<FlowId, Suspect, BuildFlowIdHasher>,
     /// Verdicts awaiting [`Monitor::drain_verdicts`]. Grows by one per
     /// pair/flow lifecycle event and is bounded by the number of live
     /// pairs between drains; all growth is audited through `emit`.
@@ -223,7 +225,7 @@ impl Monitor {
         Monitor {
             config,
             upstreams: BTreeMap::new(),
-            suspects: HashMap::new(),
+            suspects: HashMap::default(),
             verdicts: VecDeque::new(),
             clock: None,
             metrics: EngineMetrics::new(registry),
@@ -292,11 +294,14 @@ impl Monitor {
             self.metrics.packets_rejected.inc();
             return false;
         }
+        let due = suspect.window.pushed() >= suspect.next_due;
         self.metrics.packets_ingested.inc();
         // A plain local tick, not `packets_ingested.get()`: summing the
         // counter stripes on every packet is measurable at line rate.
         self.sweep_tick = self.sweep_tick.wrapping_add(1);
-        self.decode_due(flow);
+        if due {
+            self.decode_due(flow);
+        }
         if self.config.idle_timeout.is_some() && self.sweep_tick.is_multiple_of(EVICT_SWEEP_EVERY) {
             if let Some(now) = self.clock {
                 self.evict_idle(now);
@@ -451,16 +456,15 @@ impl Monitor {
     }
 
     /// Decodes `flow`'s pairs that have reached a decode boundary,
-    /// after screening each one. Between boundaries this is a single
-    /// comparison against the flow's `next_due`.
+    /// after screening each one, and sets the flow's `next_due`.
+    /// [`ingest`](Self::ingest) calls it only once the flow's push count
+    /// reaches `next_due`, so between boundaries a packet costs one
+    /// flow lookup.
     fn decode_due(&mut self, flow: FlowId) {
         let Some(suspect) = self.suspects.get_mut(&flow) else {
             return;
         };
         let pushed = suspect.window.pushed();
-        if pushed < suspect.next_due {
-            return;
-        }
         let batch = self.config.decode_batch as u64;
         let mut next_due = u64::MAX;
         let mut due = Vec::new();

@@ -1,13 +1,51 @@
 //! Identifiers for flows, watermarked upstreams and candidate pairs.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies one suspicious (downstream) flow in the ingest stream.
 ///
-/// The monitor treats the id as opaque; callers typically derive it from
-/// a 5-tuple hash or a capture-file index.
+/// Ids are assigned by the program, never read off the wire:
+/// `stepstone_ingest::FlowDemux` numbers flows in first-seen order, and
+/// in-memory workloads number them by index. A cluster worker sees a
+/// sparse subset, and idle eviction keeps minting fresh ids, but no
+/// sender can choose them. The monitor therefore indexes flows with an
+/// unkeyed multiplicative hasher; any `u64` is a valid id, and it only
+/// decides the verdicts' flow order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
+
+/// An unkeyed multiplicative (Fx-style) hasher for [`FlowId`] keys:
+/// one add and one multiply per id, where std's keyed SipHash-1-3 runs
+/// five rounds over a 32-byte state for one `u64`. It has no defence
+/// against chosen keys, which is sound only because flow ids are
+/// program-assigned (see [`FlowId`]). The final rotation moves the
+/// product's well-mixed high bits down to where the table takes its
+/// bucket index, so strided ids spread as well as dense ones.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FlowIdHasher(u64);
+
+/// Odd multiplier with well-spread bits, as in rustc's `FxHasher`.
+const FX_SEED: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl Hasher for FlowIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(FX_SEED);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Builds [`FlowIdHasher`]s for the monitor's flow table.
+pub(crate) type BuildFlowIdHasher = BuildHasherDefault<FlowIdHasher>;
 
 impl fmt::Display for FlowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -52,5 +90,22 @@ mod tests {
             flow: FlowId(17),
         };
         assert_eq!(pair.to_string(), "u3:f17");
+    }
+
+    #[test]
+    fn flow_id_hasher_spreads_strided_and_extreme_ids() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |id: u64| {
+            let mut h = BuildFlowIdHasher::default().build_hasher();
+            FlowId(id).hash(&mut h);
+            h.finish()
+        };
+        // The low bits pick the bucket: ids a power of two apart must
+        // still land in distinct buckets of a 256-slot table.
+        let buckets: std::collections::BTreeSet<u64> =
+            (0..256u64).map(|k| hash(k << 20) & 0xff).collect();
+        assert!(buckets.len() > 128, "{} distinct buckets", buckets.len());
+        assert_ne!(hash(u64::MAX), hash(0));
+        assert_ne!(hash(1 << 32), hash(0));
     }
 }

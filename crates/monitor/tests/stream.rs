@@ -295,3 +295,59 @@ fn idle_eviction_verdicts_come_out_in_the_same_order_on_every_run() {
         assert_eq!(run(), first);
     }
 }
+
+#[test]
+fn sparse_and_extreme_flow_ids_give_the_dense_verdicts() {
+    // The flow table hashes ids unkeyed; no id, however sparse or
+    // large, may change what is decoded or said. The same stream runs
+    // under dense ids and under order-preserving relabellings, with
+    // latches mid-stream, idle eviction and the flush all emitting.
+    let s = scenario(31, 200, 2);
+    let bound = s
+        .correlator
+        .clone()
+        .with_decode(DecodeOptions::robust(8))
+        .bind(&s.original, &s.marked)
+        .unwrap();
+    let mut flows: Vec<Flow> = (0..6).map(|i| attack(&s.marked, 2, 0.5, 300 + i)).collect();
+    flows.extend((0..6).map(|i| attack(&interactive(200, 400 + i), 2, 0.5, i)));
+    let n = flows.len() as u64;
+    let run = |label: &dyn Fn(u64) -> u64| {
+        let streams: Vec<(FlowId, &Flow)> = flows
+            .iter()
+            .enumerate()
+            .map(|(k, f)| (FlowId(label(k as u64)), f))
+            .collect();
+        let mut monitor = Monitor::new(
+            MonitorConfig::default()
+                .with_decode_batch(4)
+                .with_idle_timeout(TimeDelta::from_secs(20)),
+        );
+        monitor.register_upstream(UpstreamId(0), bound.clone());
+        let mut verdicts = Vec::new();
+        for (flow, packet) in merge_streams(&streams) {
+            assert!(monitor.ingest(flow, packet));
+            verdicts.extend(monitor.drain_verdicts());
+        }
+        let report = monitor.finish();
+        verdicts.extend(report.verdicts);
+        // Back to dense ids, whole tokens only: no label of a flow past
+        // the first is a small number.
+        let mut text = format!("{verdicts:?}\n{:?}", report.stats);
+        for k in 0..n {
+            text = text.replace(&format!("FlowId({})", label(k)), &format!("FlowId({k})"));
+        }
+        text
+    };
+    let dense = run(&|k| k);
+    assert!(dense.contains("Correlated"), "{dense}");
+    assert!(dense.contains("Evicted"), "{dense}");
+    let relabellings: [(&str, &dyn Fn(u64) -> u64); 3] = [
+        ("strided", &|k| k * 1_000_003),
+        ("past 2^32", &|k| (1 << 32) + k),
+        ("up to u64::MAX", &|k| u64::MAX - (n - 1 - k)),
+    ];
+    for (name, label) in relabellings {
+        assert_eq!(run(label), dense, "{name} ids");
+    }
+}

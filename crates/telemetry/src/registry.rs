@@ -5,11 +5,6 @@
 //! it returns are `Arc`s onto the lock-free primitives in
 //! [`crate::metrics`] / [`crate::histogram`]; instrumented code keeps
 //! the handle and never touches the registry again.
-//!
-//! Besides owned metrics, a registry accepts *collector callbacks*
-//! ([`Registry::gauge_fn`] / [`Registry::counter_fn`]): closures read
-//! at render time, for values that already live in someone else's
-//! atomics.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,15 +25,13 @@ enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
-    CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
-    GaugeFn(Box<dyn Fn() -> f64 + Send + Sync>),
 }
 
 impl Metric {
     fn type_name(&self) -> &'static str {
         match self {
-            Metric::Counter(_) | Metric::CounterFn(_) => "counter",
-            Metric::Gauge(_) | Metric::GaugeFn(_) => "gauge",
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -163,31 +156,6 @@ impl Registry {
         })
     }
 
-    /// Registers a counter read through a callback at render time, for
-    /// monotonic values owned by other atomics. Replaces any previous
-    /// metric under the same name and labels.
-    pub fn counter_fn(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        f: impl Fn() -> u64 + Send + Sync + 'static,
-    ) {
-        self.insert_callback(name, labels, help, Metric::CounterFn(Box::new(f)));
-    }
-
-    /// Registers a gauge read through a callback at render time.
-    /// Replaces any previous metric under the same name and labels.
-    pub fn gauge_fn(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        f: impl Fn() -> f64 + Send + Sync + 'static,
-    ) {
-        self.insert_callback(name, labels, help, Metric::GaugeFn(Box::new(f)));
-    }
-
     /// Shared get-or-create: returns the existing handle when the key
     /// is present with the right type, otherwise registers a fresh
     /// one. A type clash (same name, different metric type) yields a
@@ -222,17 +190,6 @@ impl Registry {
         handle
     }
 
-    fn insert_callback(&self, name: &str, labels: &[(&str, &str)], help: &str, metric: Metric) {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        entries.insert(
-            make_key(name, labels),
-            Entry {
-                help: help.to_string(),
-                metric,
-            },
-        );
-    }
-
     /// Renders every metric in Prometheus text exposition format
     /// (version 0.0.4): `# HELP`/`# TYPE` once per family, histograms
     /// as cumulative `_bucket`/`_sum`/`_count` series. Deterministic
@@ -252,19 +209,8 @@ impl Registry {
                 Metric::Counter(c) => {
                     let _ = writeln!(out, "{name}{} {}", render_labels(labels, None), c.get());
                 }
-                Metric::CounterFn(f) => {
-                    let _ = writeln!(out, "{name}{} {}", render_labels(labels, None), f());
-                }
                 Metric::Gauge(g) => {
                     let _ = writeln!(out, "{name}{} {}", render_labels(labels, None), g.get());
-                }
-                Metric::GaugeFn(f) => {
-                    let _ = writeln!(
-                        out,
-                        "{name}{} {}",
-                        render_labels(labels, None),
-                        render_f64(f())
-                    );
                 }
                 Metric::Histogram(h) => {
                     let snap = h.snapshot();
@@ -324,14 +270,8 @@ impl Registry {
                 Metric::Counter(c) => {
                     let _ = write!(out, ",\"value\":{}", c.get());
                 }
-                Metric::CounterFn(f) => {
-                    let _ = write!(out, ",\"value\":{}", f());
-                }
                 Metric::Gauge(g) => {
                     let _ = write!(out, ",\"value\":{}", g.get());
-                }
-                Metric::GaugeFn(f) => {
-                    let _ = write!(out, ",\"value\":{}", render_f64(f()));
                 }
                 Metric::Histogram(h) => {
                     let snap = h.snapshot();
@@ -409,7 +349,7 @@ fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
 
 /// Renders an `f64` the way Prometheus and JSON both accept: plain
 /// decimal, no exponent for the magnitudes metrics take, `0` for
-/// non-finite junk from a callback.
+/// non-finite junk.
 fn render_f64(v: f64) -> String {
     if !v.is_finite() {
         return "0".to_string();
@@ -499,21 +439,6 @@ mod tests {
         assert_eq!(text.matches("# HELP family_total").count(), 1, "{text}");
         assert_eq!(text.matches("# TYPE family_total").count(), 1, "{text}");
         assert_eq!(text.matches("family_total{shard=").count(), 3, "{text}");
-    }
-
-    #[test]
-    fn callback_metrics_read_at_render_time() {
-        let reg = Registry::new();
-        let value = Arc::new(std::sync::atomic::AtomicU64::new(5));
-        let seen = Arc::clone(&value);
-        reg.counter_fn("cb_total", &[], "callback", move || {
-            // ordering: test counter, no synchronization implied.
-            seen.load(std::sync::atomic::Ordering::Relaxed)
-        });
-        assert!(reg.render_prometheus().contains("cb_total 5"));
-        // ordering: test counter, no synchronization implied.
-        value.store(9, std::sync::atomic::Ordering::Relaxed);
-        assert!(reg.render_prometheus().contains("cb_total 9"));
     }
 
     #[test]

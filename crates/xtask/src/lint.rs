@@ -1,6 +1,6 @@
 //! Token-level lint rules enforcing the workspace invariants.
 //!
-//! Seven rules, each with a machine-readable id (stable — CI and the
+//! Six rules, each with a machine-readable id (stable — CI and the
 //! allowlist mechanism key on them):
 //!
 //! | id | invariant |
@@ -9,7 +9,6 @@
 //! | `micros_math` | no raw integer arithmetic on microsecond values outside `flow::time` |
 //! | `ordering_comment` | every atomic `Ordering::*` use carries an `// ordering:` justification |
 //! | `bounded_queue` | no unbounded channels in `monitor`; `#[bounded]`-tagged queues grow only through their choke-point method |
-//! | `heartbeat_touch` | every `loop` in a `monitor` worker function refreshes the shard heartbeat at the top of each iteration |
 //! | `forbid_unsafe` | every crate root declares `#![forbid(unsafe_code)]` |
 //! | `bounded_ipc` | boundary-input code (`cluster` IPC, the `scenario` DSL, the `experiments` serve layer) never allocates or reads unboundedly from outside input: no unbounded channels, no `read_to_end`-style reads, every `with_capacity` carries a `.min(..)`/`MAX_*` cap witness |
 //!
@@ -21,12 +20,11 @@
 use crate::lexer::{Lexed, Tok, TokKind};
 
 /// The stable ids of every lint rule, in report order.
-pub const RULES: [&str; 7] = [
+pub const RULES: [&str; 6] = [
     "no_panic",
     "micros_math",
     "ordering_comment",
     "bounded_queue",
-    "heartbeat_touch",
     "forbid_unsafe",
     "bounded_ipc",
 ];
@@ -95,9 +93,6 @@ pub fn run_rule(
         "ordering_comment" => rule_ordering_comment(class, lexed, findings),
         "bounded_queue" if class.crate_dir == "monitor" && class.rel_path.contains("/src/") => {
             rule_bounded_queue(class, lexed, test_mask, findings)
-        }
-        "heartbeat_touch" if class.crate_dir == "monitor" && class.rel_path.contains("/src/") => {
-            rule_heartbeat_touch(class, lexed, test_mask, findings)
         }
         "bounded_ipc" if bounded_ipc_scope(class) => {
             rule_bounded_ipc(class, lexed, test_mask, findings)
@@ -700,70 +695,6 @@ fn rule_bounded_ipc(class: &FileClass, lexed: &Lexed, mask: &[bool], findings: &
     }
 }
 
-/// A stall watchdog is only as honest as the heartbeats feeding it: a
-/// worker iteration path that forgets to refresh its shard heartbeat
-/// shows up as a false "stalled" flag under load. Every `loop` inside a
-/// `fn worker*` in the monitor crate must therefore call
-/// `touch_heartbeat` *as its first statement*, so each arm of the loop
-/// body — dequeue, fault handling, decode — passes through the refresh
-/// on every iteration.
-fn rule_heartbeat_touch(
-    class: &FileClass,
-    lexed: &Lexed,
-    mask: &[bool],
-    findings: &mut Vec<Finding>,
-) {
-    let toks = &lexed.toks;
-    let mut i = 0;
-    while i < toks.len() {
-        let named_worker = toks[i].is_ident("fn")
-            && toks
-                .get(i + 1)
-                .map(|t| t.kind == TokKind::Ident && t.text.starts_with("worker"))
-                == Some(true);
-        if mask[i] || !named_worker {
-            i += 1;
-            continue;
-        }
-        let Some(body_end) = item_end(toks, i) else {
-            i += 1;
-            continue;
-        };
-        let Some(open) = (i..body_end).find(|&j| toks[j].is_punct('{')) else {
-            i = body_end + 1;
-            continue;
-        };
-        for j in open + 1..body_end {
-            if !(toks[j].is_ident("loop") && toks.get(j + 1).map(|t| t.is_punct('{')) == Some(true))
-            {
-                continue;
-            }
-            let close = match_forward(toks, j + 1, '{', '}');
-            // The refresh must come before the first statement boundary
-            // (`;`) or nested block (`{`) — i.e. be the loop's first
-            // statement — so no iteration path can skip it.
-            let touched = toks[j + 2..close]
-                .iter()
-                .take_while(|t| !t.is_punct(';') && !t.is_punct('{'))
-                .any(|t| t.is_ident("touch_heartbeat"));
-            if !touched {
-                push(
-                    findings,
-                    lexed,
-                    "heartbeat_touch",
-                    class,
-                    toks[j].line,
-                    "worker loop does not refresh its shard heartbeat; call \
-                     `touch_heartbeat()` as the loop's first statement or justify \
-                     with `// lint: allow(heartbeat_touch) <reason>`"
-                        .to_string(),
-                );
-            }
-        }
-        i = body_end + 1;
-    }
-}
-
 fn rule_forbid_unsafe(class: &FileClass, lexed: &Lexed, findings: &mut Vec<Finding>) {
     let toks = &lexed.toks;
     let present = (0..toks.len()).any(|i| {
@@ -1020,58 +951,6 @@ mod tests {
             is_crate_root: false,
         };
         assert!(lint_file(&class, src).is_empty());
-    }
-
-    #[test]
-    fn heartbeat_touch_flags_a_loop_that_skips_the_beat() {
-        let src = "fn worker_loop(ctx: &Ctx) {\n\
-                       loop {\n\
-                           let job = ctx.recv();\n\
-                           ctx.touch_heartbeat();\n\
-                       }\n\
-                   }\n";
-        let findings = lint_file(&monitor_class(), src);
-        assert_eq!(rules_of(&findings), vec!["heartbeat_touch"]);
-        assert_eq!(findings[0].line, 2);
-    }
-
-    #[test]
-    fn heartbeat_touch_accepts_a_top_of_loop_refresh() {
-        let src = "fn worker_loop(ctx: &Ctx) {\n\
-                       loop {\n\
-                           ctx.touch_heartbeat();\n\
-                           let job = ctx.recv();\n\
-                       }\n\
-                   }\n";
-        assert!(lint_file(&monitor_class(), src).is_empty());
-    }
-
-    #[test]
-    fn heartbeat_touch_only_audits_worker_functions() {
-        let src = "fn control_loop(ctx: &Ctx) { loop { ctx.step(); } }\n";
-        assert!(lint_file(&monitor_class(), src).is_empty());
-    }
-
-    #[test]
-    fn heartbeat_touch_respects_allow() {
-        let src = "// lint: allow(heartbeat_touch) drains a closed queue, no watchdog armed\n\
-                   fn worker_drain(ctx: &Ctx) { loop { ctx.step(); } }\n";
-        assert!(lint_file(&monitor_class(), src).is_empty());
-    }
-
-    #[test]
-    fn heartbeat_touch_only_applies_to_monitor() {
-        let src = "fn worker_loop(ctx: &Ctx) { loop { ctx.step(); } }\n";
-        assert!(lint_file(
-            &FileClass {
-                rel_path: "crates/flow/src/x.rs".to_string(),
-                crate_dir: "flow".to_string(),
-                is_library: true,
-                is_crate_root: false,
-            },
-            src
-        )
-        .is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!                     [--update-baseline]
 //! ```
 //!
-//! `lint` runs the seven per-file invariant rules (see [`lint`] module
+//! `lint` runs the six per-file invariant rules (see [`lint`] module
 //! docs and DESIGN.md §"Static analysis & invariants") over every Rust
 //! source file in the workspace. `analyze` runs the four cross-file
 //! rules (see [`analyze`] module docs and DESIGN.md §"Cross-file

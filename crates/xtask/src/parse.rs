@@ -185,13 +185,11 @@ const MUTATORS: [&str; 8] = [
 /// Registry registration method names; the leading `counter` variants
 /// register monotone counters (the ones conservation sweeps care
 /// about).
-const REGISTRATIONS: [&str; 7] = [
+const REGISTRATIONS: [&str; 5] = [
     "counter",
     "counter_with",
-    "counter_fn",
     "gauge",
     "gauge_with",
-    "gauge_fn",
     "histogram",
 ];
 

@@ -2,7 +2,7 @@
 //! `ANALYZE_RULES` arrays (observed through the binary's JSON output),
 //! the markdown tables in the two module docs, and the README rules
 //! table must all list the same ids — and the English count words in
-//! the prose ("Seven rules", "Four rules") must match reality, so a
+//! the prose ("Six rules", "Four rules") must match reality, so a
 //! future rule can't land in one place and silently miss the others.
 
 use std::path::Path;

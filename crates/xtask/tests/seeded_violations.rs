@@ -1,6 +1,6 @@
 //! End-to-end check of the acceptance criterion: the lint binary must
-//! exit non-zero when a seeded violation of each of the seven rules is
-//! introduced (eight seeded cases — `bounded_ipc` is seeded in both
+//! exit non-zero when a seeded violation of each of the six rules is
+//! introduced (seven seeded cases — `bounded_ipc` is seeded in both
 //! the `cluster` crate and the newer `scenario`/serve scope), report
 //! each of them, and emit parseable JSON.
 
@@ -66,7 +66,7 @@ fn clean_workspace_exits_zero() {
 fn each_seeded_rule_violation_fails_the_lint() {
     // One violation per rule, each on a known line; bounded_ipc is
     // seeded once per scope it covers.
-    let cases: [(&str, &str, &str); 8] = [
+    let cases: [(&str, &str, &str); 7] = [
         (
             "no_panic",
             "crates/a/src/lib.rs",
@@ -86,11 +86,6 @@ fn each_seeded_rule_violation_fails_the_lint() {
             "bounded_queue",
             "crates/monitor/src/extra.rs",
             "pub fn f() { let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); }\n",
-        ),
-        (
-            "heartbeat_touch",
-            "crates/monitor/src/drain.rs",
-            "pub fn worker_drain(ctx: &Ctx) { loop { ctx.step(); } }\n",
         ),
         (
             "forbid_unsafe",
