@@ -96,6 +96,17 @@ pub trait CorrelatorBackend: Send + Sync {
     /// it postpones an `OverBudget` decode, whose erasures and
     /// confidence a verdict may report, and runs it later on the same
     /// packets, which only a window that has never evicted still holds.
+    ///
+    /// An answer is *permanent* when [`ScreenState::permanent`] says so
+    /// for the `state` it leaves behind: `Unmatched` with a settled
+    /// frontier holds for every later window of the flow, and
+    /// `OverBudget` with more closed empty sets than the budget holds
+    /// for every later window until the first eviction. The monitor
+    /// then parks the pair: it stops calling this at the pair's
+    /// boundaries and records them with that answer when it next needs
+    /// the pair. `Decode` is never permanent, and an override that does
+    /// not advance `state` through the matcher's screens leaves it
+    /// unsettled, so none of its answers is taken as permanent.
     fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
         let _ = (window, state);
         Screen::Decode

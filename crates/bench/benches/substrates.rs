@@ -1,17 +1,20 @@
 //! Substrate micro-benchmarks: every subsystem the correlation pipeline
-//! sits on, in isolation, plus the monitor's per-packet ingest path.
+//! sits on, in isolation, plus the monitor's per-packet ingest path and
+//! its walk over settled pairs at decode boundaries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stepstone_adversary::{
     AdversaryPipeline, ChaffInjector, ChaffModel, PacketLoss, Transform, UniformPerturbation,
 };
 use stepstone_bench::Fixture;
+use stepstone_core::{Algorithm, BoundCorrelator, WatermarkCorrelator};
 use stepstone_flow::{Flow, FlowBuilder, Packet, SlidingWindow, TimeDelta, Timestamp};
 use stepstone_ingest::{parse_capture, write_flows, FiveTuple, FlowDemux};
 use stepstone_matching::{CostMeter, GappedSets, Matcher, Screen, ScreenState};
-use stepstone_monitor::{Monitor, MonitorConfig};
+use stepstone_monitor::{FlowId, Monitor, MonitorConfig, UpstreamId};
 use stepstone_netsim::SteppingStoneChain;
 use stepstone_traffic::{tcplib::TelnetModel, InteractiveProfile, Seed, SessionGenerator};
+use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
 fn bench_traffic(c: &mut Criterion) {
     let mut group = c.benchmark_group("traffic");
@@ -228,6 +231,52 @@ fn path_capture() -> Vec<u8> {
 /// upstream is registered, so no pair ever reaches a decode boundary
 /// and the time per iteration divided by 32,768 is the cost every
 /// packet pays before any decode.
+/// Strict upstreams, decoys and packets per decoy of the
+/// `boundary_walk` bench: 2,048 pairs, 65,536 packets.
+const WALK_UPSTREAMS: usize = 32;
+const WALK_DECOYS: usize = 64;
+const WALK_PACKETS: usize = 1024;
+
+/// [`WALK_UPSTREAMS`] strict correlators bound to 200-packet watermarked
+/// flows that start at zero, and the merged events of [`WALK_DECOYS`]
+/// decoys of [`WALK_PACKETS`] packets that start 10 s in, long after
+/// every upstream's first interval `[t₀, t₀ + Δ]` closed empty. Every
+/// pair settles at its first boundary, so no decode ever runs.
+fn walk_scenario() -> (Vec<BoundCorrelator>, Vec<(FlowId, Packet)>) {
+    let seed = Seed::new(0x3A1C);
+    let gen = SessionGenerator::new(InteractiveProfile::ssh());
+    let params = WatermarkParams::small();
+    let upstreams = (0..WALK_UPSTREAMS as u64)
+        .map(|u| {
+            let original = gen.generate(200, Timestamp::ZERO, &mut seed.child(u).rng(0));
+            let marker = IpdWatermarker::new(WatermarkKey::new(u), params);
+            let watermark = Watermark::random(params.bits, &mut WatermarkKey::new(u).rng(1));
+            let marked = marker.embed(&original, &watermark).expect("layout fits");
+            WatermarkCorrelator::new(
+                marker,
+                watermark,
+                TimeDelta::from_secs(2),
+                Algorithm::GreedyPlus,
+            )
+            .bind(&original, &marked)
+            .expect("layout fits")
+        })
+        .collect();
+    let mut events: Vec<(FlowId, Packet)> = (0..WALK_DECOYS as u64)
+        .flat_map(|d| {
+            let rng = &mut seed.child(0x100 + d).rng(0);
+            let decoy = gen.generate(WALK_PACKETS, Timestamp::from_secs(10), rng);
+            decoy
+                .packets()
+                .iter()
+                .map(move |&p| (FlowId(d), p))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    events.sort_by_key(|&(_, p)| p.timestamp());
+    (upstreams, events)
+}
+
 fn bench_monitor(c: &mut Criterion) {
     let bytes = path_capture();
     c.bench_function("monitor/ingest_path", |b| {
@@ -241,6 +290,24 @@ fn bench_monitor(c: &mut Criterion) {
                 }
             }
             monitor.stats().packets_ingested
+        })
+    });
+    // The boundary work over settled pairs, as on the pipeline's
+    // decode-heavy workload: every decoy reaches a decode boundary
+    // every 32 packets, and the engine walks its 32 pairs there.
+    let (upstreams, events) = walk_scenario();
+    c.bench_function("monitor/boundary_walk", |b| {
+        b.iter(|| {
+            let mut monitor = Monitor::new(MonitorConfig::default().with_decode_batch(32));
+            for (u, correlator) in upstreams.iter().enumerate() {
+                monitor.register_upstream(UpstreamId(u as u64), correlator.clone());
+            }
+            for &(flow, packet) in &events {
+                assert!(monitor.ingest(flow, packet), "packets arrive in order");
+            }
+            let stats = monitor.finish().stats;
+            assert_eq!(stats.decodes_run, 0, "every pair settles unmatched");
+            stats.decodes_screened
         })
     });
 }

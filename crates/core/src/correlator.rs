@@ -349,6 +349,12 @@ impl CorrelatorBackend for PaperBackend {
     /// frontier, proves them over the erasure budget only on a window
     /// that has never evicted, where its erasure count is exact. There
     /// `correlate_robust` reports `budget_blown`, never correlated.
+    ///
+    /// Both leave the frontier in `state`, so
+    /// [`ScreenState::permanent`] tells which answers are final:
+    /// `Unmatched` once a closed set is empty, for every later window;
+    /// `OverBudget` once the closed empty sets alone exceed the erasure
+    /// budget, until the window first evicts.
     fn screen(&self, window: &SlidingWindow, state: &mut ScreenState) -> Screen {
         let matcher = self.cfg.matcher();
         if self.cfg.decode.is_robust() {

@@ -46,7 +46,8 @@ pub enum Screen {
 }
 
 /// The frontier both screens resume from: one per (upstream, window)
-/// pair, starting from [`Default`].
+/// pair, starting from [`Default`]. [`permanent`](Self::permanent) says
+/// which answers it makes final.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScreenState {
     /// Upstream packets whose interval is closed and was visited.
@@ -63,6 +64,30 @@ impl ScreenState {
     /// this window and of every later one is unmatched.
     pub const fn settled(&self) -> bool {
         self.empty > 0
+    }
+
+    /// `true` if `answer`, just returned by a screen that advanced this
+    /// state, is the answer every later call on the same flow returns
+    /// too, so a caller may stop screening. Only a settled frontier
+    /// makes an answer permanent:
+    ///
+    /// - [`Screen::Unmatched`] from [`Matcher::screen`] once the state
+    ///   is [settled](Self::settled): the empty closed set stays empty
+    ///   however the window grows or evicts.
+    /// - [`Screen::OverBudget`] from [`Matcher::screen_robust`] under
+    ///   erasure `budget` once the closed empty sets alone exceed it:
+    ///   they are erasures no later packet fills, so every later call
+    ///   answers `OverBudget` until the window first evicts. From then
+    ///   on it answers [`Screen::Decode`], since the robust screen
+    ///   proves nothing on an evicted window.
+    ///
+    /// [`Screen::Decode`] is never permanent.
+    pub const fn permanent(&self, answer: Screen, budget: usize) -> bool {
+        match answer {
+            Screen::Decode => false,
+            Screen::Unmatched => self.settled(),
+            Screen::OverBudget => self.empty > budget,
+        }
     }
 }
 
@@ -406,6 +431,33 @@ mod tests {
             matcher().screen_robust(&up, &w, 1, &mut state),
             Screen::Decode
         );
+    }
+
+    #[test]
+    fn only_a_settled_frontier_makes_an_answer_permanent() {
+        let up = flow(&[0.0, 2.0, 4.0]);
+        let m = matcher();
+        // Over the budget only through the sets after the window's
+        // last packet: a later packet may fill them.
+        let mut state = ScreenState::default();
+        let w = window(&[0.5], 8);
+        assert_eq!(m.screen_robust(&up, &w, 1, &mut state), Screen::OverBudget);
+        assert!(!state.permanent(Screen::OverBudget, 1));
+        // Unmatched only because the window ends before the last
+        // upstream packet.
+        assert_eq!(m.screen(&up, &w, &mut state), Screen::Unmatched);
+        assert!(!state.permanent(Screen::Unmatched, 0));
+        // [0, 1] closes empty: one closed empty set, so over a budget
+        // of 0 for good, and settled for the strict decode.
+        let mut state = ScreenState::default();
+        let w = window(&[1.5, 2.5, 4.5], 8);
+        assert_eq!(m.screen_robust(&up, &w, 0, &mut state), Screen::OverBudget);
+        assert!(state.permanent(Screen::OverBudget, 0));
+        assert!(!state.permanent(Screen::OverBudget, 1));
+        assert!(!state.permanent(Screen::Decode, 0));
+        let mut state = ScreenState::default();
+        assert_eq!(m.screen(&up, &w, &mut state), Screen::Unmatched);
+        assert!(state.permanent(Screen::Unmatched, 0));
     }
 
     #[test]

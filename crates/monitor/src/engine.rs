@@ -1,7 +1,7 @@
 //! The online correlation engine: flow registry, inline decodes,
 //! verdicts.
 
-use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
@@ -53,6 +53,12 @@ struct PairState {
     /// A `Correlated` verdict was emitted for the pair. The pair is
     /// done: no more decodes, and the shutdown sweep skips it.
     resolved: bool,
+    /// The push count and answer of the boundary whose screen proved
+    /// that answer for every later boundary (see
+    /// [`ScreenState::permanent`]). A parked pair is skipped at its
+    /// boundaries, and [`unpark`](Self::unpark) accounts for them when
+    /// the pair is next needed.
+    parked: Option<(u64, Screen)>,
 }
 
 impl PairState {
@@ -76,8 +82,9 @@ impl PairState {
             .max(window.pushed().saturating_add(short))
     }
 
-    /// Screens this pair's decode of `window` at a boundary; `true` if
-    /// the decode must run. A boundary screened as unmatched is
+    /// Screens this pair's decode of `window` at a boundary and
+    /// returns the answer; the decode must run if it is
+    /// [`Screen::Decode`]. A boundary screened as unmatched is
     /// recorded as the unmatched decode it provably is. One screened
     /// over the erasure budget cannot correlate, but a `Degraded`
     /// verdict may report its erasures, so its decode is postponed: the
@@ -85,15 +92,65 @@ impl PairState {
     /// on the window's first that many packets (see
     /// [`Monitor::decode_postponed`]). Screens answer `OverBudget`
     /// only while the window has never evicted, so it still holds them.
-    fn screen(&mut self, correlator: &BoundCorrelator, window: &SlidingWindow) -> bool {
+    fn screen(&mut self, correlator: &BoundCorrelator, window: &SlidingWindow) -> Screen {
         let pushed = window.pushed();
-        match correlator.screen(window, &mut self.screen) {
-            Screen::Decode => return true,
+        let answer = correlator.screen(window, &mut self.screen);
+        match answer {
+            Screen::Decode => return answer,
             Screen::Unmatched => self.record(pushed, None),
             Screen::OverBudget => self.postponed = Some(pushed),
         }
         self.decoded_through = pushed;
-        false
+        answer
+    }
+
+    /// Parks the pair after its boundary at push count `at` was
+    /// screened with `answer`, if the screen proved that answer for
+    /// every later boundary; `true` if it did. A robust answer holds
+    /// only until the window first evicts, so the engine unparks robust
+    /// pairs before that push.
+    fn park(
+        &mut self,
+        correlator: &BoundCorrelator,
+        at: u64,
+        answer: Screen,
+        metrics: &EngineMetrics,
+    ) -> bool {
+        let budget = correlator.decode_options().erasure_budget as usize;
+        let permanent = self.screen.permanent(answer, budget);
+        if permanent {
+            self.parked = Some((at, answer));
+            metrics.pairs_parked.inc();
+        }
+        permanent
+    }
+
+    /// Unparks the pair as of push count `pushed`, recording the
+    /// boundaries it skipped as the screen would have: `k`, one every
+    /// `batch` pushes after the park point, the last at `last`. Strict
+    /// pairs count `k` more unmatched decodes, the latest at `last`;
+    /// robust pairs move their postponed decode to `last`. Both count
+    /// as decoded through `last`, and the skipped boundaries are
+    /// counted in `decodes_screened` now. A no-op if it is not parked.
+    fn unpark(&mut self, pushed: u64, batch: u64, metrics: &EngineMetrics) {
+        let Some((at, answer)) = self.parked.take() else {
+            return;
+        };
+        metrics.pairs_parked.dec();
+        let k = (pushed - at) / batch;
+        if k > 0 {
+            let last = at + k * batch;
+            match answer {
+                Screen::Unmatched => {
+                    self.decodes += k as u32;
+                    self.hamming_at = last;
+                    self.last_hamming = None;
+                }
+                _ => self.postponed = Some(last),
+            }
+            self.decoded_through = last;
+            metrics.decodes_screened.add(k);
+        }
     }
 
     /// Takes the postponed boundary if the pair is unresolved. A decode
@@ -147,8 +204,8 @@ impl PairState {
 struct Suspect {
     window: SlidingWindow,
     pairs: BTreeMap<UpstreamId, PairState>,
-    /// Push count at which some pair of this flow next reaches a decode
-    /// boundary. Ingest skips the per-upstream walk until then.
+    /// Push count at which some unparked pair of this flow next reaches
+    /// a decode boundary. Ingest skips the per-upstream walk until then.
     next_due: u64,
 }
 
@@ -272,6 +329,7 @@ impl Monitor {
             _ => packet.timestamp(),
         });
         let window_capacity = self.config.window_capacity;
+        let batch = self.config.decode_batch as u64;
         let metrics = &self.metrics;
         let mut suspect = self.suspects.entry(flow).or_insert_with(|| {
             metrics.flows_active.inc();
@@ -282,8 +340,17 @@ impl Monitor {
             }
         });
         if suspect.window.is_full() && suspect.window.evicted() == 0 {
-            // This push may be the window's first eviction: decodes
-            // postponed on its prefix must run while it is whole.
+            // This push may be the window's first eviction. It ends the
+            // robust screen's proofs, so robust pairs parked on one are
+            // scheduled again; and decodes postponed on the window's
+            // prefix must run while it is whole.
+            let pushed = suspect.window.pushed();
+            for state in suspect.pairs.values_mut() {
+                if matches!(state.parked, Some((_, Screen::OverBudget))) {
+                    state.unpark(pushed, batch, metrics);
+                    suspect.next_due = suspect.next_due.min(state.decoded_through + batch);
+                }
+            }
             self.decode_postponed(flow);
             let Some(refetched) = self.suspects.get_mut(&flow) else {
                 return false;
@@ -317,9 +384,11 @@ impl Monitor {
     }
 
     /// Evicts suspicious flows idle longer than the configured timeout
-    /// as of stream time `now`, emitting `Evicted` (and terminal
-    /// `Cleared`) verdicts. Returns the number of flows evicted.
-    /// No-op when no idle timeout is configured.
+    /// as of stream time `now`. Each evicted flow's unresolved pairs
+    /// get their terminal verdict, `Cleared`, or `Degraded` if a robust
+    /// decode blew the erasure budget, then the flow its `Evicted`
+    /// verdict. Returns the number of flows evicted. No-op when no
+    /// idle timeout is configured.
     pub fn evict_idle(&mut self, now: Timestamp) -> usize {
         let Some(timeout) = self.config.idle_timeout else {
             return 0;
@@ -340,6 +409,7 @@ impl Monitor {
         // come out the same on every run.
         expired.sort_unstable_by_key(|&(id, _)| id);
         for &(id, idle) in &expired {
+            self.unpark(id);
             self.decode_postponed(id);
             let Some(suspect) = self.suspects.remove(&id) else {
                 continue;
@@ -382,12 +452,21 @@ impl Monitor {
                 .map(|s| s.pairs.values().filter(|p| !p.resolved).count())
                 .sum::<usize>()
         );
+        let pairs_parked = usize::try_from(m.pairs_parked.get()).unwrap_or(0);
+        debug_assert_eq!(
+            pairs_parked,
+            self.suspects
+                .values()
+                .map(|s| s.pairs.values().filter(|p| p.parked.is_some()).count())
+                .sum::<usize>()
+        );
         MonitorStats {
             packets_ingested: m.packets_ingested.get(),
             packets_rejected: m.packets_rejected.get(),
             flows_active,
             flows_evicted: m.flows_evicted.get(),
             pairs_active,
+            pairs_parked,
             pairs_latched: m.pairs_latched.get(),
             decodes_run: m.decodes_run.get(),
             decodes_screened: m.decodes_screened.get(),
@@ -397,16 +476,18 @@ impl Monitor {
         }
     }
 
-    /// Flushes and shuts down: runs one final decode for every pair
-    /// with undecoded packets, plus any decode still postponed,
-    /// resolves every remaining pair to a terminal verdict, and returns
-    /// the undrained verdicts plus a final stats snapshot.
+    /// Flushes and shuts down: unparks every pair, runs one final
+    /// decode for every pair with undecoded packets, plus any decode
+    /// still postponed, resolves every remaining pair to a terminal
+    /// verdict, and returns the undrained verdicts plus a final stats
+    /// snapshot.
     pub fn finish(mut self) -> MonitorReport {
         // Final decode for every unresolved pair that has data beyond
         // its last decode (or was never decoded at all), in flow order.
         let mut flows: Vec<FlowId> = self.suspects.keys().copied().collect();
         flows.sort_unstable();
         for flow in flows {
+            self.unpark(flow);
             let Some(suspect) = self.suspects.get_mut(&flow) else {
                 continue;
             };
@@ -421,7 +502,7 @@ impl Monitor {
                 {
                     continue;
                 }
-                if state.screen(correlator, &suspect.window) {
+                if state.screen(correlator, &suspect.window) == Screen::Decode {
                     due.push(upstream);
                 } else {
                     self.metrics.decodes_screened.inc();
@@ -459,26 +540,33 @@ impl Monitor {
     /// after screening each one, and sets the flow's `next_due`.
     /// [`ingest`](Self::ingest) calls it only once the flow's push count
     /// reaches `next_due`, so between boundaries a packet costs one
-    /// flow lookup.
+    /// flow lookup. A pair whose screen proves its answer for every
+    /// later boundary is parked there: the walk skips it, and it no
+    /// longer counts towards `next_due`.
     fn decode_due(&mut self, flow: FlowId) {
         let Some(suspect) = self.suspects.get_mut(&flow) else {
             return;
         };
+        if suspect.pairs.len() < self.upstreams.len() {
+            // Upstreams registered since the flow's last walk. A fresh
+            // pair enters the active gauge (PairState defaults to
+            // unresolved).
+            for &upstream in self.upstreams.keys() {
+                suspect.pairs.entry(upstream).or_insert_with(|| {
+                    self.metrics.pairs_active.inc();
+                    PairState::default()
+                });
+            }
+        }
         let pushed = suspect.window.pushed();
         let batch = self.config.decode_batch as u64;
         let mut next_due = u64::MAX;
         let mut due = Vec::new();
-        for (&upstream, correlator) in &self.upstreams {
-            let state = match suspect.pairs.entry(upstream) {
-                btree_map::Entry::Vacant(entry) => {
-                    // A fresh pair enters the active gauge (PairState
-                    // defaults to unresolved).
-                    self.metrics.pairs_active.inc();
-                    entry.insert(PairState::default())
-                }
-                btree_map::Entry::Occupied(entry) => entry.into_mut(),
-            };
-            if state.resolved {
+        // Every upstream has its pair, and both maps iterate in
+        // upstream order.
+        let pairs = self.upstreams.iter().zip(suspect.pairs.values_mut());
+        for ((&upstream, correlator), state) in pairs {
+            if state.resolved || state.parked.is_some() {
                 continue;
             }
             let due_at = state.due_at(&suspect.window, min_window(&self.config, correlator), batch);
@@ -486,15 +574,31 @@ impl Monitor {
                 next_due = next_due.min(due_at);
                 continue;
             }
-            if state.screen(correlator, &suspect.window) {
-                due.push(upstream);
-            } else {
-                self.metrics.decodes_screened.inc();
+            match state.screen(correlator, &suspect.window) {
+                Screen::Decode => due.push(upstream),
+                answer => {
+                    self.metrics.decodes_screened.inc();
+                    if state.park(correlator, pushed, answer, &self.metrics) {
+                        continue;
+                    }
+                }
             }
             next_due = next_due.min(pushed.saturating_add(batch));
         }
         suspect.next_due = next_due;
         self.decode_boundary(flow, pushed, &due);
+    }
+
+    /// Unparks every parked pair of `flow` (see [`PairState::unpark`]).
+    fn unpark(&mut self, flow: FlowId) {
+        let Some(suspect) = self.suspects.get_mut(&flow) else {
+            return;
+        };
+        let pushed = suspect.window.pushed();
+        let batch = self.config.decode_batch as u64;
+        for state in suspect.pairs.values_mut() {
+            state.unpark(pushed, batch, &self.metrics);
+        }
     }
 
     /// Runs the postponed decodes of `flow`'s pairs that still have to

@@ -94,12 +94,8 @@ mod tests {
 
     #[test]
     fn flow_id_hasher_spreads_strided_and_extreme_ids() {
-        use std::hash::{BuildHasher, Hash};
-        let hash = |id: u64| {
-            let mut h = BuildFlowIdHasher::default().build_hasher();
-            FlowId(id).hash(&mut h);
-            h.finish()
-        };
+        use std::hash::BuildHasher;
+        let hash = |id: u64| BuildFlowIdHasher::default().hash_one(FlowId(id));
         // The low bits pick the bucket: ids a power of two apart must
         // still land in distinct buckets of a 256-slot table.
         let buckets: std::collections::BTreeSet<u64> =

@@ -29,12 +29,15 @@ pub(crate) struct EngineMetrics {
     pub flows_evicted: Arc<Counter>,
     /// Non-latched candidate pairs currently tracked.
     pub pairs_active: Arc<Gauge>,
+    /// Active pairs parked: no longer screened at their boundaries.
+    pub pairs_parked: Arc<Gauge>,
     /// Pairs latched with a `Correlated` verdict.
     pub pairs_latched: Arc<Counter>,
     /// Windows decoded (contained panics included).
     pub decodes_run: Arc<Counter>,
     /// Decode boundaries whose outcome the backend's screen proved, so
-    /// no decode ran at the boundary.
+    /// no decode ran at the boundary; a parked pair's are added when it
+    /// is unparked.
     pub decodes_screened: Arc<Counter>,
     /// Decode panics caught by the containment.
     pub decode_panics: Arc<Counter>,
@@ -84,6 +87,10 @@ impl EngineMetrics {
                 "monitor_pairs_active",
                 "Candidate pairs currently awaiting a verdict",
             ),
+            pairs_parked: r.gauge(
+                "monitor_pairs_parked",
+                "Active pairs no longer screened: a screen proved every later boundary's answer",
+            ),
             pairs_latched: r.counter(
                 "monitor_pairs_latched_total",
                 "Pairs latched with a Correlated verdict",
@@ -94,7 +101,7 @@ impl EngineMetrics {
             ),
             decodes_screened: r.counter(
                 "monitor_decodes_screened_total",
-                "Decode boundaries resolved by the backend's screen without a decode",
+                "Decode boundaries resolved by the backend's screen without a decode; a parked pair's boundaries are counted when the pair is accounted, so the count can lag mid-run but its final value is unchanged",
             ),
             decode_panics: r.counter(
                 "monitor_decode_panics_total",

@@ -7,7 +7,7 @@ use std::fmt;
 /// Produced by [`Monitor::stats`](crate::Monitor::stats) and included
 /// in the final [`MonitorReport`](crate::MonitorReport). Counters are
 /// cumulative over the engine's lifetime; gauges (`flows_active`,
-/// `pairs_active`) describe the moment of the snapshot.
+/// `pairs_active`, `pairs_parked`) describe the moment of the snapshot.
 ///
 /// The snapshot is a *read-through view over the engine's telemetry
 /// registry* ([`Monitor::registry`](crate::Monitor::registry)): every
@@ -25,6 +25,12 @@ pub struct MonitorStats {
     pub flows_evicted: u64,
     /// Candidate pairs currently awaiting a verdict.
     pub pairs_active: usize,
+    /// Active pairs that are parked: a screen proved the answer of
+    /// every later decode boundary, so the engine no longer screens
+    /// them. Never more than `pairs_active`, and 0 in the final report,
+    /// since [`Monitor::finish`](crate::Monitor::finish) unparks every
+    /// pair.
+    pub pairs_parked: usize,
     /// Pairs latched with a `Correlated` verdict.
     pub pairs_latched: u64,
     /// Windows decoded, contained panics included — one sample each in
@@ -35,7 +41,9 @@ pub struct MonitorStats {
     /// their outcome: a strict decode whose matching is infeasible,
     /// which still counts as a decode in its pair's `Cleared` verdict,
     /// or a robust decode over its erasure budget, whose pair's latest
-    /// one is postponed and counted in `decodes_run` when it runs.
+    /// one is postponed and counted in `decodes_run` when it runs. A
+    /// parked pair's boundaries are counted when it is unparked, so
+    /// mid-run the count may lag; the final count does not.
     pub decodes_screened: u64,
     /// Always empty: the engine decodes inline and has no queues. Kept
     /// for callers written against the sharded engine; it will be

@@ -351,3 +351,54 @@ fn sparse_and_extreme_flow_ids_give_the_dense_verdicts() {
         assert_eq!(run(label), dense, "{name} ids");
     }
 }
+
+#[test]
+fn a_settled_decoy_parks_until_finish() {
+    // A strict upstream, its relay, and a decoy that starts a minute in:
+    // the upstream's first matching set is closed and empty at the
+    // decoy's first boundary, so the pair settles there and parks for
+    // the rest of the decoy's packets.
+    let s = scenario(61, 200, 2);
+    let bound = s.correlator.bind(&s.original, &s.marked).unwrap();
+    let min_window = bound.upstream().len();
+    let relay = attack(&s.marked, 2, 0.5, 61);
+    let decoy = attack(&interactive(600, 62), 2, 0.5, 62).shifted(TimeDelta::from_secs(60));
+    let decoy_pair = PairId {
+        upstream: UpstreamId(0),
+        flow: FlowId(1),
+    };
+    let mut monitor = Monitor::new(MonitorConfig::default().with_decode_batch(16));
+    monitor.register_upstream(UpstreamId(0), bound);
+    let mut decoy_pushed = 0;
+    let mut parked_at_first_boundary = false;
+    let mut verdicts = Vec::new();
+    for (flow, packet) in merge_streams(&[(FlowId(0), &relay), (FlowId(1), &decoy)]) {
+        assert!(monitor.ingest(flow, packet));
+        verdicts.extend(monitor.drain_verdicts());
+        let stats = monitor.stats();
+        assert!(stats.pairs_parked <= stats.pairs_active, "{stats:?}");
+        if flow == FlowId(1) {
+            decoy_pushed += 1;
+            if decoy_pushed == min_window {
+                parked_at_first_boundary = stats.pairs_parked == 1;
+            }
+        }
+    }
+    assert!(parked_at_first_boundary, "the decoy did not park");
+    assert_eq!(monitor.stats().pairs_parked, 1);
+    let report = monitor.finish();
+    assert_eq!(report.stats.pairs_parked, 0, "{:?}", report.stats);
+    verdicts.extend(report.verdicts);
+    // Its parked boundaries still count as decodes: one at the first
+    // boundary, one every 16 packets after it, and one at the flush.
+    let boundaries = (decoy.len() - min_window) / 16 + 1;
+    let flush = usize::from(!(decoy.len() - min_window).is_multiple_of(16));
+    assert!(
+        verdicts.contains(&Verdict::Cleared {
+            pair: decoy_pair,
+            hamming: None,
+            decodes: (boundaries + flush) as u32,
+        }),
+        "{verdicts:?}"
+    );
+}
