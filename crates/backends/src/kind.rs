@@ -1,5 +1,5 @@
 //! Backend identities: stable names shared by the CLI, metric labels
-//! and the cluster's pure-data spec.
+//! and the scenario spec.
 
 use serde::{Deserialize, Serialize};
 
@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// The name returned by [`name`](BackendKind::name) is a stable
 /// identifier: `repro monitor --backend <name>` selects it, `/metrics`
-/// labels per-backend series with it, and the cluster spec carries it
-/// to worker processes as text.
+/// labels per-backend series with it, and a scenario spec's `backend`
+/// key names it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BackendKind {
     /// The paper's best-watermark search (`stepstone-core`): brute

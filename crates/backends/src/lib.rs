@@ -54,7 +54,7 @@ use stepstone_flow::{Flow, SlidingWindow};
 /// moved to, or shared between, threads.
 pub trait CorrelatorBackend: Send + Sync {
     /// Which backend this is (stable name for CLI flags, metric labels
-    /// and cluster specs).
+    /// and scenario specs).
     fn kind(&self) -> BackendKind;
 
     /// The decode configuration this backend instance runs with

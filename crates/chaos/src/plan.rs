@@ -150,23 +150,6 @@ impl FaultPlan {
         config.with_fault_hook(self.runtime().hook())
     }
 
-    /// Derives a per-worker plan for a distributed topology: same
-    /// profile, seed mixed with the worker index through splitmix64 so
-    /// every worker process draws an independent — but still fully
-    /// reproducible — fault schedule from one `--chaos` spec.
-    pub fn for_worker(&self, worker: u64) -> FaultPlan {
-        let mut x = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker.wrapping_add(1)));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        FaultPlan {
-            seed: x,
-            profile: self.profile,
-        }
-    }
-
     /// An FNV-1a digest over the first `n` decisions of all three fault
     /// layers — the "byte-identical fault schedule" witness: two plans
     /// agree on the digest iff they agree on every sampled decision.
@@ -228,22 +211,6 @@ mod tests {
     fn display_round_trips_through_parse() {
         let plan = FaultPlan::new(42, Profile::Harsh);
         assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
-    }
-
-    #[test]
-    fn per_worker_plans_are_deterministic_and_distinct() {
-        let plan = FaultPlan::new(44, Profile::Harsh);
-        let w0 = plan.for_worker(0);
-        let w1 = plan.for_worker(1);
-        assert_eq!(w0, plan.for_worker(0));
-        assert_ne!(w0.seed(), w1.seed());
-        assert_ne!(w0.seed(), plan.seed());
-        assert_eq!(w0.profile(), Profile::Harsh);
-        assert_ne!(
-            w0.schedule_digest(256),
-            w1.schedule_digest(256),
-            "sibling workers must draw independent fault schedules"
-        );
     }
 
     #[test]

@@ -155,9 +155,9 @@ impl WatermarkCorrelator {
 
     /// Like [`prepare`](Self::prepare), but produces a self-contained
     /// correlator that owns its configuration, upstream flow and
-    /// embedding plan. A [`BoundCorrelator`] is `Send + Sync`, so it can
-    /// be shared across worker threads (e.g. by `stepstone-monitor`'s
-    /// shard pool) without tying the workers to the caller's lifetimes.
+    /// embedding plan. A [`BoundCorrelator`] is `Send + Sync`, so a
+    /// long-lived owner such as `stepstone-monitor`'s engine can hold it
+    /// without tying it to the caller's lifetimes.
     ///
     /// # Errors
     ///
@@ -373,8 +373,7 @@ impl CorrelatorBackend for PaperBackend {
 /// Produced by [`WatermarkCorrelator::bind`] (always the paper arm) or
 /// [`WatermarkCorrelator::bind_backend`]. Unlike [`PreparedCorrelator`]
 /// it borrows nothing, so the online monitor can own it and decode
-/// against it on any thread. The monitor and cluster never look inside
-/// the arms: adding a backend means one crate module plus one arm here,
+/// against it on any thread. The monitor never looks inside the arms: adding a backend means one crate module plus one arm here,
 /// with zero engine changes.
 #[derive(Debug, Clone)]
 pub enum BoundCorrelator {

@@ -27,8 +27,7 @@ use stepstone_chaos::{FaultPlan, Profile};
 use stepstone_core::{DecodeMode, UnknownBackend, UnknownDecodeMode};
 use stepstone_experiments::scenario_run::{self, RunOptions};
 use stepstone_experiments::{
-    ablations, backends, cluster, diagnostics, figures, live, matrix, robust, serve,
-    ExperimentConfig, Scale,
+    ablations, backends, diagnostics, figures, live, matrix, robust, serve, ExperimentConfig, Scale,
 };
 use stepstone_ingest::ReplayClock;
 use stepstone_scenario::{Backend, ChaosProfile, Decode, ScenarioSpec};
@@ -96,20 +95,6 @@ impl From<UnknownDecodeMode> for CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    // Hidden entry point: the coordinator respawns this same binary as
-    // `repro cluster-worker` with the IPC frames on stdin/stdout. Not a
-    // user-facing target, so errors skip the usage text.
-    if args.first().map(String::as_str) == Some("cluster-worker") {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        return match cluster::worker_main(&mut stdin.lock(), &mut stdout.lock()) {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("repro cluster-worker: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     // Hidden entry point: the matrix supervisor respawns this binary as
     // `repro matrix-cell` with one canonical spec on stdin and one
     // result line on stdout.
@@ -159,7 +144,7 @@ const USAGE: &str = "usage: repro [--scale quick|default|full] [--seed N] [--out
              [--pairs N] [--decoys N] [--packets N]
              [--backend paper|elices|game]
              [--decode strict|robust] [--erasure-budget N]
-             [--pcap FILE] [--replay fast|real|xN] [--cluster N]
+             [--pcap FILE] [--replay fast|real|xN]
              [--chaos SEED[:mild|harsh|adversarial]]
              [--metrics-addr HOST:PORT]
              [--scenario NAME|FILE.scn] [--addr HOST:PORT] [--snapshot FILE]
@@ -192,9 +177,6 @@ struct Options {
     replay: ReplayClock,
     /// `monitor` runs under this seed-deterministic fault plan.
     chaos: Option<FaultPlan>,
-    /// `monitor` replays through this many worker processes instead of
-    /// an in-process engine.
-    cluster: Option<u32>,
     /// `monitor` serves live telemetry here (e.g. `127.0.0.1:9184`,
     /// or port `0` for an ephemeral one) and keeps the endpoint up
     /// after the report prints, until the process is killed.
@@ -228,7 +210,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
     let mut pcap = None;
     let mut replay = ReplayClock::Fast;
     let mut chaos = None;
-    let mut cluster = None;
     let mut metrics_addr = None;
     let mut scenario = None;
     let mut addr = "127.0.0.1:0".to_string();
@@ -293,13 +274,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
             "--chaos" => {
                 let v = it.next().ok_or("--chaos needs SEED[:PROFILE]")?;
                 chaos = Some(FaultPlan::parse(v).map_err(|e| format!("bad --chaos: {e}"))?);
-            }
-            "--cluster" => {
-                let n = parse_count(&mut it, "--cluster")?;
-                if n == 0 {
-                    return Err("--cluster must be at least 1".into());
-                }
-                cluster = Some(n as u32);
             }
             "--metrics-addr" => {
                 metrics_addr = Some(
@@ -378,7 +352,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
         pcap,
         replay,
         chaos,
-        cluster,
         metrics_addr,
         scenario,
         addr,
@@ -470,32 +443,16 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
             }
             let bytes = read_capture(opts)?;
             let capture = bytes.as_deref().map(|bytes| (bytes, opts.replay));
-            let stream_error = match opts.cluster {
-                Some(workers) => {
-                    let mut copts = cluster::ClusterOptions::new(
-                        workers,
-                        env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?,
-                        vec!["cluster-worker".to_string()],
-                    );
-                    copts.registry = registry;
-                    let report = cluster::cluster_replay(&spec, capture, &copts)
-                        .map_err(|e| format!("monitor: {e}"))?;
-                    println!("{report}");
-                    report.stream_error.is_some()
-                }
-                None => {
-                    let run_opts = RunOptions {
-                        capture,
-                        registry,
-                        engine_chaos: true,
-                        ..RunOptions::default()
-                    };
-                    let report =
-                        scenario_run::run(&spec, &run_opts).map_err(|e| format!("monitor: {e}"))?;
-                    println!("{report}");
-                    report.stream_error.is_some()
-                }
+            let run_opts = RunOptions {
+                capture,
+                registry,
+                engine_chaos: true,
+                ..RunOptions::default()
             };
+            let report =
+                scenario_run::run(&spec, &run_opts).map_err(|e| format!("monitor: {e}"))?;
+            println!("{report}");
+            let stream_error = report.stream_error.is_some();
             if let Some((_server, _)) = server {
                 // Keep the endpoint up so a scraper can read the final
                 // counters after the report; exit via SIGINT/SIGTERM.

@@ -28,9 +28,7 @@
 //! [`stepstone_scenario::ScenarioSpec`]s: [`scenario_run::run`] replays
 //! one through the `stepstone-monitor` online engine, reporting
 //! throughput alongside detection quality; the [`live`] module lowers
-//! the experiment configuration into the `repro monitor` specs, and the
-//! [`cluster`] module runs a spec across a coordinator plus N worker
-//! processes (`repro monitor --cluster N`).
+//! the experiment configuration into the `repro monitor` specs.
 //!
 //! # Example
 //!
@@ -47,7 +45,6 @@
 
 pub mod ablations;
 pub mod backends;
-pub mod cluster;
 mod config;
 mod dataset;
 pub mod diagnostics;

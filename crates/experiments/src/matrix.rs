@@ -3,11 +3,10 @@
 //!
 //! Each cell is one [`ScenarioSpec`] run in a fresh `repro matrix-cell`
 //! child — the canonical spec text goes down the child's stdin, one
-//! `cell ...` result line comes back up its stdout — so cells are
-//! isolated the same way cluster workers are: a wedged or crashed cell
-//! costs a retry, never the whole sweep. Supervision reuses the cluster
-//! coordinator's [`backoff`] pacing: up to [`MAX_ATTEMPTS`] tries per
-//! cell, exponentially spaced, with a hard per-attempt timeout.
+//! `cell ...` result line comes back up its stdout — so a wedged or
+//! crashed cell costs a retry, never the whole sweep. The supervisor
+//! allows up to [`MAX_ATTEMPTS`] tries per cell, exponentially spaced,
+//! with a hard per-attempt timeout.
 //!
 //! The report orders cells by (scenario, backend, seed) and carries
 //! only reproducible fields (counts and digests, no timings), so two
@@ -22,7 +21,6 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use stepstone_cluster::backoff;
 use stepstone_scenario::{preset, Backend, ScenarioSpec, MAX_SPEC_BYTES};
 
 use crate::scenario_run::{run, RunOptions};
@@ -37,9 +35,15 @@ pub const MAX_ATTEMPTS: u32 = 3;
 /// preset runs in seconds; only a wedged child hits this.
 const CELL_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Retry pacing handed to the cluster [`backoff`] curve.
+/// Retry pacing handed to the `backoff` curve.
 const BACKOFF_BASE: Duration = Duration::from_millis(200);
 const BACKOFF_CAP: Duration = Duration::from_secs(5);
+
+/// Capped exponential backoff after `failures` consecutive failed
+/// attempts.
+fn backoff(base: Duration, cap: Duration, failures: u32) -> Duration {
+    base.saturating_mul(1u32 << failures.min(10)).min(cap)
+}
 
 /// Supervisor poll cadence while children run.
 const POLL: Duration = Duration::from_millis(25);
@@ -386,8 +390,8 @@ fn read_cell_output(child: &mut Child) -> String {
 }
 
 /// Runs the whole matrix: at most `workers` children at a time, each
-/// failed cell retried up to [`MAX_ATTEMPTS`] times with cluster
-/// [`backoff`] pacing.
+/// failed cell retried up to [`MAX_ATTEMPTS`] times with `backoff`
+/// pacing.
 ///
 /// # Errors
 ///
@@ -488,6 +492,15 @@ mod tests {
             workers: 2,
             worker_exe: PathBuf::from("unused"),
         }
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let base = Duration::from_millis(50);
+        let cap = Duration::from_secs(1);
+        assert_eq!(backoff(base, cap, 1), Duration::from_millis(100));
+        assert_eq!(backoff(base, cap, 2), Duration::from_millis(200));
+        assert_eq!(backoff(base, cap, 20), cap);
     }
 
     #[test]

@@ -4,12 +4,10 @@
 //! A spec is the workspace's one workload description, and [`run`] is
 //! the one way to run it: `repro monitor`, `repro backends`, `repro
 //! scenario`, `repro serve` sessions, `repro matrix` cells and the
-//! robust sweep all call it, and cluster workers rebuild the same
-//! corpus from the spec text (see [`crate::cluster`]). This module maps
-//! every spec field onto the concrete generators
-//! ([`stepstone_traffic`]), adversary stages ([`stepstone_adversary`]),
-//! chaos channel ([`stepstone_chaos`]) and the online engine
-//! ([`stepstone_monitor`]).
+//! robust sweep all call it. This module maps every spec field onto the
+//! concrete generators ([`stepstone_traffic`]), adversary stages
+//! ([`stepstone_adversary`]), chaos channel ([`stepstone_chaos`]) and
+//! the online engine ([`stepstone_monitor`]).
 //!
 //! # Determinism contract
 //!
@@ -67,9 +65,6 @@ pub enum ScenarioRunError {
     Ingest(IngestError),
     /// The spec (possibly after a threshold override) is inconsistent.
     Invalid(String),
-    /// A cluster coordinator failed (spawn, config, or outbound
-    /// framing); worker deaths are survived, not errors.
-    Cluster(stepstone_cluster::ClusterError),
 }
 
 impl fmt::Display for ScenarioRunError {
@@ -78,7 +73,6 @@ impl fmt::Display for ScenarioRunError {
             ScenarioRunError::Watermark(e) => write!(f, "corpus synthesis failed: {e}"),
             ScenarioRunError::Ingest(e) => write!(f, "capture ingestion failed: {e}"),
             ScenarioRunError::Invalid(reason) => write!(f, "invalid scenario run: {reason}"),
-            ScenarioRunError::Cluster(e) => write!(f, "cluster failed: {e}"),
         }
     }
 }
@@ -88,7 +82,7 @@ impl std::error::Error for ScenarioRunError {
         match self {
             ScenarioRunError::Watermark(e) => Some(e),
             ScenarioRunError::Ingest(e) => Some(e),
-            ScenarioRunError::Invalid(_) | ScenarioRunError::Cluster(_) => None,
+            ScenarioRunError::Invalid(_) => None,
         }
     }
 }
@@ -102,12 +96,6 @@ impl From<WatermarkError> for ScenarioRunError {
 impl From<IngestError> for ScenarioRunError {
     fn from(e: IngestError) -> Self {
         ScenarioRunError::Ingest(e)
-    }
-}
-
-impl From<stepstone_cluster::ClusterError> for ScenarioRunError {
-    fn from(e: stepstone_cluster::ClusterError) -> Self {
-        ScenarioRunError::Cluster(e)
     }
 }
 
@@ -142,7 +130,7 @@ pub struct Detection {
     /// True pairs not detected.
     pub missed: u32,
     /// Pairs that ended degraded: over the erasure budget under robust
-    /// decoding, or backfilled for a lost cluster worker process.
+    /// decoding.
     pub degraded: u32,
 }
 
@@ -151,11 +139,7 @@ impl Detection {
     /// first-seen order, so for a capture replay `demuxed` maps its ids
     /// back to scenario ids through the injective [`flow_tuple`] map;
     /// an in-memory stream passes `None`, its ids being scenario ids.
-    pub(crate) fn score(
-        spec: &ScenarioSpec,
-        verdicts: &[Verdict],
-        demuxed: Option<&[DemuxFlow]>,
-    ) -> Self {
+    fn score(spec: &ScenarioSpec, verdicts: &[Verdict], demuxed: Option<&[DemuxFlow]>) -> Self {
         let scenario_ids: Option<HashMap<FlowId, u64>> = demuxed.map(|flows| {
             let by_tuple: HashMap<FiveTuple, u64> = (0..spec.suspicious_flows() as u64)
                 .map(|id| (flow_tuple(FlowId(id)), id))
@@ -380,8 +364,8 @@ fn params_for(
 }
 
 /// Maps the spec's chaos key to a fault plan. [`run`] applies its flow
-/// layer; only [`RunOptions::engine_chaos`] (and a cluster run, see
-/// [`crate::cluster`]) arms its runtime and wire layers too.
+/// layer; only [`RunOptions::engine_chaos`] arms its runtime and wire
+/// layers too.
 pub fn chaos_plan(spec: &ScenarioSpec) -> Option<FaultPlan> {
     spec.chaos.map(|(seed, profile)| {
         FaultPlan::new(
@@ -456,8 +440,7 @@ pub(crate) struct SpecCorpus {
 
 /// Synthesises the spec's corpus. Everything derives from the spec's
 /// seed, so two calls build interchangeable corpora — what lets a
-/// capture exported earlier replay against correlators rebuilt now,
-/// and a cluster worker rebuild the coordinator's correlators.
+/// capture exported earlier replay against correlators rebuilt now.
 /// `threshold` overrides the spec's detection threshold (serve
 /// hot-reload).
 pub(crate) fn build_spec_corpus(
@@ -521,7 +504,7 @@ pub(crate) fn build_spec_corpus(
 /// `registry` and armed with `plan`'s runtime faults when given, with
 /// correlator `i` registered as upstream `i`. The spec's `shards` key
 /// reaches no engine: decodes run inline.
-pub(crate) fn spec_monitor(
+fn spec_monitor(
     spec: &ScenarioSpec,
     correlators: Vec<BoundCorrelator>,
     registry: Option<Arc<Registry>>,
@@ -543,7 +526,7 @@ pub(crate) fn spec_monitor(
 
 /// Merges the suspicious flows into one time-ordered event stream, as a
 /// tap on the monitored link would deliver it.
-pub(crate) fn merged_stream(suspicious: &[(FlowId, Flow)]) -> Vec<(FlowId, Packet)> {
+fn merged_stream(suspicious: &[(FlowId, Flow)]) -> Vec<(FlowId, Packet)> {
     let mut events: Vec<(FlowId, Packet)> = suspicious
         .iter()
         .flat_map(|(id, flow)| flow.packets().iter().map(move |&p| (*id, p)))
@@ -557,7 +540,7 @@ pub(crate) fn merged_stream(suspicious: &[(FlowId, Flow)]) -> Vec<(FlowId, Packe
 /// back to the scenario's flow identities. UDP keeps the minimum frame
 /// at 42 bytes, under both the generator's 64-byte payload and 48-byte
 /// chaff sizes, so packet sizes survive the round-trip exactly.
-pub(crate) fn flow_tuple(id: FlowId) -> FiveTuple {
+fn flow_tuple(id: FlowId) -> FiveTuple {
     let low = (id.0 & 0xFF) as u8;
     let high = ((id.0 >> 8) & 0xFF) as u8;
     let port = 40_000 + (id.0 & 0xFFFF) as u16;

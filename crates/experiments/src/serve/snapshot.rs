@@ -22,13 +22,12 @@
 //!              + per verdict: upstream u64, flow u64, kind u8
 //! ```
 //!
-//! Decode mirrors the cluster wire codec's hardening: every read is
-//! bounds-checked, every count capped, every enum tag validated, and
-//! any violation is a typed [`SnapshotError`] — never a panic — so a
-//! torn or corrupted file on disk degrades to a typed refusal the CLI
-//! maps to its bad-snapshot exit code. The stored spec text is
-//! re-parsed through
-//! the full DSL validator, so a snapshot cannot smuggle in a scenario
+//! Decode is hardened: every read is bounds-checked, every count
+//! capped, every enum tag validated, and any violation is a typed
+//! [`SnapshotError`] — never a panic — so a torn or corrupted file on
+//! disk degrades to a typed refusal the CLI maps to its bad-snapshot
+//! exit code. The stored spec text is re-parsed through the full DSL
+//! validator, so a snapshot cannot smuggle in a scenario
 //! the API would have rejected.
 //!
 //! One deliberate asymmetry: a [`SessionStatus::Running`] session

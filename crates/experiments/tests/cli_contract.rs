@@ -44,13 +44,16 @@ fn exit_0_on_a_successful_scenario_run() {
 
 #[test]
 fn exit_1_on_usage_errors() {
-    // `--shards` is an unknown flag: the monitor decodes inline and has
-    // no worker pool to size.
+    // `--shards` and `--cluster` are unknown flags, and the old hidden
+    // worker entry point an unknown target: the monitor decodes inline,
+    // in one process.
     for args in [
         &["no-such-target"][..],
         &["scenario"][..],
         &[][..],
         &["--shards", "2", "monitor"][..],
+        &["--cluster", "2", "monitor"][..],
+        &["cluster-worker"][..],
     ] {
         let output = repro().args(args).output().expect("repro runs");
         assert_eq!(output.status.code(), Some(1), "args: {args:?}");

@@ -50,8 +50,9 @@ struct PairState {
     erasures: u32,
     /// Decided-bit confidence of that decode (percent).
     confidence: u8,
-    /// A `Correlated` verdict was emitted for the pair. The pair is
-    /// done: no more decodes, and the shutdown sweep skips it.
+    /// The pair's verdict was emitted: `Correlated` by a latching
+    /// decode, or its terminal negative by the shutdown sweep. The pair
+    /// is done: no more decodes, and it has left the active gauge.
     resolved: bool,
     /// The push count and answer of the boundary whose screen proved
     /// that answer for every later boundary (see
@@ -93,15 +94,21 @@ impl PairState {
     /// [`Monitor::decode_postponed`]). Screens answer `OverBudget`
     /// only while the window has never evicted, so it still holds them.
     fn screen(&mut self, correlator: &BoundCorrelator, window: &SlidingWindow) -> Screen {
-        let pushed = window.pushed();
         let answer = correlator.screen(window, &mut self.screen);
+        self.record_screen(window.pushed(), answer);
+        answer
+    }
+
+    /// Records the boundary at push count `pushed` as screened with
+    /// `answer`, as [`screen`](Self::screen) does; a no-op for
+    /// [`Screen::Decode`], whose decode must run.
+    fn record_screen(&mut self, pushed: u64, answer: Screen) {
         match answer {
-            Screen::Decode => return answer,
+            Screen::Decode => return,
             Screen::Unmatched => self.record(pushed, None),
             Screen::OverBudget => self.postponed = Some(pushed),
         }
         self.decoded_through = pushed;
-        answer
     }
 
     /// Parks the pair after its boundary at push count `at` was
@@ -480,44 +487,59 @@ impl Monitor {
     /// decode for every pair with undecoded packets, plus any decode
     /// still postponed, resolves every remaining pair to a terminal
     /// verdict, and returns the undrained verdicts plus a final stats
-    /// snapshot.
+    /// snapshot, whose `pairs_active` is 0.
     pub fn finish(mut self) -> MonitorReport {
         // Final decode for every unresolved pair that has data beyond
         // its last decode (or was never decoded at all), in flow order.
         let mut flows: Vec<FlowId> = self.suspects.keys().copied().collect();
         flows.sort_unstable();
+        let batch = self.config.decode_batch as u64;
         for flow in flows {
-            self.unpark(flow);
             let Some(suspect) = self.suspects.get_mut(&flow) else {
                 continue;
             };
+            let pushed = suspect.window.pushed();
             let mut due = Vec::new();
             for (&upstream, correlator) in &self.upstreams {
                 let Some(state) = suspect.pairs.get_mut(&upstream) else {
                     continue;
                 };
+                // A pair still parked has its answer for the final
+                // boundary too: strict pairs park only on a permanent
+                // `Unmatched`, and robust ones are unparked before the
+                // window first evicts, so their `OverBudget` still holds.
+                let parked = state.parked.map(|(_, answer)| answer);
+                state.unpark(pushed, batch, &self.metrics);
                 if state.resolved
                     || suspect.window.len() < min_window(&self.config, correlator)
-                    || state.decoded_through >= suspect.window.pushed()
+                    || state.decoded_through >= pushed
                 {
                     continue;
                 }
-                if state.screen(correlator, &suspect.window) == Screen::Decode {
+                let answer = match parked {
+                    Some(answer) => {
+                        state.record_screen(pushed, answer);
+                        answer
+                    }
+                    None => state.screen(correlator, &suspect.window),
+                };
+                if answer == Screen::Decode {
                     due.push(upstream);
                 } else {
                     self.metrics.decodes_screened.inc();
                 }
             }
-            let pushed = suspect.window.pushed();
             self.decode_boundary(flow, pushed, &due);
             self.decode_postponed(flow);
         }
         // Terminal verdicts for everything still undecided, in
         // deterministic (flow, upstream) order.
         let mut remaining: Vec<(PairId, Verdict)> = Vec::new();
-        for (&flow, suspect) in &self.suspects {
-            for (&upstream, state) in &suspect.pairs {
+        for (&flow, suspect) in &mut self.suspects {
+            for (&upstream, state) in &mut suspect.pairs {
                 if !state.resolved {
+                    state.resolved = true;
+                    self.metrics.pairs_active.dec();
                     // The degradation ladder applies to the shutdown
                     // sweep too: budget-blown pairs end `Degraded`.
                     let pair = PairId { upstream, flow };

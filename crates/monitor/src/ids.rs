@@ -7,9 +7,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 ///
 /// Ids are assigned by the program, never read off the wire:
 /// `stepstone_ingest::FlowDemux` numbers flows in first-seen order, and
-/// in-memory workloads number them by index. A cluster worker sees a
-/// sparse subset, and idle eviction keeps minting fresh ids, but no
-/// sender can choose them. The monitor therefore indexes flows with an
+/// in-memory workloads number them by index. Idle eviction keeps
+/// minting fresh ids, but no sender can choose them. The monitor therefore indexes flows with an
 /// unkeyed multiplicative hasher; any `u64` is a valid id, and it only
 /// decides the verdicts' flow order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -19,11 +19,16 @@ pub struct MonitorStats {
     pub packets_ingested: u64,
     /// Packets rejected (out-of-order within their flow).
     pub packets_rejected: u64,
-    /// Suspicious flows currently tracked.
+    /// Suspicious flows currently tracked. In the final report: the
+    /// flows still open at end of stream, which
+    /// [`Monitor::finish`](crate::Monitor::finish) resolves but does not
+    /// evict, so `flows_active + flows_evicted` is every flow tracked.
     pub flows_active: usize,
     /// Suspicious flows evicted for inactivity.
     pub flows_evicted: u64,
-    /// Candidate pairs currently awaiting a verdict.
+    /// Candidate pairs currently awaiting a verdict; 0 in the final
+    /// report, since [`Monitor::finish`](crate::Monitor::finish) gives
+    /// every pair its verdict.
     pub pairs_active: usize,
     /// Active pairs that are parked: a screen proved the answer of
     /// every later decode boundary, so the engine no longer screens

@@ -14,8 +14,8 @@ use crate::ids::{FlowId, PairId};
 /// (eviction or [`finish`][fin]) without any decode correlating.
 /// `Evicted` reports a suspicious flow dropped for inactivity.
 /// `Degraded` is terminal like `Cleared`, but means the pair could not
-/// be decoded reliably (a blown erasure budget, or a cluster worker
-/// process lost) — see [`DegradeReason`].
+/// be decoded reliably (a blown erasure budget) — see
+/// [`DegradeReason`].
 ///
 /// [fin]: crate::Monitor::finish
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +64,6 @@ pub enum Verdict {
 /// Why a pair's verdict is [`Verdict::Degraded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
-    /// The cluster worker process hosting the pair died without
-    /// reporting a verdict for it; the coordinator backfills this one.
-    WorkerLost,
     /// Under `--decode robust` the pair's erasure demand exceeded the
     /// configured budget: too many upstream packets had no downstream
     /// candidate for the decode to vouch for a clean negative. The
@@ -84,7 +81,6 @@ pub enum DegradeReason {
 impl fmt::Display for DegradeReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DegradeReason::WorkerLost => f.write_str("worker lost"),
             DegradeReason::ErasureBudget {
                 erasures,
                 confidence,

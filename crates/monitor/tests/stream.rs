@@ -386,8 +386,16 @@ fn a_settled_decoy_parks_until_finish() {
     }
     assert!(parked_at_first_boundary, "the decoy did not park");
     assert_eq!(monitor.stats().pairs_parked, 1);
+    let registry = monitor.registry();
     let report = monitor.finish();
     assert_eq!(report.stats.pairs_parked, 0, "{:?}", report.stats);
+    // The flush gives the decoy its verdict, which takes it off the
+    // active gauge, on `/metrics` too.
+    assert_eq!(report.stats.pairs_active, 0, "{:?}", report.stats);
+    assert!(registry
+        .render_prometheus()
+        .lines()
+        .any(|line| line == "monitor_pairs_active 0"));
     verdicts.extend(report.verdicts);
     // Its parked boundaries still count as decodes: one at the first
     // boundary, one every 16 packets after it, and one at the flush.

@@ -1,6 +1,6 @@
 //! Cross-file workspace analysis: the `cargo xtask analyze` pass.
 //!
-//! Four rules, each with a machine-readable id (stable — CI, the
+//! Three rules, each with a machine-readable id (stable — CI, the
 //! baseline and the waiver mechanism key on them):
 //!
 //! | id | invariant |
@@ -8,7 +8,6 @@
 //! | `lock_order` | the workspace lock acquisition-order graph is acyclic, and no lock guard is held across a blocking call (`recv`, `sleep`, `wait`, frame reads) |
 //! | `unit_flow` | no arithmetic or comparison mixes time units (µs/ns/ms/s as declared by binding names), and no `from_*`/`as_*` conversion is fed an operand of a different unit |
 //! | `counter_pairing` | every counter family declared with `// conserve(<family>): <members>` has all members mutated in the declaring crate and rendered on `/metrics`; every registered ledger-suffixed counter belongs to a declared family |
-//! | `ipc_exhaustive` | every `Message` variant constructed anywhere is matched non-wildcard on both the coordinator and worker sides of `crates/cluster` |
 //!
 //! Where `lint` checks one file at a time, this pass parses every
 //! `src/` file of the analyzed crates into [`FileFacts`], links them
@@ -31,15 +30,10 @@ use crate::parse::{parse_file, FileFacts};
 use crate::workspace;
 
 /// The stable ids of every analyze rule, in report order.
-pub const ANALYZE_RULES: [&str; 4] = [
-    "lock_order",
-    "unit_flow",
-    "counter_pairing",
-    "ipc_exhaustive",
-];
+pub const ANALYZE_RULES: [&str; 3] = ["lock_order", "unit_flow", "counter_pairing"];
 
 /// Crates whose `src/` trees feed the analysis.
-pub const ANALYZED_CRATES: [&str; 4] = ["cluster", "ingest", "monitor", "telemetry"];
+pub const ANALYZED_CRATES: [&str; 3] = ["ingest", "monitor", "telemetry"];
 
 /// Registered counter name tokens that mark a conservation ledger
 /// side; any counter carrying one must belong to a `conserve()`
@@ -100,7 +94,6 @@ pub fn run(root: &Path, only: Option<&str>) -> Result<Analysis, String> {
             "lock_order" => rule_lock_order(&facts_list),
             "unit_flow" => rule_unit_flow(&facts_list),
             "counter_pairing" => rule_counter_pairing(&facts_list),
-            "ipc_exhaustive" => rule_ipc_exhaustive(&facts_list),
             _ => Vec::new(),
         };
         rule_times_us.push((rule.to_string(), t0.elapsed().as_micros()));
@@ -374,91 +367,6 @@ fn rule_counter_pairing(files: &[FileFacts]) -> Vec<Finding> {
     out
 }
 
-// ---------------------------------------------------------------------
-// ipc_exhaustive
-// ---------------------------------------------------------------------
-
-/// `(crate, enum, sides)` triples the rule enforces. Both ends of the
-/// cluster IPC must name every constructed `Message` variant.
-const IPC_ENUMS: [(&str, &str, [&str; 2]); 1] = [("cluster", "Message", ["coordinator", "worker"])];
-
-fn rule_ipc_exhaustive(files: &[FileFacts]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (crate_dir, enum_name, sides) in IPC_ENUMS {
-        // The declaration site anchors findings.
-        let decl = files.iter().find_map(|f| {
-            if f.crate_dir != crate_dir {
-                return None;
-            }
-            f.enums
-                .iter()
-                .find(|(name, _, _)| name == enum_name)
-                .map(|(_, variants, line)| (f, variants, *line))
-        });
-        let Some((decl_file, variants, enum_line)) = decl else {
-            continue;
-        };
-        let constructed: BTreeSet<&str> = files
-            .iter()
-            .flat_map(|f| &f.constructs)
-            .filter(|(e, _, _)| e == enum_name)
-            .map(|(_, v, _)| v.as_str())
-            .collect();
-        for variant in variants {
-            if !constructed.contains(variant.as_str()) {
-                continue;
-            }
-            let variant_line =
-                variant_decl_line(decl_file, enum_name, variant).unwrap_or(enum_line);
-            if decl_file.allowed("ipc_exhaustive", variant_line) {
-                continue;
-            }
-            for side in sides {
-                let matched = files.iter().any(|f| {
-                    f.crate_dir == crate_dir
-                        && f.rel_path
-                            .rsplit('/')
-                            .next()
-                            .is_some_and(|file| file.starts_with(side))
-                        && f.matches.iter().any(|m| {
-                            m.enums.iter().any(|e| e == enum_name)
-                                && m.arms.iter().any(|a| a == variant)
-                        })
-                });
-                if !matched {
-                    out.push(finding(
-                        "ipc_exhaustive",
-                        &decl_file.rel_path,
-                        variant_line,
-                        format!(
-                            "{enum_name}::{variant} is constructed but never matched \
-                             non-wildcard on the {side} side of crate `{crate_dir}` — \
-                             a wildcard arm would silently swallow it"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Line of one variant inside the enum declaration, for precise
-/// anchoring (and per-variant waivers).
-fn variant_decl_line(f: &FileFacts, enum_name: &str, variant: &str) -> Option<usize> {
-    // Re-derivable from facts alone: the enum's line plus the variant
-    // index is not reliable, so fall back to construct sites in the
-    // declaring file (decode() constructs every variant there).
-    f.enums
-        .iter()
-        .find(|(name, _, _)| name == enum_name)
-        .map(|(_, _, line)| *line)?;
-    f.constructs
-        .iter()
-        .find(|(e, v, _)| e == enum_name && v == variant)
-        .map(|(_, _, line)| *line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,9 +441,9 @@ mod tests {
     #[test]
     fn counter_pairing_sweep_catches_undeclared_ledger_counter() {
         let files = vec![facts(
-            "crates/cluster/src/m.rs",
+            "crates/ingest/src/m.rs",
             "fn wire(r: &Registry) {\n\
-                 let c = r.counter(\"cluster_frames_dropped_total\", \"h\");\n\
+                 let c = r.counter(\"ingest_frames_dropped_total\", \"h\");\n\
                  c.inc();\n\
              }\n",
         )];
@@ -547,63 +455,18 @@ mod tests {
     #[test]
     fn counter_pairing_clean_family_is_silent() {
         let files = vec![facts(
-            "crates/cluster/src/m.rs",
+            "crates/ingest/src/m.rs",
             "// conserve(frames): frames_sent = frames_acked + frames_dropped\n\
              fn wire(r: &Registry, s: &mut S) {\n\
-                 r.counter(\"cluster_frames_sent_total\", \"h\");\n\
-                 r.counter(\"cluster_frames_acked_total\", \"h\");\n\
-                 r.counter(\"cluster_frames_dropped_total\", \"h\");\n\
+                 r.counter(\"ingest_frames_sent_total\", \"h\");\n\
+                 r.counter(\"ingest_frames_acked_total\", \"h\");\n\
+                 r.counter(\"ingest_frames_dropped_total\", \"h\");\n\
                  s.frames_sent += 1;\n\
                  s.frames_acked += 1;\n\
                  s.frames_dropped += 1;\n\
              }\n",
         )];
         assert!(rule_counter_pairing(&files).is_empty());
-    }
-
-    #[test]
-    fn ipc_exhaustive_requires_both_sides() {
-        let message = facts(
-            "crates/cluster/src/message.rs",
-            "pub enum Message { Ping(u64), Pong(u64) }\n\
-             fn decode() -> Message { Message::Ping(0) }\n\
-             fn decode2() -> Message { Message::Pong(0) }\n",
-        );
-        let coordinator = facts(
-            "crates/cluster/src/coordinator.rs",
-            "fn handle(m: Message) {\n\
-                 match m { Message::Ping(s) => {}, Message::Pong(s) => {} }\n\
-             }\n",
-        );
-        // Worker matches Ping but hides Pong behind a wildcard.
-        let worker = facts(
-            "crates/cluster/src/worker.rs",
-            "fn handle(m: Message) {\n\
-                 match m { Message::Ping(s) => {}, _ => {} }\n\
-             }\n",
-        );
-        let found = rule_ipc_exhaustive(&[message, coordinator, worker]);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("Message::Pong"));
-        assert!(found[0].message.contains("worker side"));
-    }
-
-    #[test]
-    fn ipc_exhaustive_ignores_unconstructed_variants() {
-        let message = facts(
-            "crates/cluster/src/message.rs",
-            "pub enum Message { Ping(u64), Reserved }\n\
-             fn decode() -> Message { Message::Ping(0) }\n",
-        );
-        let coordinator = facts(
-            "crates/cluster/src/coordinator.rs",
-            "fn handle(m: Message) { match m { Message::Ping(s) => {}, _ => {} } }\n",
-        );
-        let worker = facts(
-            "crates/cluster/src/worker.rs",
-            "fn handle(m: Message) { match m { Message::Ping(s) => {}, _ => {} } }\n",
-        );
-        assert!(rule_ipc_exhaustive(&[message, coordinator, worker]).is_empty());
     }
 
     #[test]

@@ -349,7 +349,7 @@ mod tests {
     #[test]
     fn ambiguous_names_resolve_to_nothing() {
         let a = facts("crates/monitor/src/a.rs", "fn dup() {}\n");
-        let b = facts("crates/cluster/src/b.rs", "fn dup() {}\n");
+        let b = facts("crates/ingest/src/b.rs", "fn dup() {}\n");
         let c = facts("crates/telemetry/src/c.rs", "fn caller() { dup(); }\n");
         let g = Graph::build(&[a, b, c]);
         let caller = g.fns.iter().find(|f| f.symbol.ends_with("caller")).unwrap();

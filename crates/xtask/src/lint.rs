@@ -10,7 +10,7 @@
 //! | `ordering_comment` | every atomic `Ordering::*` use carries an `// ordering:` justification |
 //! | `bounded_queue` | no unbounded channels in `monitor`; `#[bounded]`-tagged queues grow only through their choke-point method |
 //! | `forbid_unsafe` | every crate root declares `#![forbid(unsafe_code)]` |
-//! | `bounded_ipc` | boundary-input code (`cluster` IPC, the `scenario` DSL, the `experiments` serve layer) never allocates or reads unboundedly from outside input: no unbounded channels, no `read_to_end`-style reads, every `with_capacity` carries a `.min(..)`/`MAX_*` cap witness |
+//! | `bounded_ipc` | boundary-input code (the `scenario` DSL, the `experiments` serve layer) never allocates or reads unboundedly from outside input: no unbounded channels, no `read_to_end`-style reads, every `with_capacity` carries a `.min(..)`/`MAX_*` cap witness |
 //!
 //! A finding on line `L` is suppressed by a comment on `L` or `L-1` of
 //! the form `// lint: allow(<rule>) <reason>` — the reason is
@@ -103,12 +103,11 @@ pub fn run_rule(
 }
 
 /// Library files whose inputs cross a process or trust boundary and so
-/// fall under [`rule_bounded_ipc`]: the `cluster` IPC layer (worker
-/// stdout frames), the `scenario` crate (DSL text from files and HTTP
-/// bodies), and the `experiments` serve layer (HTTP request bodies,
-/// snapshot files, session channels).
+/// fall under [`rule_bounded_ipc`]: the `scenario` crate (DSL text
+/// from files and HTTP bodies) and the `experiments` serve layer (HTTP
+/// request bodies, snapshot files, session channels).
 fn bounded_ipc_scope(class: &FileClass) -> bool {
-    (matches!(class.crate_dir.as_str(), "cluster" | "scenario") && class.rel_path.contains("/src/"))
+    (class.crate_dir == "scenario" && class.rel_path.contains("/src/"))
         || class.rel_path.starts_with("crates/experiments/src/serve")
 }
 
@@ -620,13 +619,12 @@ fn rule_bounded_queue(
 }
 
 /// Boundary-input code decodes bytes that originate outside the
-/// process — worker stdout frames in `crates/cluster`, DSL text and
-/// HTTP bodies in `crates/scenario`, request bodies and snapshot files
-/// in the `experiments` serve layer — and must treat them as hostile
-/// (a corrupted or wedged peer must not take the host with it). Three
-/// unboundedness vectors are forbidden in that scope (see
-/// [`bounded_ipc_scope`]): unbounded `mpsc::channel` (a dead
-/// coordinator loop lets a reader thread buffer without limit),
+/// process — DSL text and HTTP bodies in `crates/scenario`, request
+/// bodies and snapshot files in the `experiments` serve layer — and
+/// must treat them as hostile (a corrupted or wedged peer must not take
+/// the host with it). Three unboundedness vectors are forbidden in that
+/// scope (see [`bounded_ipc_scope`]): unbounded `mpsc::channel` (a dead
+/// consumer loop lets a reader thread buffer without limit),
 /// `read_to_end`/`read_to_string` (a stuck peer pins memory until the
 /// pipe closes, which may be never), and `with_capacity` calls whose
 /// size expression shows no `.min(..)` or `MAX_*` cap witness (a forged
@@ -885,10 +883,10 @@ mod tests {
         .is_empty());
     }
 
-    fn cluster_class() -> FileClass {
+    fn scenario_class() -> FileClass {
         FileClass {
-            rel_path: "crates/cluster/src/wire.rs".to_string(),
-            crate_dir: "cluster".to_string(),
+            rel_path: "crates/scenario/src/spec.rs".to_string(),
+            crate_dir: "scenario".to_string(),
             is_library: true,
             is_crate_root: false,
         }
@@ -899,7 +897,7 @@ mod tests {
         let src = "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); }\n\
                    fn g(r: &mut impl Read) { let mut b = Vec::new(); r.read_to_end(&mut b); }\n\
                    fn h(cap: usize) { let (tx, rx) = sync_channel::<u8>(cap); }\n";
-        let findings = lint_file(&cluster_class(), src);
+        let findings = lint_file(&scenario_class(), src);
         assert_eq!(rules_of(&findings), vec!["bounded_ipc"; 2]);
     }
 
@@ -908,7 +906,7 @@ mod tests {
         let src = "fn f(len: u32) -> Vec<u8> { Vec::with_capacity(len as usize) }\n\
                    fn g(len: u32) -> Vec<u8> { Vec::with_capacity((len as usize).min(1024)) }\n\
                    fn h(len: u32) -> Vec<u8> { Vec::with_capacity(len.min(MAX_FRAME) as usize) }\n";
-        let findings = lint_file(&cluster_class(), src);
+        let findings = lint_file(&scenario_class(), src);
         assert_eq!(rules_of(&findings), vec!["bounded_ipc"]);
         assert_eq!(findings[0].line, 1);
     }
@@ -917,7 +915,7 @@ mod tests {
     fn bounded_ipc_respects_allow_and_other_crates() {
         let src = "// lint: allow(bounded_ipc) reads a local spec file, not the pipe\n\
                    fn f(r: &mut impl Read) { let mut b = Vec::new(); r.read_to_end(&mut b); }\n";
-        assert!(lint_file(&cluster_class(), src).is_empty());
+        assert!(lint_file(&scenario_class(), src).is_empty());
         let src = "fn f(len: u32) -> Vec<u8> { Vec::with_capacity(len as usize) }\n";
         assert!(lint_file(&monitor_class(), src).is_empty());
     }

@@ -8,10 +8,10 @@
 //!
 //! `lint` runs the six per-file invariant rules (see [`lint`] module
 //! docs and DESIGN.md §"Static analysis & invariants") over every Rust
-//! source file in the workspace. `analyze` runs the four cross-file
+//! source file in the workspace. `analyze` runs the three cross-file
 //! rules (see [`analyze`] module docs and DESIGN.md §"Cross-file
-//! analysis") over the `monitor`, `cluster`, `telemetry` and `ingest`
-//! crates against a checked-in finding baseline. Exit codes for both: 0
+//! analysis") over the `monitor`, `telemetry` and `ingest` crates
+//! against a checked-in finding baseline. Exit codes for both: 0
 //! clean, 1 findings (for `analyze`: findings not in the baseline), 2
 //! usage or I/O error. There is deliberately no `--fix`: CI runs
 //! deny-by-default and violations are fixed (or justified inline) by

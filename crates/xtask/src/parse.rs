@@ -105,19 +105,6 @@ pub struct FnFacts {
     pub blocking: Vec<(String, usize)>,
 }
 
-/// A `match` expression's variant coverage.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MatchFacts {
-    /// Enum names appearing in arm patterns (usually one).
-    pub enums: Vec<String>,
-    /// Variants named by non-wildcard arms (`Enum::Variant` patterns).
-    pub arms: Vec<String>,
-    /// `true` when any arm is `_` or a bare binding.
-    pub has_wildcard: bool,
-    /// 1-based line of the `match` keyword.
-    pub line: usize,
-}
-
 /// A `// conserve(<family>): <members>` declaration: the named
 /// counters form one conservation ledger.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,13 +123,6 @@ pub struct FileFacts {
     /// Crate directory under `crates/`, or `"root"`.
     pub crate_dir: String,
     pub fns: Vec<FnFacts>,
-    /// Declared enums: `(name, variants, line)`.
-    pub enums: Vec<(String, Vec<String>, usize)>,
-    /// `Enum::Variant` uses outside pattern position: `(enum, variant,
-    /// line)`.
-    pub constructs: Vec<(String, String, usize)>,
-    /// `match` expressions with enum-variant arms.
-    pub matches: Vec<MatchFacts>,
     /// Metric names registered on a telemetry registry: `(name, line,
     /// is_counter)`.
     pub metric_names: Vec<(String, usize, bool)>,
@@ -210,10 +190,9 @@ pub fn parse_file(class: &FileClass, src: &str) -> FileFacts {
     };
     collect_comments(&lexed, &mut facts);
     let toks = &lexed.toks;
-    let pattern = pattern_mask(toks, &mask, &mut facts);
+    let pattern = pattern_mask(toks, &mask);
     collect_items(toks, &mask, &pattern, &mut facts);
     collect_counters(toks, &mask, &mut facts);
-    collect_variant_uses(toks, &mask, &pattern, &mut facts);
     collect_unit_findings(toks, &mask, &mut facts);
     facts
 }
@@ -255,23 +234,15 @@ fn collect_comments(lexed: &Lexed, facts: &mut FileFacts) {
 
 /// Marks every token in pattern position — `match` arm patterns (up to
 /// each `=>`), `if let`/`while let` patterns (up to the `=`), and the
-/// pattern argument of `matches!`. Also records [`MatchFacts`] for
-/// real `match` expressions.
-fn pattern_mask(toks: &[Tok], mask: &[bool], facts: &mut FileFacts) -> Vec<bool> {
+/// pattern argument of `matches!`.
+fn pattern_mask(toks: &[Tok], mask: &[bool]) -> Vec<bool> {
     let mut pat = vec![false; toks.len()];
     let mut i = 0;
     while i < toks.len() {
         if toks[i].is_ident("match") && !mask[i] {
             if let Some(body) = match_body_open(toks, i) {
                 let close = match_forward(toks, body, '{', '}');
-                let mut m = MatchFacts {
-                    line: toks[i].line,
-                    ..MatchFacts::default()
-                };
-                mark_match_arms(toks, body, close, &mut pat, &mut m);
-                if !m.enums.is_empty() {
-                    facts.matches.push(m);
-                }
+                mark_match_arms(toks, body, close, &mut pat);
                 i += 1;
                 continue;
             }
@@ -347,9 +318,8 @@ fn match_body_open(toks: &[Tok], match_kw: usize) -> Option<usize> {
     None
 }
 
-/// Walks the arms of one `match` body, marking pattern tokens and
-/// collecting variant coverage.
-fn mark_match_arms(toks: &[Tok], body: usize, close: usize, pat: &mut [bool], m: &mut MatchFacts) {
+/// Walks the arms of one `match` body, marking pattern tokens.
+fn mark_match_arms(toks: &[Tok], body: usize, close: usize, pat: &mut [bool]) {
     let mut j = body + 1;
     while j < close {
         // Pattern region: from `j` to the `=>` at depth 0.
@@ -384,38 +354,6 @@ fn mark_match_arms(toks: &[Tok], body: usize, close: usize, pat: &mut [bool], m:
         for slot in pat.iter_mut().take(pat_end).skip(start) {
             *slot = true;
         }
-        // Variant coverage for this arm.
-        let mut named_variant = false;
-        let mut k = start;
-        while k + 2 < pat_end {
-            if toks[k].kind == TokKind::Ident
-                && toks[k + 1].is_punct(':')
-                && toks[k + 2].is_punct(':')
-            {
-                if let Some(v) = toks.get(k + 3) {
-                    if v.kind == TokKind::Ident && is_type_like(&toks[k].text) {
-                        if !m.enums.contains(&toks[k].text) {
-                            m.enums.push(toks[k].text.clone());
-                        }
-                        if !m.arms.contains(&v.text) {
-                            m.arms.push(v.text.clone());
-                        }
-                        named_variant = true;
-                    }
-                }
-                k += 4;
-                continue;
-            }
-            k += 1;
-        }
-        if !named_variant {
-            // `_`, a bare binding, a literal, `Some(x)` with no
-            // qualified variant — treat as a wildcard-ish arm.
-            let first = &toks[start];
-            if first.is_punct('_') || first.kind == TokKind::Ident {
-                m.has_wildcard = true;
-            }
-        }
         // Skip the arm expression: a block, or tokens to the next
         // depth-0 `,`.
         j = arrow + 2;
@@ -448,7 +386,7 @@ fn is_type_like(name: &str) -> bool {
     name.chars().next().is_some_and(|c| c.is_uppercase())
 }
 
-/// Enum declarations plus per-function lock/call/blocking facts.
+/// Per-function lock/call/blocking facts.
 fn collect_items(toks: &[Tok], mask: &[bool], pattern: &[bool], facts: &mut FileFacts) {
     // Impl spans, so methods get `Type::name` symbols.
     let mut impls: Vec<(String, usize, usize)> = Vec::new(); // (type, open, close)
@@ -487,49 +425,6 @@ fn collect_items(toks: &[Tok], mask: &[bool], pattern: &[bool], facts: &mut File
                 let close = match_forward(toks, j, '{', '}');
                 if let Some(ty) = ty {
                     impls.push((ty, j, close));
-                }
-            }
-        }
-        if toks[i].is_ident("enum") && !mask[i] {
-            if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                if let Some(open) = (i + 2..toks.len()).find(|&j| toks[j].is_punct('{')) {
-                    let close = match_forward(toks, open, '{', '}');
-                    let mut variants = Vec::new();
-                    let mut k = open + 1;
-                    while k < close {
-                        // Skip attributes on the variant.
-                        while toks[k].is_punct('#')
-                            && toks.get(k + 1).map(|t| t.is_punct('[')) == Some(true)
-                        {
-                            k = match_forward(toks, k + 1, '[', ']') + 1;
-                        }
-                        if k >= close {
-                            break;
-                        }
-                        if toks[k].kind == TokKind::Ident {
-                            variants.push(toks[k].text.clone());
-                        }
-                        // Skip the variant payload up to the next
-                        // depth-0 comma.
-                        let mut depth = 0i32;
-                        while k < close {
-                            let t = &toks[k];
-                            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                                depth += 1;
-                            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                                depth -= 1;
-                            } else if depth == 0 && t.is_punct(',') {
-                                k += 1;
-                                break;
-                            }
-                            k += 1;
-                        }
-                    }
-                    facts
-                        .enums
-                        .push((name.text.clone(), variants, toks[i].line));
-                    i = close + 1;
-                    continue;
                 }
             }
         }
@@ -844,29 +739,6 @@ fn collect_counters(toks: &[Tok], mask: &[bool], facts: &mut FileFacts) {
     }
 }
 
-/// `Enum::Variant` uses outside pattern position (constructions,
-/// expression mentions).
-fn collect_variant_uses(toks: &[Tok], mask: &[bool], pattern: &[bool], facts: &mut FileFacts) {
-    for i in 0..toks.len().saturating_sub(3) {
-        if mask[i] || pattern[i] {
-            continue;
-        }
-        if toks[i].kind == TokKind::Ident
-            && is_type_like(&toks[i].text)
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].kind == TokKind::Ident
-            && is_type_like(&toks[i + 3].text)
-        {
-            facts.constructs.push((
-                toks[i].text.clone(),
-                toks[i + 3].text.clone(),
-                toks[i + 3].line,
-            ));
-        }
-    }
-}
-
 /// Mixed-unit arithmetic, computed per file. Purely lexical: an
 /// identifier carries the unit its name declares; direct `a op b`
 /// between different units is flagged, as are `from_X(y)` / `as_X()`
@@ -1080,54 +952,21 @@ mod tests {
     }
 
     #[test]
-    fn enum_and_variant_extraction() {
-        let src = "pub enum Message {\n\
-                       Hello { worker: u32 },\n\
-                       Ping(u64),\n\
-                       Shutdown,\n\
-                   }\n";
-        let facts = parse(src);
-        assert_eq!(facts.enums.len(), 1);
-        assert_eq!(facts.enums[0].0, "Message");
-        assert_eq!(facts.enums[0].1, vec!["Hello", "Ping", "Shutdown"]);
-    }
-
-    #[test]
-    fn constructions_and_matches_are_distinguished() {
-        let src = "fn send() -> Message { Message::Ping(1) }\n\
-                   fn handle(m: Message) {\n\
-                       match m {\n\
-                           Message::Ping(_) => {}\n\
-                           Message::Hello { .. } | Message::Shutdown => {}\n\
-                           _ => {}\n\
-                       }\n\
-                   }\n";
-        let facts = parse(src);
-        assert_eq!(
-            facts.constructs,
-            vec![("Message".to_string(), "Ping".to_string(), 1)]
-        );
-        assert_eq!(facts.matches.len(), 1);
-        let m = &facts.matches[0];
-        assert_eq!(m.enums, vec!["Message"]);
-        assert_eq!(m.arms, vec!["Ping", "Hello", "Shutdown"]);
-        assert!(m.has_wildcard);
-    }
-
-    #[test]
-    fn if_let_is_a_pattern_not_a_construction() {
+    fn patterns_are_not_calls() {
         let src = "fn f(m: Message) {\n\
                        if let Message::Ping(seq) = m { use_seq(seq); }\n\
+                       match m { Message::Hello(w) => greet(w), _ => {} }\n\
                    }\n";
         let facts = parse(src);
-        assert!(facts.constructs.is_empty());
+        let calls: Vec<&str> = facts.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(calls, vec!["use_seq", "greet"]);
     }
 
     #[test]
     fn metric_registration_and_mutations() {
         let src = "fn wire(r: &Registry, stats: &mut Stats) {\n\
-                       let c = r.counter(\"cluster_batches_sent_total\", \"help\");\n\
-                       let g = r.gauge(\"cluster_depth\", \"help\");\n\
+                       let c = r.counter(\"ingest_batches_sent_total\", \"help\");\n\
+                       let g = r.gauge(\"ingest_depth\", \"help\");\n\
                        c.inc();\n\
                        stats.batches_sent += 1;\n\
                    }\n";
@@ -1185,6 +1024,6 @@ mod tests {
                    }\n";
         let facts = parse(src);
         assert_eq!(facts.fns.len(), 1);
-        assert!(facts.constructs.is_empty());
+        assert_eq!(facts.fns[0].calls.len(), 1);
     }
 }

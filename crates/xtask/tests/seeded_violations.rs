@@ -1,8 +1,9 @@
 //! End-to-end check of the acceptance criterion: the lint binary must
 //! exit non-zero when a seeded violation of each of the six rules is
-//! introduced (seven seeded cases — `bounded_ipc` is seeded in both
-//! the `cluster` crate and the newer `scenario`/serve scope), report
-//! each of them, and emit parseable JSON.
+//! introduced (seven seeded cases — `bounded_ipc` is seeded twice in
+//! the `scenario` crate, once per unboundedness vector: an uncapped
+//! `with_capacity` and a `read_to_end`), report each of them, and emit
+//! parseable JSON.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -65,7 +66,7 @@ fn clean_workspace_exits_zero() {
 #[test]
 fn each_seeded_rule_violation_fails_the_lint() {
     // One violation per rule, each on a known line; bounded_ipc is
-    // seeded once per scope it covers.
+    // seeded once per vector.
     let cases: [(&str, &str, &str); 7] = [
         (
             "no_panic",
@@ -94,7 +95,7 @@ fn each_seeded_rule_violation_fails_the_lint() {
         ),
         (
             "bounded_ipc",
-            "crates/cluster/src/extra.rs",
+            "crates/scenario/src/alloc.rs",
             "pub fn f(len: u32) -> Vec<u8> { Vec::with_capacity(len as usize) }\n",
         ),
         (
