@@ -74,11 +74,17 @@ fn bench_watermark(c: &mut Criterion) {
     group.finish();
 }
 
+/// Distinct (upstream, window) pairs each matching bench cycles
+/// through. One input repeated times a branch pattern the predictor has
+/// learned, not the kernel on the windows a monitor decodes.
+const ROTATION: u64 = 16;
+
 /// The robust-decode shape of the `lossy-robust` pipeline workload: a
 /// 1,500-packet upstream and its relay after Δ = 1 s perturbation,
-/// λc = 2/s Poisson chaff and 2% packet loss, about 3,000 packets.
-fn lossy_relay() -> (Flow, Flow) {
-    let seed = Seed::new(0x1055);
+/// λc = 2/s Poisson chaff and 2% packet loss, about 3,000 packets. `k`
+/// picks one of the [`ROTATION`] seeds.
+fn lossy_relay(k: u64) -> (Flow, Flow) {
+    let seed = Seed::new(0x1055 + k);
     let upstream = SessionGenerator::new(InteractiveProfile::ssh()).generate(
         1500,
         Timestamp::ZERO,
@@ -96,9 +102,9 @@ fn lossy_relay() -> (Flow, Flow) {
 /// 1,500-packet upstream against its whole relay after Δ = 1 s
 /// perturbation and λc = 2/s Poisson chaff (about 3,000 packets), so
 /// every upstream packet is matched, as in the window where a true pair
-/// latches.
-fn latch_pair() -> (Flow, Flow) {
-    let seed = Seed::new(0x1A7C);
+/// latches. `k` picks one of the [`ROTATION`] seeds.
+fn latch_pair(k: u64) -> (Flow, Flow) {
+    let seed = Seed::new(0x1A7C + k);
     let upstream = SessionGenerator::new(InteractiveProfile::ssh()).generate(
         1500,
         Timestamp::ZERO,
@@ -111,25 +117,55 @@ fn latch_pair() -> (Flow, Flow) {
     (upstream, relayed)
 }
 
+/// [`ROTATION`] bench inputs, handed out in turn, round and round.
+struct Rotation<T> {
+    inputs: Vec<T>,
+    at: usize,
+}
+
+impl<T> Rotation<T> {
+    fn new(input: impl Fn(u64) -> T) -> Self {
+        Rotation {
+            inputs: (0..ROTATION).map(input).collect(),
+            at: 0,
+        }
+    }
+
+    fn next(&mut self) -> &T {
+        self.at = (self.at + 1) % self.inputs.len();
+        &self.inputs[self.at]
+    }
+}
+
 fn bench_matching(c: &mut Criterion) {
     let fx = Fixture::standard();
     let matcher = Matcher::new(fx.delta());
     let mut group = c.benchmark_group("matching");
+    // The fixture's marked flow against relays under its headline
+    // attack (Δ = 7 s, λc = 3), one per seed.
+    let mut relays = Rotation::new(|k| {
+        AdversaryPipeline::new()
+            .then(UniformPerturbation::new(fx.delta()))
+            .then(ChaffInjector::new(ChaffModel::Poisson { rate: 3.0 }))
+            .apply(&fx.marked, Seed::new(0x5E75).child(k))
+    });
     group.bench_function("matching_sets", |b| {
         b.iter(|| {
             let mut meter = CostMeter::new();
             matcher
-                .matching_sets(&fx.marked, &fx.correlated, &mut meter)
+                .matching_sets(&fx.marked, relays.next(), &mut meter)
                 .unwrap()
         })
     });
-    group.bench_function("tighten", |b| {
+    let mut sets = Rotation::new(|k| {
         let mut meter = CostMeter::new();
-        let sets = matcher
-            .matching_sets(&fx.marked, &fx.correlated, &mut meter)
-            .unwrap();
+        matcher
+            .matching_sets(&fx.marked, &relays.inputs[k as usize], &mut meter)
+            .unwrap()
+    });
+    group.bench_function("tighten", |b| {
         b.iter(|| {
-            let mut s = sets.clone();
+            let mut s = sets.next().clone();
             let mut meter = CostMeter::new();
             assert!(s.tighten(&mut meter));
             s
@@ -137,33 +173,53 @@ fn bench_matching(c: &mut Criterion) {
     });
     // Strict matching and tightening, as a latching strict decode runs
     // them.
-    let (upstream, relayed) = latch_pair();
+    let mut pairs = Rotation::new(latch_pair);
     let strict = Matcher::new(TimeDelta::from_secs(1));
     group.bench_function("strict_compute_tighten", |b| {
         b.iter(|| {
+            let (upstream, relayed) = pairs.next();
             let mut meter = CostMeter::new();
             let mut sets = strict
-                .matching_sets(&upstream, &relayed, &mut meter)
+                .matching_sets(upstream, relayed, &mut meter)
                 .expect("every upstream packet is matched");
             assert!(sets.tighten(&mut meter));
             sets
         })
     });
+    // Strict matching of an upstream against another seed's relay, as
+    // the batch reference decodes a decoy: the scan stops at the first
+    // empty set, after copying only the timestamps it reached.
+    let mut unrelated = Rotation::new(|k| k as usize);
+    group.bench_function("strict_unrelated", |b| {
+        b.iter(|| {
+            let k = *unrelated.next();
+            let upstream = &pairs.inputs[k].0;
+            let relayed = &pairs.inputs[(k + 1) % pairs.inputs.len()].1;
+            let mut meter = CostMeter::new();
+            let sets = strict.matching_sets(upstream, relayed, &mut meter);
+            assert!(sets.is_none(), "unrelated flows leave an empty set");
+            meter
+        })
+    });
     // Gap-tolerant matching, as a robust decode runs it: the strict
-    // matcher would abort on the first deleted packet. The window is a
-    // 2,300-packet prefix of the relay, as the monitor's windows are
+    // matcher would abort on the first deleted packet. Each window is a
+    // 2,300-packet prefix of a relay, as the monitor's windows are
     // while the relay is still arriving (about the mean window of a
     // scheduled decode on lossy-robust), so the upstream packets past
     // its end are erasures.
-    let (upstream, relay) = lossy_relay();
-    let window = relay
-        .subsequence(0..2300)
-        .expect("the relay outlasts the window");
+    let mut windows = Rotation::new(|k| {
+        let (upstream, relay) = lossy_relay(k);
+        let window = relay
+            .subsequence(0..2300)
+            .expect("the relay outlasts the window");
+        (upstream, window)
+    });
     let lossy = Matcher::new(TimeDelta::from_secs(1));
     group.bench_function("gapped_compute_tighten", |b| {
         b.iter(|| {
+            let (upstream, window) = windows.next();
             let mut meter = CostMeter::new();
-            let mut sets = GappedSets::compute(&lossy, &upstream, &window, &mut meter);
+            let mut sets = GappedSets::compute(&lossy, upstream, window, &mut meter);
             let _ = sets.tighten(&mut meter);
             sets
         })
@@ -172,6 +228,7 @@ fn bench_matching(c: &mut Criterion) {
     // monitor runs it: the whole relay streams into a window, and every
     // 32 pushes (a decode boundary) one carried state checks whether the
     // window leaves more empty sets than lossy-robust's erasure budget.
+    let (upstream, relay) = lossy_relay(0);
     group.bench_function("robust_screen", |b| {
         b.iter(|| {
             let mut live = SlidingWindow::new(4096);

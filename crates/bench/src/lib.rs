@@ -9,9 +9,10 @@
 //! * `ablations` — design-choice sweeps (phase-1 scope, adjustment `a`,
 //!   redundancy `r`, Optimal cost bound);
 //! * `substrates` — traffic generation, the chain simulator, matching
-//!   (strict, strict on the window where a `decode-heavy` pair latches,
-//!   and gap-tolerant on a lossy window as a robust decode runs it,
-//!   next to the over-budget screen that skips such a decode),
+//!   (strict, strict on the window where a `decode-heavy` pair latches
+//!   and on an unrelated flow it gives up on, and gap-tolerant on a
+//!   lossy window as a robust decode runs it, next to the over-budget
+//!   screen that skips such a decode; each cycling through 16 inputs),
 //!   embedding and decoding in isolation;
 //! * `monitor` — online-engine throughput at 1, 8 and 64 candidate
 //!   pairs and one or all cores, plus the chaos fault seam's overhead;

@@ -157,9 +157,7 @@ impl GappedSets {
     /// Charges `meter` per dropped candidate, as the strict rule does.
     /// Returns the number of slots newly erased by this call.
     pub fn tighten(&mut self, meter: &mut CostMeter) -> usize {
-        let before = self.erasures();
-        self.sets.tighten_over(0..self.len(), false, meter);
-        self.erasures() - before
+        self.sets.tighten_over(0..self.len(), false, meter)
     }
 }
 

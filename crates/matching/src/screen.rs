@@ -192,7 +192,7 @@ impl Matcher {
         let mut walk = walk(window, state.lo.max(window.evicted()));
         while state.closed < upstream.len() && state.empty <= limit {
             let i = state.closed;
-            if last <= upstream.timestamp(i) + self.delta() {
+            if last <= upstream.timestamp(i).saturating_add(self.delta()) {
                 break;
             }
             if !self.holds_candidate(upstream, i, &mut walk) {
@@ -213,7 +213,7 @@ impl Matcher {
         I: Iterator<Item = &'w Packet> + Clone,
     {
         let t = upstream.timestamp(i);
-        let latest = t + self.delta();
+        let latest = t.saturating_add(self.delta());
         while walk.packets.next_if(|p| p.timestamp() < t).is_some() {
             walk.push += 1;
         }

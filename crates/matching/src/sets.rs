@@ -1,6 +1,6 @@
 //! Matching-set computation and the Greedy+ phase-1 simplification.
 
-use stepstone_flow::{Flow, TimeDelta};
+use stepstone_flow::{Flow, Packet, TimeDelta};
 
 use crate::cost::CostMeter;
 
@@ -78,6 +78,15 @@ impl Matcher {
     /// the column is the identity and the window `[lo, hi)` is the run;
     /// with one, the window's class entries are a run of the class's
     /// group, which [`Classes::run`] tracks.
+    ///
+    /// The pointers move over a contiguous copy of the suspicious
+    /// timestamps ([`TimeColumn`]) by [`gallop`], without a
+    /// data-dependent branch per packet examined. The meter is still
+    /// charged the two-pointer scan's accesses, summed and applied once:
+    /// per upstream packet, `lo`'s advance, `hi`'s advance past
+    /// `max(hi, lo)`, and `hi − lo`.
+    /// `t + Δ` saturates, so a window reaching past the last
+    /// representable instant holds every packet from `lo` on.
     pub(crate) fn scan(
         &self,
         upstream: &Flow,
@@ -93,23 +102,24 @@ impl Matcher {
                 (column, Some(classes))
             }
         };
+        let mut times = TimeColumn::new(suspicious.packets());
         let mut runs = Vec::with_capacity(upstream.len());
-        let (mut lo, mut hi) = (0usize, 0usize);
+        let (mut lo, mut hi, mut charged) = (0usize, 0usize, 0u64);
         for packet in upstream.iter() {
-            let t = packet.timestamp();
-            let latest = t + self.delta;
-            while lo < m && suspicious.timestamp(lo) < t {
-                meter.charge_one();
-                lo += 1;
-            }
-            if hi < lo {
-                hi = lo;
-            }
-            while hi < m && suspicious.timestamp(hi) <= latest {
-                meter.charge_one();
-                hi += 1;
-            }
-            meter.charge((hi - lo) as u64);
+            let t = packet.timestamp().as_micros();
+            let latest = packet.timestamp().saturating_add(self.delta).as_micros();
+            let times = times.reach(latest);
+            let from = lo;
+            lo = gallop(times, lo, |x| x < t);
+            let start = hi.max(lo);
+            // The sentinels fail `x <= latest` unless `latest` saturated,
+            // and then every packet from `start` on is in the window.
+            hi = if latest == i64::MAX {
+                m
+            } else {
+                gallop(times, start, |x| x <= latest)
+            };
+            charged += (lo - from + hi - start + hi - lo) as u64;
             let run = match &mut classes {
                 None => (lo as u32, hi as u32),
                 Some(classes) => classes.run(&column, packet.size(), lo, hi),
@@ -119,6 +129,7 @@ impl Matcher {
                 break;
             }
         }
+        meter.charge(charged);
         MatchingSets {
             identity: classes.is_none(),
             column,
@@ -126,6 +137,64 @@ impl Matcher {
             suspicious_len: m,
         }
     }
+}
+
+/// Sentinels past the end of a scan's timestamp column: [`gallop`]
+/// reads up to three entries past a pointer, which stops at the end.
+const GALLOP_PAD: usize = 4;
+
+/// The suspicious timestamps a scan has reached, copied into one
+/// contiguous column followed by [`GALLOP_PAD`] `i64::MAX` sentinels.
+/// The copy proceeds in blocks as the scan needs them, so a strict scan
+/// that stops at an early empty set (an unrelated flow, typically)
+/// copies a block or two rather than the whole flow.
+struct TimeColumn<'a> {
+    packets: &'a [Packet],
+    /// The copied prefix, then the sentinels.
+    times: Vec<i64>,
+}
+
+impl<'a> TimeColumn<'a> {
+    /// Packets copied per block.
+    const BLOCK: usize = 256;
+
+    fn new(packets: &'a [Packet]) -> Self {
+        let mut times = Vec::with_capacity(packets.len() + GALLOP_PAD);
+        times.extend([i64::MAX; GALLOP_PAD]);
+        TimeColumn { packets, times }
+    }
+
+    /// The column, copied until every packet past its copied prefix is
+    /// later than `latest`, or to the end. The sentinels then fail an
+    /// upstream packet's pointer tests (`< t`, `≤ latest`) exactly as
+    /// the packets they stand in for would.
+    fn reach(&mut self, latest: i64) -> &[i64] {
+        let mut copied = self.times.len() - GALLOP_PAD;
+        while copied < self.packets.len() && (copied == 0 || self.times[copied - 1] <= latest) {
+            let end = (copied + Self::BLOCK).min(self.packets.len());
+            self.times.truncate(copied);
+            let block = &self.packets[copied..end];
+            self.times
+                .extend(block.iter().map(|p| p.timestamp().as_micros()));
+            self.times.extend([i64::MAX; GALLOP_PAD]);
+            copied = end;
+        }
+        &self.times
+    }
+}
+
+/// The first position from `at` whose timestamp fails `below`, where
+/// `below` holds on a prefix of `times` and fails on its padding. Steps
+/// of 4 while the fourth entry ahead passes (rarely more than one:
+/// a window moves about two packets per upstream packet), then one step
+/// of 2 and one of 1, each taken or not by a select instead of a branch.
+#[inline(always)]
+fn gallop(times: &[i64], mut at: usize, below: impl Fn(i64) -> bool) -> usize {
+    while below(times[at + 3]) {
+        at += 4;
+    }
+    at += 2 * usize::from(below(times[at + 1]));
+    at + usize::from(below(times[at]))
 }
 
 /// The size-class groups of a scan's column: `(class, start, end)` of
@@ -321,7 +390,7 @@ impl MatchingSets {
     /// matching exists, so the flows are not correlated.
     #[must_use]
     pub fn tighten(&mut self, meter: &mut CostMeter) -> bool {
-        self.tighten_over(0..self.runs.len(), true, meter)
+        self.tighten_over(0..self.runs.len(), true, meter) == 0
     }
 
     /// [`tighten`](Self::tighten) restricted to a strictly increasing
@@ -346,72 +415,94 @@ impl MatchingSets {
         if let Some(&last) = indices.last() {
             assert!(last < self.runs.len(), "subset index out of range");
         }
-        self.tighten_over(indices.iter().copied(), true, meter)
+        self.tighten_over(indices.iter().copied(), true, meter) == 0
     }
 
     /// The forward and backward passes over the sets `order` lists, in
-    /// increasing upstream order. Empty sets (gapped erasures) are
-    /// skipped. A set that empties ends the passes with `false` when
-    /// `strict`, and is skipped from then on otherwise. Each cut is
-    /// charged the candidates it drops.
-    pub(crate) fn tighten_over<I>(&mut self, order: I, strict: bool, meter: &mut CostMeter) -> bool
+    /// increasing upstream order; returns how many listed sets drained.
+    ///
+    /// Each set's run is cut at `clamp(bound, start, end)` on the
+    /// identity column (a binary search within the run otherwise), and
+    /// the bound carried to the next set is chosen by a select: the cut
+    /// set's first (forward) or last (backward) candidate when it still
+    /// holds one, the old bound when it is empty. So an empty set (a
+    /// gapped erasure) cuts to itself, is charged nothing and imposes
+    /// no order constraint. The candidates dropped are summed and
+    /// charged once. A `strict` pass stops at the first set it drains,
+    /// returning 1, and then the backward pass does not run.
+    pub(crate) fn tighten_over<I>(&mut self, order: I, strict: bool, meter: &mut CostMeter) -> usize
     where
         I: DoubleEndedIterator<Item = usize> + Clone,
     {
-        // Forward: candidate of packet i must be > min candidate of the
-        // previous listed packet.
-        let mut min_excl: Option<u32> = None;
+        let MatchingSets {
+            column,
+            runs,
+            identity,
+            ..
+        } = self;
+        let identity = *identity;
+        // The first position of `[start, end)` whose candidate is at
+        // least `bound`.
+        let cut = |start: u32, end: u32, bound: u64| -> u32 {
+            if identity {
+                bound.clamp(u64::from(start), u64::from(end)) as u32
+            } else {
+                let run = &column[start as usize..end as usize];
+                start + run.partition_point(|&c| u64::from(c) < bound) as u32
+            }
+        };
+        // The candidate at `position`. The passes compute it for every
+        // set and keep it only when the cut set still holds it.
+        let candidate = |position: u32| -> u64 {
+            if identity {
+                u64::from(position)
+            } else {
+                column.get(position as usize).map_or(0, |&c| u64::from(c))
+            }
+        };
+        let (mut charged, mut drained) = (0u64, 0usize);
+        // Forward: a candidate of packet i must exceed the first
+        // candidate of the previous live listed packet.
+        let mut bound = 0u64;
         for i in order.clone() {
-            let (start, end) = self.runs[i];
-            if start == end {
-                continue;
+            let (start, end) = runs[i];
+            let at = cut(start, end, bound);
+            runs[i].0 = at;
+            charged += u64::from(at - start);
+            let live = at < end;
+            bound = if live { candidate(at) + 1 } else { bound };
+            let emptied = (start < end) & !live;
+            drained += usize::from(emptied);
+            if strict & emptied {
+                break;
             }
-            if let Some(bound) = min_excl {
-                let cut = self.cut(i, u64::from(bound) + 1);
-                meter.charge(u64::from(cut - start));
-                self.runs[i].0 = cut;
-                if cut == end {
-                    if strict {
-                        return false;
-                    }
-                    continue;
-                }
-            }
-            min_excl = Some(self.first(i));
         }
-        // Backward: candidate of packet i must be < max candidate of the
-        // next listed packet.
-        let mut max_excl: Option<u32> = None;
+        if strict && drained > 0 {
+            meter.charge(charged);
+            return drained;
+        }
+        // Backward: a candidate of packet i must precede the last
+        // candidate of the next live listed packet.
+        let mut bound = u64::MAX;
         for i in order.rev() {
-            let (start, end) = self.runs[i];
-            if start == end {
-                continue;
+            let (start, end) = runs[i];
+            let at = cut(start, end, bound);
+            runs[i].1 = at;
+            charged += u64::from(end - at);
+            let live = start < at;
+            bound = if live {
+                candidate(at.wrapping_sub(1))
+            } else {
+                bound
+            };
+            let emptied = (start < end) & !live;
+            drained += usize::from(emptied);
+            if strict & emptied {
+                break;
             }
-            if let Some(bound) = max_excl {
-                let cut = self.cut(i, u64::from(bound));
-                meter.charge(u64::from(end - cut));
-                self.runs[i].1 = cut;
-                if cut == start {
-                    if strict {
-                        return false;
-                    }
-                    continue;
-                }
-            }
-            max_excl = Some(self.last(i));
         }
-        true
-    }
-
-    /// The first position of set `i`'s run whose candidate is at least
-    /// `value`: computed on the identity column, searched otherwise.
-    fn cut(&self, i: usize, value: u64) -> u32 {
-        let (start, end) = self.runs[i];
-        if self.identity {
-            value.clamp(u64::from(start), u64::from(end)) as u32
-        } else {
-            start + self.set(i).partition_point(|&c| u64::from(c) < value) as u32
-        }
+        meter.charge(charged);
+        drained
     }
 }
 

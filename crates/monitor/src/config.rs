@@ -91,13 +91,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Sets the explicit minimum window before first decode.
-    #[must_use]
-    pub fn with_min_window(mut self, packets: usize) -> Self {
-        self.min_window = packets;
-        self
-    }
-
     /// Publishes engine metrics into `registry` instead of a private
     /// one — the way to expose monitor and ingest series on one
     /// endpoint.

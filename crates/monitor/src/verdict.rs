@@ -172,11 +172,6 @@ impl Verdict {
     pub fn is_correlated(&self) -> bool {
         matches!(self, Verdict::Correlated { .. })
     }
-
-    /// `true` for `Degraded`.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, Verdict::Degraded { .. })
-    }
 }
 
 impl fmt::Display for Verdict {
