@@ -1,6 +1,7 @@
-//! Wire-ingestion throughput: parsing a classic-pcap capture and
-//! demultiplexing it into flows, measured separately so header parsing
-//! and flow-table cost are distinguishable.
+//! Wire-ingestion throughput: parsing a classic-pcap capture, routing
+//! it to flows, and routing plus assembling every flow, measured
+//! separately so header parsing, routing and assembly cost are
+//! distinguishable.
 //!
 //! The capture is built once outside the measured section: 64
 //! interleaved UDP flows of 3,125 packets each (200,000 packets,
@@ -64,6 +65,19 @@ fn ingest_throughput(c: &mut Criterion) {
             records
         })
     });
+    // The live path: every record routed, nothing assembled.
+    group.bench_function("parse_route_200k", |b| {
+        b.iter(|| {
+            let mut demux = FlowDemux::new();
+            let mut routed = 0u64;
+            for r in parse_capture(&bytes).expect("capture header is valid") {
+                routed += u64::from(demux.push(&r.expect("capture body is valid")).is_some());
+            }
+            assert_eq!(routed as usize, TOTAL_PACKETS);
+            routed
+        })
+    });
+    // The batch path: routing, then `finish` assembling every flow.
     group.bench_function("parse_demux_200k", |b| {
         b.iter(|| {
             let mut demux = FlowDemux::new();

@@ -1,13 +1,17 @@
-//! 5-tuple flow demultiplexing: groups [`CaptureRecord`]s into
-//! per-flow packet streams with idle-timeout eviction.
+//! 5-tuple flow demultiplexing: routes [`CaptureRecord`]s to flows
+//! keyed by transport 5-tuple, with idle-timeout eviction.
 //!
 //! The demux serves both consumption styles in the workspace:
 //!
-//! * **batch** — [`FlowDemux::finish`] returns every completed
-//!   [`DemuxFlow`], ready for the offline correlators;
-//! * **incremental** — [`FlowDemux::push`] returns the `(FlowId,
-//!   Packet)` event for the record just seen, which callers forward
-//!   straight into `stepstone_monitor::Monitor::ingest`.
+//! * **incremental** — [`FlowDemux::push`] routes each record and
+//!   returns its `(FlowId, Packet)` event, which callers forward
+//!   straight into `stepstone_monitor::Monitor::ingest`;
+//! * **batch** — [`FlowDemux::finish`] assembles every flow as a
+//!   [`DemuxFlow`], ready for the offline correlators.
+//!
+//! `push` keeps each open tuple's flow id and last timestamp and
+//! appends the packet to one log of 16-byte entries in chunks that
+//! never reallocate, cheaper than growing one vector per flow.
 //!
 //! The tuple map is the one keyed hash on the per-packet path, and it
 //! stays keyed (std's `RandomState`): tuples come off the wire, so an
@@ -87,28 +91,49 @@ impl DemuxMetrics {
                 "ingest_flows_evicted_total",
                 "Flows closed by the idle-timeout sweep",
             ),
-            flows_live: registry.gauge(
-                "ingest_flows_live",
-                "Flows currently being assembled by the demux",
-            ),
+            flows_live: registry.gauge("ingest_flows_live", "Flows currently open in the demux"),
         }
     }
 }
 
-/// One live flow being assembled.
-#[derive(Debug)]
-struct Slot {
-    id: FlowId,
-    builder: FlowBuilder,
+/// One routed packet in the log, its flow's index narrowed to 32 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LogEntry {
+    timestamp: Timestamp,
+    wire_len: u32,
+    flow: u32,
 }
 
+impl LogEntry {
+    /// Packs a packet of flow `flow`; `None` when the flow's index does
+    /// not fit in 32 bits.
+    fn pack(flow: FlowId, packet: Packet) -> Option<LogEntry> {
+        Some(LogEntry {
+            timestamp: packet.timestamp(),
+            wire_len: packet.size(),
+            flow: u32::try_from(flow.0).ok()?,
+        })
+    }
+}
+
+/// Entries per log chunk (1 MiB).
+const CHUNK: usize = 65_536;
+
 /// Groups capture records into flows keyed by transport 5-tuple.
-#[derive(Debug)]
+///
+/// A flow whose id exceeds `u32::MAX` does not fit a log entry: its
+/// packets are routed and counted but not logged, and `finish` returns
+/// it empty (2³² tuples would exhaust memory long before).
+#[derive(Debug, Default)]
 pub struct FlowDemux {
-    live: HashMap<FiveTuple, Slot>,
-    evicted: Vec<DemuxFlow>,
+    /// Open flows: id and last (clamped) timestamp.
+    open: HashMap<FiveTuple, (FlowId, Timestamp)>,
+    /// Every flow's tuple, indexed by id.
+    tuples: Vec<FiveTuple>,
+    /// Every routed packet in arrival order: `log`'s chunks, then `tail`.
+    log: Vec<Vec<LogEntry>>,
+    tail: Vec<LogEntry>,
     idle_timeout: Option<TimeDelta>,
-    next_id: u64,
     stats: DemuxStats,
     metrics: Option<DemuxMetrics>,
 }
@@ -117,14 +142,7 @@ impl FlowDemux {
     /// A demux that keeps every flow open until [`FlowDemux::finish`].
     #[must_use]
     pub fn new() -> Self {
-        FlowDemux {
-            live: HashMap::new(),
-            evicted: Vec::new(),
-            idle_timeout: None,
-            next_id: 0,
-            stats: DemuxStats::default(),
-            metrics: None,
-        }
+        FlowDemux::default()
     }
 
     /// Publishes this demux's counters (`ingest_*` families) into
@@ -140,9 +158,7 @@ impl FlowDemux {
         metrics.clamped.add(self.stats.clamped);
         metrics.flows_opened.add(self.stats.flows_opened);
         metrics.flows_evicted.add(self.stats.flows_evicted);
-        metrics
-            .flows_live
-            .add(i64::try_from(self.live.len()).unwrap_or(i64::MAX));
+        metrics.flows_live.add(self.open.len() as i64);
         self.metrics = Some(metrics);
     }
 
@@ -150,9 +166,10 @@ impl FlowDemux {
     /// [`FlowDemux::sweep_idle`].
     #[must_use]
     pub fn with_idle_timeout(timeout: TimeDelta) -> Self {
-        let mut demux = FlowDemux::new();
-        demux.idle_timeout = Some(timeout);
-        demux
+        FlowDemux {
+            idle_timeout: Some(timeout),
+            ..FlowDemux::default()
+        }
     }
 
     /// Routes one capture record to its flow.
@@ -170,89 +187,63 @@ impl FlowDemux {
             }
             return None;
         };
-        let metrics = &self.metrics;
-        let slot = self.live.entry(tuple).or_insert_with(|| {
-            let id = FlowId(self.next_id);
-            self.next_id += 1;
-            self.stats.flows_opened += 1;
+        let (stats, metrics, tuples) = (&mut self.stats, &self.metrics, &mut self.tuples);
+        let (id, last) = self.open.entry(tuple).or_insert_with(|| {
+            stats.flows_opened += 1;
             if let Some(m) = metrics {
                 m.flows_opened.inc();
                 m.flows_live.inc();
             }
-            Slot {
-                id,
-                builder: FlowBuilder::new(),
-            }
+            tuples.push(tuple);
+            (FlowId(tuples.len() as u64 - 1), record.timestamp)
         });
-        let ts = match slot.builder.last_timestamp() {
-            Some(last) if record.timestamp < last => {
-                self.stats.clamped += 1;
-                if let Some(m) = &self.metrics {
-                    m.clamped.inc();
-                }
-                last
+        if record.timestamp < *last {
+            stats.clamped += 1;
+            if let Some(m) = metrics {
+                m.clamped.inc();
             }
-            _ => record.timestamp,
-        };
-        let packet = Packet::new(ts, record.wire_len);
-        // Infallible: ts was clamped to be non-decreasing above.
-        if slot.builder.push(packet).is_err() {
-            return None;
         }
-        self.stats.packets += 1;
-        if let Some(m) = &self.metrics {
+        *last = record.timestamp.max(*last);
+        let packet = Packet::new(*last, record.wire_len);
+        if let Some(entry) = LogEntry::pack(*id, packet) {
+            // File a full tail (and the first packet's empty one).
+            if self.tail.len() == self.tail.capacity() {
+                self.log
+                    .push(std::mem::replace(&mut self.tail, Vec::with_capacity(CHUNK)));
+            }
+            self.tail.push(entry);
+        }
+        stats.packets += 1;
+        if let Some(m) = metrics {
             m.packets.inc();
         }
-        Some((slot.id, packet))
+        Some((*id, packet))
     }
 
-    /// Closes flows whose last packet is older than `now - timeout`.
-    ///
-    /// Returns the ids of the flows just closed (their assembled flows
-    /// move to the evicted list, readable via [`FlowDemux::drain_evicted`]).
-    /// No-op for a demux built without a timeout.
+    /// Closes flows whose last packet is older than `now - timeout` and
+    /// returns their ids, ascending; a closed tuple's next packet opens
+    /// a new flow. No-op for a demux built without a timeout.
     pub fn sweep_idle(&mut self, now: Timestamp) -> Vec<FlowId> {
         let Some(timeout) = self.idle_timeout else {
             return Vec::new();
         };
         let cutoff = now - timeout;
-        let expired: Vec<FiveTuple> = self
-            .live
-            .iter()
-            .filter(|(_, slot)| slot.builder.last_timestamp().is_none_or(|t| t < cutoff))
-            .map(|(tuple, _)| *tuple)
-            .collect();
-        let mut closed = Vec::with_capacity(expired.len());
-        for tuple in expired {
-            if let Some(slot) = self.live.remove(&tuple) {
-                closed.push(slot.id);
-                self.stats.flows_evicted += 1;
-                if let Some(m) = &self.metrics {
-                    m.flows_evicted.inc();
-                    m.flows_live.dec();
-                }
-                self.evicted.push(DemuxFlow {
-                    id: slot.id,
-                    tuple,
-                    flow: slot.builder.finish(),
-                });
-            }
+        let expired = self.open.extract_if(|_, &mut (_, last)| last < cutoff);
+        let mut closed: Vec<FlowId> = expired.map(|(_, (id, _))| id).collect();
+        self.stats.flows_evicted += closed.len() as u64;
+        if let Some(m) = &self.metrics {
+            m.flows_evicted.add(closed.len() as u64);
+            m.flows_live.add(-(closed.len() as i64));
         }
         // Deterministic order regardless of hash-map iteration.
         closed.sort_unstable_by_key(|id| id.0);
-        self.evicted.sort_by_key(|f| f.id.0);
         closed
     }
 
-    /// Takes the flows closed by eviction sweeps so far.
-    pub fn drain_evicted(&mut self) -> Vec<DemuxFlow> {
-        std::mem::take(&mut self.evicted)
-    }
-
-    /// Number of flows currently being assembled.
+    /// Number of flows currently open in the demux.
     #[must_use]
     pub fn live_flows(&self) -> usize {
-        self.live.len()
+        self.open.len()
     }
 
     /// Counters accumulated so far.
@@ -261,32 +252,41 @@ impl FlowDemux {
         self.stats
     }
 
-    /// Closes every remaining flow and returns all completed flows —
-    /// previously evicted ones included — sorted by [`FlowId`].
+    /// Closes every remaining flow and returns every flow — evicted
+    /// ones included — assembled from the log, sorted by [`FlowId`].
     #[must_use]
-    pub fn finish(mut self) -> (Vec<DemuxFlow>, DemuxStats) {
+    pub fn finish(self) -> (Vec<DemuxFlow>, DemuxStats) {
         if let Some(m) = &self.metrics {
             // The registry outlives this demux; settle the live gauge
             // so a later scrape doesn't report phantom flows.
-            m.flows_live
-                .add(-i64::try_from(self.live.len()).unwrap_or(i64::MAX));
+            m.flows_live.add(-(self.open.len() as i64));
         }
-        let mut flows = std::mem::take(&mut self.evicted);
-        for (tuple, slot) in self.live.drain() {
-            flows.push(DemuxFlow {
-                id: slot.id,
+        let mut log = self.log;
+        log.push(self.tail);
+        let mut counts = vec![0usize; self.tuples.len()];
+        for entry in log.iter().flatten() {
+            counts[entry.flow as usize] += 1;
+        }
+        let mut builders: Vec<FlowBuilder> =
+            counts.into_iter().map(FlowBuilder::with_capacity).collect();
+        for chunk in log {
+            for entry in chunk {
+                // Infallible: push clamped each flow non-decreasing.
+                let packet = Packet::new(entry.timestamp, entry.wire_len);
+                let _ = builders[entry.flow as usize].push(packet);
+            }
+        }
+        let flows = builders
+            .into_iter()
+            .zip(self.tuples)
+            .enumerate()
+            .map(|(id, (builder, tuple))| DemuxFlow {
+                id: FlowId(id as u64),
                 tuple,
-                flow: slot.builder.finish(),
-            });
-        }
-        flows.sort_by_key(|f| f.id.0);
+                flow: builder.finish(),
+            })
+            .collect();
         (flows, self.stats)
-    }
-}
-
-impl Default for FlowDemux {
-    fn default() -> Self {
-        FlowDemux::new()
     }
 }
 
@@ -370,16 +370,21 @@ mod tests {
         let closed = demux.sweep_idle(Timestamp::from_secs(40));
         assert_eq!(closed, vec![FlowId(0)]);
         assert_eq!(demux.live_flows(), 1);
-        let evicted = demux.drain_evicted();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].tuple, a);
 
         // A new packet on the same tuple opens a new flow id.
         let (reopened, _) = demux.push(&record(a, 50_000, 64)).unwrap();
         assert_eq!(reopened, FlowId(2));
 
+        // The evicted flow comes back from finish with the live ones.
         let (flows, stats) = demux.finish();
-        assert_eq!(flows.len(), 2); // b + reopened a
+        let got: Vec<(FlowId, FiveTuple, usize)> = flows
+            .iter()
+            .map(|f| (f.id, f.tuple, f.flow.len()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(FlowId(0), a, 1), (FlowId(1), b, 1), (FlowId(2), a, 1)]
+        );
         assert_eq!(stats.flows_opened, 3);
         assert_eq!(stats.flows_evicted, 1);
     }
@@ -493,5 +498,48 @@ mod tests {
         demux.push(&record(a, 0, 64)).unwrap();
         assert!(demux.sweep_idle(Timestamp::from_secs(3600)).is_empty());
         assert_eq!(demux.live_flows(), 1);
+    }
+
+    #[test]
+    fn log_entries_pack_16_bytes_up_to_u32_max_flows() {
+        assert_eq!(std::mem::size_of::<LogEntry>(), 16);
+        let packet = Packet::new(Timestamp::from_micros(i64::MAX), u32::MAX);
+        let last = FlowId(u64::from(u32::MAX));
+        let entry = LogEntry::pack(last, packet).unwrap();
+        let unpack = |e: LogEntry| (Packet::new(e.timestamp, e.wire_len), e.flow);
+        assert_eq!(unpack(entry), (packet, u32::MAX));
+        let min = Packet::new(Timestamp::from_micros(i64::MIN), 0);
+        assert_eq!(unpack(LogEntry::pack(FlowId(0), min).unwrap()), (min, 0));
+        // One past the 32-bit index does not pack, and does not panic.
+        assert_eq!(LogEntry::pack(FlowId(last.0 + 1), packet), None);
+        assert_eq!(LogEntry::pack(FlowId(u64::MAX), packet), None);
+    }
+
+    #[test]
+    fn the_log_spans_chunks_and_assembles_in_order() {
+        let (a, b) = tuples();
+        let mut demux = FlowDemux::new();
+        let n = 2 * CHUNK + 7;
+        for k in 0..n {
+            let tuple = if k % 3 == 0 { b } else { a };
+            demux.push(&record(tuple, k as i64, 40 + k as u32)).unwrap();
+        }
+        // The first packet filed the empty tail it found.
+        assert_eq!(demux.log.len(), 3);
+        assert_eq!(demux.log[0].capacity(), 0);
+        assert!(demux.log[1..]
+            .iter()
+            .all(|c| c.len() == CHUNK && c.capacity() == CHUNK));
+        assert_eq!((demux.tail.len(), demux.tail.capacity()), (7, CHUNK));
+        let (flows, _) = demux.finish();
+        let sizes = |f: &DemuxFlow| f.flow.iter().map(Packet::size).collect::<Vec<_>>();
+        let want = |keep: fn(usize) -> bool| {
+            (0..n)
+                .filter(|&k| keep(k))
+                .map(|k| 40 + k as u32)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sizes(&flows[0]), want(|k| k % 3 == 0));
+        assert_eq!(sizes(&flows[1]), want(|k| k % 3 != 0));
     }
 }

@@ -10,12 +10,12 @@
 //!          │ parse_capture()          (format sniffed, both endians,
 //!          ▼                           per-interface if_tsresol)
 //!   CaptureRecord stream  ──────────► ignored: ARP/ICMP/fragments
-//!          │ FlowDemux::push()
-//!          ▼
+//!          │ FlowDemux::push()        (routes by 5-tuple, appends
+//!          ▼                           16 B per packet to one log)
 //!   (FlowId, Packet) events ─ ReplayClock pacing ─► Monitor::ingest()
-//!          │                                             │
-//!          ▼ FlowDemux::finish()                         ▼
-//!   Vec<DemuxFlow> (batch correlators)           Verdict stream
+//!                                                        │
+//!   FlowDemux::finish(): every flow assembled from       ▼
+//!   the log, as Vec<DemuxFlow> (batch correlators)   Verdict stream
 //! ```
 //!
 //! The reader never panics on corrupt input: every structural defect

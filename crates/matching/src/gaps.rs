@@ -27,10 +27,13 @@ use crate::sets::{Matcher, MatchingSets};
 /// strictly increasing downstream order *across* the gaps.
 ///
 /// The representation is that of [`MatchingSets`]: every slot is a run
-/// of one candidate column, and an erased slot is an empty run.
+/// of one candidate column, and an erased slot is an empty run. The
+/// erased slots are counted as they appear: the empty runs of the scan,
+/// then the slots [`tighten`](Self::tighten) drains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GappedSets {
     sets: MatchingSets,
+    erased: usize,
 }
 
 impl GappedSets {
@@ -48,9 +51,8 @@ impl GappedSets {
         suspicious: &Flow,
         meter: &mut CostMeter,
     ) -> Self {
-        GappedSets {
-            sets: matcher.scan(upstream, suspicious, meter, false),
-        }
+        let (sets, erased) = matcher.scan(upstream, suspicious, meter, false);
+        GappedSets { sets, erased }
     }
 
     /// Builds gapped sets directly from index ranges (tests and
@@ -61,6 +63,7 @@ impl GappedSets {
     /// Panics if any range is reversed or reaches beyond
     /// `suspicious_len`.
     pub fn from_ranges(ranges: Vec<Range<u32>>, suspicious_len: usize) -> Self {
+        let erased = ranges.iter().filter(|r| r.is_empty()).count();
         let runs = ranges
             .into_iter()
             .enumerate()
@@ -75,6 +78,7 @@ impl GappedSets {
             .collect();
         GappedSets {
             sets: MatchingSets::from_runs(runs, suspicious_len),
+            erased,
         }
     }
 
@@ -103,8 +107,8 @@ impl GappedSets {
     }
 
     /// How many slots are erased.
-    pub fn erasures(&self) -> usize {
-        (0..self.len()).filter(|&i| self.is_erased(i)).count()
+    pub const fn erasures(&self) -> usize {
+        self.erased
     }
 
     /// The candidates of upstream packet `i`, ascending; empty for an
@@ -157,7 +161,9 @@ impl GappedSets {
     /// Charges `meter` per dropped candidate, as the strict rule does.
     /// Returns the number of slots newly erased by this call.
     pub fn tighten(&mut self, meter: &mut CostMeter) -> usize {
-        self.sets.tighten_over(0..self.len(), false, meter)
+        let drained = self.sets.tighten_over(0..self.len(), false, meter);
+        self.erased += drained;
+        drained
     }
 }
 

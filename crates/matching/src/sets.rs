@@ -67,7 +67,7 @@ impl Matcher {
         suspicious: &Flow,
         meter: &mut CostMeter,
     ) -> Option<MatchingSets> {
-        let sets = self.scan(upstream, suspicious, meter, true);
+        let (sets, _) = self.scan(upstream, suspicious, meter, true);
         let aborted = sets.runs.last().is_some_and(|&(start, end)| start == end);
         (!aborted).then_some(sets)
     }
@@ -87,13 +87,14 @@ impl Matcher {
     /// `max(hi, lo)`, and `hi − lo`.
     /// `t + Δ` saturates, so a window reaching past the last
     /// representable instant holds every packet from `lo` on.
+    /// Returns the sets and how many of them are empty.
     pub(crate) fn scan(
         &self,
         upstream: &Flow,
         suspicious: &Flow,
         meter: &mut CostMeter,
         stop_at_empty: bool,
-    ) -> MatchingSets {
+    ) -> (MatchingSets, usize) {
         let m = suspicious.len();
         let (column, mut classes) = match self.size_quantum {
             None => ((0..m as u32).collect(), None),
@@ -104,7 +105,7 @@ impl Matcher {
         };
         let mut times = TimeColumn::new(suspicious.packets());
         let mut runs = Vec::with_capacity(upstream.len());
-        let (mut lo, mut hi, mut charged) = (0usize, 0usize, 0u64);
+        let (mut lo, mut hi, mut charged, mut empty) = (0usize, 0usize, 0u64, 0usize);
         for packet in upstream.iter() {
             let t = packet.timestamp().as_micros();
             let latest = packet.timestamp().saturating_add(self.delta).as_micros();
@@ -125,17 +126,19 @@ impl Matcher {
                 Some(classes) => classes.run(&column, packet.size(), lo, hi),
             };
             runs.push(run);
+            empty += usize::from(run.0 == run.1);
             if stop_at_empty && run.0 == run.1 {
                 break;
             }
         }
         meter.charge(charged);
-        MatchingSets {
+        let sets = MatchingSets {
             identity: classes.is_none(),
             column,
             runs,
             suspicious_len: m,
-        }
+        };
+        (sets, empty)
     }
 }
 

@@ -5,7 +5,8 @@
 //! before that change, kept verbatim but for one point: `t + Δ`
 //! saturates, as it does in the kernel. On random flows the two must
 //! give the same sets, the same `None`, the same tightening results and
-//! drained counts, and the same `CostMeter` counts after every step.
+//! drained counts, and the same `CostMeter` counts after every step;
+//! gapped sets must count the erasures a walk over their slots finds.
 
 use proptest::prelude::*;
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
@@ -355,10 +356,12 @@ fn gapped_agrees(case: &Case) -> Result<(), TestCaseError> {
     same_gapped(&sets, &model)?;
 
     let before = model.erasures();
+    let scanned = sets.erasures();
     let all: Vec<usize> = (0..model.runs.len()).collect();
     prop_assert!(model.tighten_over(&all, false, &mut model_meter));
     let drained = sets.tighten(&mut meter);
     prop_assert_eq!(drained, model.erasures() - before);
+    prop_assert_eq!(sets.erasures(), scanned + drained);
     prop_assert_eq!(meter.count(), model_meter.count());
     same_gapped(&sets, &model)?;
     Ok(())
@@ -372,8 +375,12 @@ fn same_sets(sets: &MatchingSets, model: &Model) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The same slots, and the erasures `GappedSets` counts as the scan and
+/// `tighten` empty slots equal to a walk over its slots and the model's.
 fn same_gapped(sets: &GappedSets, model: &Model) -> Result<(), TestCaseError> {
     prop_assert_eq!(sets.len(), model.runs.len());
+    let walked = (0..sets.len()).filter(|&i| sets.is_erased(i)).count();
+    prop_assert_eq!(sets.erasures(), walked);
     prop_assert_eq!(sets.erasures(), model.erasures());
     for i in 0..model.runs.len() {
         prop_assert_eq!(sets.set(i), model.set(i), "slot {}", i);
