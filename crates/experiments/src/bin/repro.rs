@@ -37,8 +37,8 @@ use stepstone_traffic::Seed;
 
 /// Exit code when a `--pcap` replay abandoned the capture tail on a
 /// stream error (the verdicts above it still printed). Also used for
-/// `matrix` cells that exhausted their retries: the results above are
-/// honest but incomplete.
+/// `matrix` cells whose run failed: the results above are honest but
+/// incomplete.
 const EXIT_STREAM_ERROR: u8 = 3;
 
 /// Exit code for an unrecognised `--backend` or `--decode` name.
@@ -95,25 +95,6 @@ impl From<UnknownDecodeMode> for CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    // Hidden entry point: the matrix supervisor respawns this binary as
-    // `repro matrix-cell` with one canonical spec on stdin and one
-    // result line on stdout.
-    if args.first().map(String::as_str) == Some("matrix-cell") {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        return match matrix::matrix_cell_main(
-            &mut stdin.lock(),
-            &mut stdout.lock(),
-            EXIT_BAD_SCENARIO,
-            EXIT_STREAM_ERROR,
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err((code, msg)) => {
-                eprintln!("repro matrix-cell: {msg}");
-                ExitCode::from(code)
-            }
-        };
-    }
     match run(&args) {
         Ok(code) => ExitCode::from(code),
         Err(CliError::UnknownBackend(err)) => {
@@ -148,8 +129,7 @@ const USAGE: &str = "usage: repro [--scale quick|default|full] [--seed N] [--out
              [--chaos SEED[:mild|harsh|adversarial]]
              [--metrics-addr HOST:PORT]
              [--scenario NAME|FILE.scn] [--addr HOST:PORT] [--snapshot FILE]
-             [--scenarios A,B,..] [--backends A,B,..] [--seeds N,M,..]
-             [--workers N] <target>...
+             [--scenarios A,B,..] [--backends A,B,..] [--seeds N,M,..] <target>...
 targets: table1 fig3..fig10 figures synthetic summary future-loss future-repack\n         extension-hops ablations diagnostics monitor backends pcap-export\n         scenarios scenario serve matrix robust-sweep all
 exit codes: 0 ok, 1 usage/runtime error, 3 stream error / failed matrix cells,
             4 unknown --backend/--decode, 5 bad scenario, 6 bad snapshot";
@@ -188,11 +168,10 @@ struct Options {
     addr: String,
     /// `serve` persists and restores its session table here.
     snapshot: Option<PathBuf>,
-    /// `matrix` axes and parallelism.
+    /// `matrix` axes.
     scenarios: Vec<String>,
     backends_axis: Vec<stepstone_scenario::Backend>,
     seeds: Vec<u64>,
-    workers: usize,
 }
 
 fn parse(args: &[String]) -> Result<Options, CliError> {
@@ -221,7 +200,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
     ];
     let mut backends_axis = stepstone_scenario::Backend::ALL.to_vec();
     let mut seeds: Vec<u64> = vec![1, 2, 3];
-    let mut workers: usize = 2;
     let parse_count = |it: &mut std::slice::Iter<String>, flag: &str| {
         it.next()
             .ok_or(format!("{flag} needs a value"))?
@@ -317,12 +295,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "--workers" => {
-                workers = parse_count(&mut it, "--workers")?;
-                if workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
             "--help" | "-h" => return Err("help requested".into()),
             t if !t.starts_with('-') => targets.push(t.to_string()),
             other => return Err(format!("unknown flag {other}").into()),
@@ -359,7 +331,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
         scenarios,
         backends_axis,
         seeds,
-        workers,
     })
 }
 
@@ -571,9 +542,6 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
                 scenarios: opts.scenarios.clone(),
                 backends: opts.backends_axis.clone(),
                 seeds: opts.seeds.clone(),
-                workers: opts.workers,
-                worker_exe: env::current_exe()
-                    .map_err(|e| format!("cannot find own binary: {e}"))?,
             };
             let report = matrix::run_matrix(&options).map_err(CliError::Scenario)?;
             print!("{report}");

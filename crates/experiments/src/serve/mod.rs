@@ -570,7 +570,7 @@ fn json_opt_u32(v: Option<u32>) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::new();
     for c in s.chars() {
         match c {

@@ -6,7 +6,8 @@
 //!
 //! * the run terminates;
 //! * packets are conserved: every event delivered to the engine is
-//!   counted ingested or rejected;
+//!   counted ingested or rejected, in the stats and on the rendered
+//!   `/metrics` ledgers;
 //! * every registered pair ends with **exactly one** terminal verdict
 //!   (`Correlated`, `Cleared`, or `Degraded`) — chaos may degrade a
 //!   pair, it may never silently drop one;
@@ -71,6 +72,15 @@ fn soak_with(seed: u64, backend: Backend) -> (RunReport, Arc<Registry>) {
     (report, registry)
 }
 
+/// The value of the unlabelled counter `name` in a Prometheus text
+/// rendering.
+fn counter(rendered: &str, name: &str) -> u64 {
+    rendered
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} must render as an integer:\n{rendered}"))
+}
+
 #[test]
 fn harsh_soak_survives_pinned_seeds() {
     for seed in SOAK_SEEDS {
@@ -105,6 +115,24 @@ fn harsh_soak_survives_pinned_seeds() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("seed {seed}: panic counter must render:\n{rendered}"));
         assert!(panics >= 1.0, "seed {seed}: {panics}");
+
+        // The published ledgers balance too: the replay loop's delivery
+        // family against the monitor's intake family.
+        let delivered = counter(&rendered, "ingest_replay_events_total");
+        let ingested = counter(&rendered, "monitor_packets_ingested_total");
+        let rejected = counter(&rendered, "monitor_packets_rejected_total");
+        assert_eq!(delivered, ingested + rejected, "seed {seed}:\n{rendered}");
+        assert_eq!(delivered, report.events, "seed {seed}");
+        assert_eq!(
+            counter(&rendered, "ingest_replay_rejected_total"),
+            rejected,
+            "seed {seed}:\n{rendered}"
+        );
+        assert_eq!(
+            counter(&rendered, "ingest_replay_stream_errors_total"),
+            u64::from(report.stream_error.is_some()),
+            "seed {seed}:\n{rendered}"
+        );
 
         // Zero silently-dropped pairs: every pair that appears in the
         // verdict stream appears exactly once, and every suspicious

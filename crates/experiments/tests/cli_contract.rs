@@ -44,9 +44,9 @@ fn exit_0_on_a_successful_scenario_run() {
 
 #[test]
 fn exit_1_on_usage_errors() {
-    // `--shards` and `--cluster` are unknown flags, and the old hidden
-    // worker entry point an unknown target: the monitor decodes inline,
-    // in one process.
+    // `--shards`, `--cluster` and `--workers` are unknown flags, and the
+    // old hidden worker entry points unknown targets: the monitor
+    // decodes inline and the matrix runs its cells, in one process.
     for args in [
         &["no-such-target"][..],
         &["scenario"][..],
@@ -54,6 +54,8 @@ fn exit_1_on_usage_errors() {
         &["--shards", "2", "monitor"][..],
         &["--cluster", "2", "monitor"][..],
         &["cluster-worker"][..],
+        &["--workers", "2", "matrix"][..],
+        &["matrix-cell"][..],
     ] {
         let output = repro().args(args).output().expect("repro runs");
         assert_eq!(output.status.code(), Some(1), "args: {args:?}");

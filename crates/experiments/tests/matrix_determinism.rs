@@ -1,12 +1,6 @@
 //! `repro matrix` acceptance: a sweep over ≥3 scenarios × 3 backends
 //! emits a stable, schema-tagged `BENCH_scenarios.json` — two runs of
 //! the same matrix are byte-identical.
-//!
-//! The sweep runs through the real supervisor (worker processes,
-//! retries, collation), not an in-process shortcut, so this also
-//! exercises the `matrix-cell` stdin/stdout protocol end to end.
-
-use std::path::PathBuf;
 
 use stepstone_experiments::matrix::{run_matrix, MatrixOptions, SCHEMA};
 use stepstone_scenario::Backend;
@@ -20,8 +14,6 @@ fn options() -> MatrixOptions {
         ],
         backends: Backend::ALL.to_vec(),
         seeds: vec![1],
-        workers: 4,
-        worker_exe: PathBuf::from(env!("CARGO_BIN_EXE_repro")),
     }
 }
 
@@ -35,8 +27,8 @@ fn two_runs_of_the_same_matrix_are_byte_identical() {
     assert_eq!(first.to_json(), second.to_json());
     assert!(first.to_json().contains(SCHEMA));
 
-    // Ordering is (scenario, backend, seed) regardless of completion
-    // order across the worker pool.
+    // Ordering is (scenario, backend, seed), not the order the axes
+    // were given in.
     let keys: Vec<(String, &str, u64)> = first
         .cells
         .iter()
@@ -46,8 +38,8 @@ fn two_runs_of_the_same_matrix_are_byte_identical() {
     sorted.sort();
     assert_eq!(keys, sorted);
 
-    // The quick-smoke paper cell matches a direct in-process run of
-    // the same specialised spec: the process boundary adds nothing.
+    // The quick-smoke paper cell matches a direct run of the same
+    // specialised spec.
     let mut spec = stepstone_scenario::preset("quick-smoke").expect("preset");
     spec.seed = 1;
     spec.backend = Backend::Paper;

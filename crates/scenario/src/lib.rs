@@ -25,7 +25,7 @@
 //!
 //! The checked-in [`preset`](mod@preset) library names the scenarios the rest of
 //! the workspace runs — `repro serve` accepts them by name over HTTP,
-//! `repro matrix` fans them across worker processes — including the
+//! `repro matrix` crosses them with backends and seeds — including the
 //! `multi-flow` staging for the Kiyavash et al. multi-flow attack and
 //! the `deletion-harsh` Gong/Kiyavash channel.
 //!
