@@ -1,7 +1,8 @@
 //! Wire-ingestion throughput: parsing a classic-pcap capture, routing
 //! it to flows, and routing plus assembling every flow, measured
 //! separately so header parsing, routing and assembly cost are
-//! distinguishable.
+//! distinguishable. `route_200k` routes records parsed beforehand, so
+//! it reads the demux's cost alone.
 //!
 //! The capture is built once outside the measured section: 64
 //! interleaved UDP flows of 3,125 packets each (200,000 packets,
@@ -11,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stepstone_flow::{Flow, FlowBuilder, Packet, Timestamp};
-use stepstone_ingest::{parse_capture, write_flows, FiveTuple, FlowDemux};
+use stepstone_ingest::{parse_capture, write_flows, CaptureRecord, FiveTuple, FlowDemux};
 
 const FLOWS: usize = 64;
 const PACKETS_PER_FLOW: usize = 3_125;
@@ -63,6 +64,22 @@ fn ingest_throughput(c: &mut Criterion) {
             }
             assert_eq!(records as usize, TOTAL_PACKETS);
             records
+        })
+    });
+    // Routing alone: `push` over records parsed outside the timing.
+    let records: Vec<CaptureRecord> = parse_capture(&bytes)
+        .expect("capture header is valid")
+        .collect::<Result<_, _>>()
+        .expect("capture body is valid");
+    group.bench_function("route_200k", |b| {
+        b.iter(|| {
+            let mut demux = FlowDemux::new();
+            let mut routed = 0u64;
+            for r in &records {
+                routed += u64::from(demux.push(r).is_some());
+            }
+            assert_eq!(routed as usize, TOTAL_PACKETS);
+            routed
         })
     });
     // The live path: every record routed, nothing assembled.

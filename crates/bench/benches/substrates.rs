@@ -117,6 +117,22 @@ fn latch_pair(k: u64) -> (Flow, Flow) {
     (upstream, relayed)
 }
 
+/// A decoy pair as the monitor first screens it: a full 4,096-packet
+/// window of one ssh session, and a 256-packet upstream of another
+/// session that starts at the window's packet 2,000. `k` picks one of
+/// the [`ROTATION`] seeds.
+fn late_decoy(k: u64) -> (Flow, SlidingWindow) {
+    let seed = Seed::new(0x1A7E + k);
+    let session = SessionGenerator::new(InteractiveProfile::ssh());
+    let suspicious = session.generate(4096, Timestamp::ZERO, &mut seed.child(0).rng(0));
+    let mut window = SlidingWindow::new(4096);
+    for &packet in suspicious.packets() {
+        window.push(packet).expect("a flow is time-ordered");
+    }
+    let upstream = session.generate(256, suspicious.timestamp(2000), &mut seed.child(1).rng(0));
+    (upstream, window)
+}
+
 /// [`ROTATION`] bench inputs, handed out in turn, round and round.
 struct Rotation<T> {
     inputs: Vec<T>,
@@ -222,6 +238,20 @@ fn bench_matching(c: &mut Criterion) {
             let mut sets = GappedSets::compute(&lossy, upstream, window, &mut meter);
             let _ = sets.tighten(&mut meter);
             sets
+        })
+    });
+    // A decoy's first strict screen, which settles it unmatched: the
+    // frontier seeks past the ~2,000 window packets before the
+    // upstream's first one instead of stepping over them, then walks
+    // intervals until one is empty.
+    let mut decoys = Rotation::new(late_decoy);
+    group.bench_function("screen_late_upstream", |b| {
+        b.iter(|| {
+            let (upstream, window) = decoys.next();
+            let mut state = ScreenState::default();
+            let answer = strict.screen(upstream, window, &mut state);
+            assert!(state.settled(), "an unrelated session leaves an empty set");
+            answer
         })
     });
     // The screen that lets the monitor skip that decode, run as the

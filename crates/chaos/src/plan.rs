@@ -108,14 +108,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The same profile re-keyed to `seed` — how the matrix
-    /// orchestrator derives a distinct but reproducible fault schedule
-    /// per cell from a scenario's base chaos plan.
-    #[must_use]
-    pub fn with_seed(&self, seed: u64) -> Self {
-        FaultPlan::new(seed, self.profile)
-    }
-
     /// The plan's profile.
     pub fn profile(&self) -> Profile {
         self.profile

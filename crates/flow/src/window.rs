@@ -237,6 +237,32 @@ impl SlidingWindow {
         }
     }
 
+    /// Where a walk from push index `from` (from the oldest retained
+    /// packet, if `from` was evicted) that steps over packets earlier
+    /// than `t` stops: the push index of the first packet on the way
+    /// not earlier than `t`, [`pushed`](Self::pushed) if there is none,
+    /// and `from` itself if it is not yet pushed. Skips whole chunks by
+    /// their last timestamp, then binary-searches one chunk.
+    pub fn seek(&self, from: u64, t: Timestamp) -> u64 {
+        let from = from.max(self.evicted);
+        let skip = usize::try_from(from - self.evicted).unwrap_or(usize::MAX);
+        if skip >= self.len {
+            return from;
+        }
+        let mut at = self.head + skip;
+        for chunk in self.chunks.range(at >> self.chunk.trailing_zeros()..) {
+            let run = &chunk[at & (self.chunk - 1)..];
+            if run.last().is_some_and(|p| p.timestamp() >= t) {
+                at += run.partition_point(|p| p.timestamp() < t);
+                return self.evicted + (at - self.head) as u64;
+            }
+            // Every chunk but the last is full, so `at` moves to the
+            // next chunk's first slot.
+            at += run.len();
+        }
+        self.pushed
+    }
+
     /// Materialises the retained packets as a [`Flow`] for batch
     /// decoding. Provenance is preserved.
     pub fn snapshot(&self) -> Flow {
@@ -364,6 +390,105 @@ mod tests {
             }
             w.clear();
             assert!(w.is_empty() && w.iter().next().is_none() && w.get(0).is_none());
+        }
+    }
+
+    /// Where a walk from `from` that steps over packets earlier than
+    /// `t` stops: the model [`SlidingWindow::seek`] must agree with.
+    fn step(w: &SlidingWindow, from: u64, t: Timestamp) -> u64 {
+        let from = from.max(w.evicted());
+        from + w.iter_from(from).take_while(|p| p.timestamp() < t).count() as u64
+    }
+
+    /// A window of `capacity` after `n` pushes, two per timestamp
+    /// (µs 0, 0, 2, 2, …), so push `k` of an even `k` is the first
+    /// packet at µs `k`.
+    fn paired(capacity: usize, n: usize) -> SlidingWindow {
+        let mut w = SlidingWindow::new(capacity);
+        for k in 0..n {
+            w.push(Packet::new(Timestamp::from_micros(2 * (k / 2) as i64), 64))
+                .unwrap();
+        }
+        w
+    }
+
+    #[test]
+    fn seek_on_an_empty_window_stays_put() {
+        let w = SlidingWindow::new(8);
+        assert_eq!(w.seek(0, Timestamp::from_secs(1)), 0);
+        let mut w = paired(4, 6);
+        w.clear();
+        assert_eq!(w.seek(0, Timestamp::ZERO), 6);
+        assert_eq!(w.seek(9, Timestamp::ZERO), 9);
+    }
+
+    #[test]
+    fn seek_before_and_after_every_packet() {
+        let w = paired(1024, 600);
+        // Every packet is earlier than t: past the last one.
+        assert_eq!(w.seek(0, Timestamp::from_secs(1)), 600);
+        assert_eq!(w.seek(599, Timestamp::from_micros(599)), 600);
+        // Every packet is at or after t: no step.
+        assert_eq!(w.seek(0, Timestamp::ZERO), 0);
+        assert_eq!(w.seek(0, Timestamp::from_micros(-5)), 0);
+        assert_eq!(w.seek(301, Timestamp::ZERO), 301);
+    }
+
+    #[test]
+    fn seek_lands_on_chunk_boundaries() {
+        let w = paired(4 * CHUNK, 3 * CHUNK + 10);
+        for push in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK] {
+            // The first packet of each timestamp pair is even.
+            let even = push & !1;
+            let t = Timestamp::from_micros(even as i64);
+            assert_eq!(w.seek(0, t), even as u64, "t at push {push}");
+            assert_eq!(w.seek(push as u64, t), push as u64);
+            // A chunk whose last packet is just before t is skipped whole.
+            let next = Timestamp::from_micros(even as i64 + 1);
+            assert_eq!(w.seek(0, next), even as u64 + 2);
+        }
+    }
+
+    #[test]
+    fn seek_after_evictions_starts_at_the_oldest_retained() {
+        let w = paired(CHUNK + 3, 3 * CHUNK);
+        let oldest = w.evicted();
+        assert!(oldest > CHUNK as u64 && oldest % 2 == 1);
+        assert_eq!(w.seek(0, Timestamp::ZERO), oldest);
+        let t = Timestamp::from_micros(oldest as i64 + 1);
+        assert_eq!(w.seek(0, t), oldest + 1);
+        assert_eq!(w.seek(3, Timestamp::from_secs(1)), w.pushed());
+    }
+
+    #[test]
+    fn seek_past_pushed_returns_from() {
+        let w = paired(8, 6);
+        assert_eq!(w.seek(6, Timestamp::ZERO), 6);
+        assert_eq!(w.seek(40, Timestamp::ZERO), 40);
+        assert_eq!(w.seek(u64::MAX, Timestamp::from_secs(1)), u64::MAX);
+    }
+
+    #[test]
+    fn seek_agrees_with_a_stepping_walk() {
+        for capacity in [1, 3, CHUNK - 1, CHUNK, 2 * CHUNK + 5] {
+            let mut w = SlidingWindow::new(capacity);
+            for k in 0..(3 * CHUNK + 9) {
+                w.push(Packet::new(Timestamp::from_micros((k / 3) as i64 * 5), 64))
+                    .unwrap();
+                if k % 97 != 0 {
+                    continue;
+                }
+                for from in [0, w.evicted(), w.pushed() / 2, w.pushed(), w.pushed() + 2] {
+                    for micros in [-1, 0, 4, 5, 6, (k as i64 / 3) * 5, (k as i64 / 3) * 5 + 1] {
+                        let t = Timestamp::from_micros(micros);
+                        assert_eq!(
+                            w.seek(from, t),
+                            step(&w, from, t),
+                            "capacity {capacity}, push {k}, from {from}, t {micros}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -13,11 +13,26 @@
 //! appends the packet to one log of 16-byte entries in chunks that
 //! never reallocate, cheaper than growing one vector per flow.
 //!
-//! The tuple map is the one keyed hash on the per-packet path, and it
-//! stays keyed (std's `RandomState`): tuples come off the wire, so an
-//! attacker chooses them and could aim collisions at an unkeyed
-//! hasher. The [`FlowId`]s it hands out are dense and in first-seen
-//! order, so everything downstream may index them without a keyed hash.
+//! The tuple map is the one keyed hash on the per-packet path. Tuples
+//! come off the wire, so a sender chooses them and could aim
+//! collisions at an unkeyed hasher. The map hashes with a keyed folded
+//! multiply (two multiplies per IPv4 tuple) instead of std's
+//! SipHash-1-3, under a 128-bit key drawn per demux from std's
+//! `RandomState`:
+//!
+//! - colliding tuples cannot be precomputed, since the key is unknown
+//!   until the demux exists, and differs from demux to demux;
+//! - against a sender who can also time the monitor it is weaker than
+//!   SipHash: a folded multiply is not a pseudo-random function, so
+//!   timing how the table's buckets fill may leak key bits that
+//!   SipHash would not.
+//!
+//! The trade buys per-packet cost: routing a parsed record took 49.7 ns
+//! under SipHash-1-3 and 35.0 ns under the folded multiply (the ingest
+//! bench's `route_200k`; EXPERIMENTS.md, "Multiply-cost tuple hash,
+//! seeking frontier"). The
+//! [`FlowId`]s it hands out are dense and in first-seen order, so
+//! everything downstream may index them without a keyed hash.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,6 +42,7 @@ use stepstone_monitor::FlowId;
 use stepstone_telemetry::{Counter, Gauge, Registry};
 
 use crate::capture::CaptureRecord;
+use crate::hasher::BuildTupleHasher;
 use crate::link::FiveTuple;
 
 /// A completed flow together with the identity the demux assigned it.
@@ -127,7 +143,7 @@ const CHUNK: usize = 65_536;
 #[derive(Debug, Default)]
 pub struct FlowDemux {
     /// Open flows: id and last (clamped) timestamp.
-    open: HashMap<FiveTuple, (FlowId, Timestamp)>,
+    open: HashMap<FiveTuple, (FlowId, Timestamp), BuildTupleHasher>,
     /// Every flow's tuple, indexed by id.
     tuples: Vec<FiveTuple>,
     /// Every routed packet in arrival order: `log`'s chunks, then `tail`.

@@ -33,6 +33,7 @@ mod clock;
 mod cursor;
 mod demux;
 mod error;
+mod hasher;
 mod link;
 mod pcap;
 mod pcapng;

@@ -42,10 +42,13 @@ impl fmt::Display for Transport {
 ///
 /// `Hash` is written by hand to feed a hasher few, wide words: an IPv4
 /// pair hashes as two `u64`s (both addresses, then ports and protocol);
-/// any other pair as two `u128` addresses plus the ports word. Equal
-/// tuples take the same branch with the same words, so it agrees with
-/// the derived `Eq`. A v4 tuple and its v4-mapped v6 twin are distinct
-/// keys, as `Eq` says.
+/// any other pair as two `u128` addresses plus the ports word. The
+/// demux's keyed hasher takes one multiply per pair of words and one
+/// to finish, so a v4 tuple costs it two multiplies and a v6 tuple
+/// four. Tuples are wire input: index them only with a keyed hasher.
+/// Equal tuples take the same branch with the same words, so it agrees
+/// with the derived `Eq`. A v4 tuple and its v4-mapped v6 twin are
+/// distinct keys, as `Eq` says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source address.
@@ -528,14 +531,15 @@ mod tests {
                     transport: if tcp { Transport::Tcp } else { Transport::Udp },
                 })
                 .collect();
-            let keyed = std::collections::hash_map::RandomState::new();
+            let keyed = crate::hasher::BuildTupleHasher::default();
             for a in &tuples {
                 for b in &tuples {
                     proptest::prop_assert!(a != b || keyed.hash_one(a) == keyed.hash_one(b));
                 }
             }
             // A hash that split equal keys would leave duplicates here.
-            let hashed: HashSet<FiveTuple> = tuples.iter().copied().collect();
+            let mut hashed = HashSet::with_hasher(keyed);
+            hashed.extend(tuples.iter().copied());
             let ordered: BTreeSet<FiveTuple> = tuples.iter().copied().collect();
             proptest::prop_assert_eq!(hashed.len(), ordered.len());
         }

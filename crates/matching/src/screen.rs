@@ -164,8 +164,9 @@ impl Matcher {
         }
         // The open intervals, `tᵢ ≤ last ≤ tᵢ + Δ`, hold the window's
         // last packet; only a size class can leave one empty.
-        if self.size_quantum().is_some() {
-            let mut walk = walk(window, state.lo);
+        if self.size_quantum().is_some() && state.closed < n - late {
+            let start = window.seek(state.lo, upstream.timestamp(state.closed));
+            let mut walk = walk(window, start);
             for i in state.closed..n - late {
                 if !self.holds_candidate(upstream, i, &mut walk) {
                     erased += 1;
@@ -180,7 +181,9 @@ impl Matcher {
 
     /// Walks the intervals of `upstream` closed by `last` since the
     /// last call, counting the empty ones in `state`, until the count
-    /// passes `limit`.
+    /// passes `limit`. The walk seeks to the first interval's start,
+    /// which lies anywhere in the window on a first call, then steps
+    /// from interval to interval.
     fn close(
         &self,
         upstream: &Flow,
@@ -189,13 +192,14 @@ impl Matcher {
         state: &mut ScreenState,
         limit: usize,
     ) {
-        let mut walk = walk(window, state.lo.max(window.evicted()));
-        while state.closed < upstream.len() && state.empty <= limit {
-            let i = state.closed;
-            if last <= upstream.timestamp(i).saturating_add(self.delta()) {
-                break;
-            }
-            if !self.holds_candidate(upstream, i, &mut walk) {
+        let next = |state: &ScreenState| {
+            let t = upstream.packets().get(state.closed)?.timestamp();
+            (state.empty <= limit && last > t.saturating_add(self.delta())).then_some(t)
+        };
+        let from = state.lo.max(window.evicted());
+        let mut walk = walk(window, next(state).map_or(from, |t| window.seek(from, t)));
+        while next(state).is_some() {
+            if !self.holds_candidate(upstream, state.closed, &mut walk) {
                 state.empty += 1;
             }
             state.closed += 1;
@@ -458,6 +462,179 @@ mod tests {
         let mut state = ScreenState::default();
         assert_eq!(m.screen(&up, &w, &mut state), Screen::Unmatched);
         assert!(state.permanent(Screen::Unmatched, 0));
+    }
+
+    /// The frontier as it stepped before [`SlidingWindow::seek`]: one
+    /// packet at a time from the state's push index, through the same
+    /// screens. The seeking frontier must agree with it on every answer
+    /// and every state.
+    mod stepping {
+        use super::*;
+
+        fn holds<'w>(
+            m: &Matcher,
+            up: &Flow,
+            i: usize,
+            rest: impl Iterator<Item = &'w Packet>,
+        ) -> bool {
+            let latest = up.timestamp(i).saturating_add(m.delta());
+            let class = m.size_quantum().map(|q| (up[i].size().div_ceil(q), q));
+            rest.take_while(|p| p.timestamp() <= latest)
+                .any(|p| class.is_none_or(|(c, q)| p.size().div_ceil(q) == c))
+        }
+
+        /// Steps `packets` (standing at push `push`) past every packet
+        /// earlier than `tᵢ`.
+        fn step<'w>(
+            up: &Flow,
+            i: usize,
+            packets: &mut Peekable<impl Iterator<Item = &'w Packet>>,
+            push: &mut u64,
+        ) {
+            while packets
+                .next_if(|p| p.timestamp() < up.timestamp(i))
+                .is_some()
+            {
+                *push += 1;
+            }
+        }
+
+        fn close(
+            m: &Matcher,
+            up: &Flow,
+            w: &SlidingWindow,
+            last: Timestamp,
+            state: &mut ScreenState,
+            limit: usize,
+        ) {
+            let mut push = state.lo.max(w.evicted());
+            let mut packets = w.iter_from(push).peekable();
+            while state.closed < up.len() && state.empty <= limit {
+                let i = state.closed;
+                if last <= up.timestamp(i).saturating_add(m.delta()) {
+                    break;
+                }
+                step(up, i, &mut packets, &mut push);
+                if !holds(m, up, i, packets.clone()) {
+                    state.empty += 1;
+                }
+                state.closed += 1;
+            }
+            state.lo = push;
+        }
+
+        pub fn screen(
+            m: &Matcher,
+            up: &Flow,
+            w: &SlidingWindow,
+            state: &mut ScreenState,
+        ) -> Screen {
+            let n = up.len();
+            if n == 0 {
+                return Screen::Decode;
+            }
+            if state.settled() {
+                return Screen::Unmatched;
+            }
+            let Some(last) = w.last_timestamp() else {
+                return Screen::Unmatched;
+            };
+            close(m, up, w, last, state, 0);
+            if state.settled() || last < up.timestamp(n - 1) {
+                return Screen::Unmatched;
+            }
+            Screen::Decode
+        }
+
+        pub fn screen_robust(
+            m: &Matcher,
+            up: &Flow,
+            w: &SlidingWindow,
+            budget: usize,
+            state: &mut ScreenState,
+        ) -> Screen {
+            let n = up.len();
+            if n <= budget || w.evicted() > 0 {
+                return Screen::Decode;
+            }
+            let Some(last) = w.last_timestamp() else {
+                return Screen::OverBudget;
+            };
+            close(m, up, w, last, state, budget);
+            let late = n - up.packets().partition_point(|p| p.timestamp() <= last);
+            let mut erased = state.empty + late;
+            if erased > budget {
+                return Screen::OverBudget;
+            }
+            if m.size_quantum().is_some() {
+                let mut push = state.lo;
+                let mut packets = w.iter_from(push).peekable();
+                for i in state.closed..n - late {
+                    step(up, i, &mut packets, &mut push);
+                    if !holds(m, up, i, packets.clone()) {
+                        erased += 1;
+                        if erased > budget {
+                            return Screen::OverBudget;
+                        }
+                    }
+                }
+            }
+            Screen::Decode
+        }
+    }
+
+    /// Packets from `(gap ms, size)` pairs, times accumulated from
+    /// `start` ms.
+    fn packets(start: i64, gaps: &[(i64, u32)]) -> Vec<Packet> {
+        let mut at = start;
+        gaps.iter()
+            .map(|&(gap, size)| {
+                at += gap;
+                Packet::new(Timestamp::from_millis(at), size)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn seeking_frontier_agrees_with_the_stepping_one(
+            start in 0i64..4_000,
+            up_gaps in proptest::collection::vec((0i64..400, 40u32..100), 1..40),
+            window_gaps in proptest::collection::vec((0i64..60, 40u32..100), 0..900),
+            capacity in 0usize..7,
+            every in 1usize..48,
+            quantum in 0usize..3,
+            budget in 0usize..6,
+        ) {
+            // Capacities around one chunk of 256, and well past it.
+            let capacity = [1, 7, 255, 256, 300, 600, 1024][capacity];
+            let m = [None, Some(16), Some(32)][quantum]
+                .map_or(matcher(), |q| matcher().with_size_quantum(q));
+            let up = Flow::from_packets(packets(start, &up_gaps)).unwrap();
+            let mut w = SlidingWindow::new(capacity);
+            let (mut strict, mut strict_model) = (ScreenState::default(), ScreenState::default());
+            let (mut robust, mut robust_model) = (ScreenState::default(), ScreenState::default());
+            for (k, packet) in packets(0, &window_gaps).into_iter().enumerate() {
+                w.push(packet).unwrap();
+                if k % every != 0 {
+                    continue;
+                }
+                proptest::prop_assert_eq!(
+                    m.screen(&up, &w, &mut strict),
+                    stepping::screen(&m, &up, &w, &mut strict_model),
+                    "strict screen after push {}", k
+                );
+                proptest::prop_assert_eq!(&strict, &strict_model);
+                proptest::prop_assert_eq!(
+                    m.screen_robust(&up, &w, budget, &mut robust),
+                    stepping::screen_robust(&m, &up, &w, budget, &mut robust_model),
+                    "robust screen after push {}", k
+                );
+                proptest::prop_assert_eq!(&robust, &robust_model);
+            }
+        }
     }
 
     #[test]
