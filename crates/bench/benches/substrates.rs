@@ -98,6 +98,31 @@ fn lossy_relay(k: u64) -> (Flow, Flow) {
     (upstream, relayed)
 }
 
+/// A decoy's postponed robust decode on the `lossy-robust` pipeline
+/// workload: one seed's 1,500-packet upstream against another seed's
+/// whole lossy relay (about 3,100 packets), the upstream starting a
+/// quarter of the way into the relay's span, so that about a quarter of
+/// it lies past the relay's last packet, in the gapped scan's tail. `k`
+/// picks one of the [`ROTATION`] seeds.
+fn partial_decoy(k: u64) -> (Flow, Flow) {
+    let (_, relay) = lossy_relay(k);
+    let first = relay.packets()[0].timestamp();
+    let last = relay.packets()[relay.len() - 1].timestamp();
+    let start = first.saturating_add((last - first) / 4);
+    let upstream = SessionGenerator::new(InteractiveProfile::ssh()).generate(
+        1500,
+        start,
+        &mut Seed::new(0xDEC0 + k).rng(0),
+    );
+    // Over the rotation, 139–705 packets (361 on average) lie past it.
+    let past = upstream.iter().filter(|p| p.timestamp() > last).count();
+    assert!(
+        (100..=750).contains(&past),
+        "{past} of 1,500 upstream packets lie past the relay"
+    );
+    (upstream, relay)
+}
+
 /// The latching-decode shape of the `decode-heavy` pipeline workload: a
 /// 1,500-packet upstream against its whole relay after Δ = 1 s
 /// perturbation and λc = 2/s Poisson chaff (about 3,000 packets), so
@@ -236,6 +261,19 @@ fn bench_matching(c: &mut Criterion) {
             let (upstream, window) = windows.next();
             let mut meter = CostMeter::new();
             let mut sets = GappedSets::compute(&lossy, upstream, window, &mut meter);
+            let _ = sets.tighten(&mut meter);
+            sets
+        })
+    });
+    // A decoy's postponed robust decode, as `finish` runs most of them
+    // on lossy-robust: only the upstream packets that overlap the
+    // relay in time are scanned and tightened.
+    let mut decoys = Rotation::new(partial_decoy);
+    group.bench_function("robust_partial_overlap", |b| {
+        b.iter(|| {
+            let (upstream, relay) = decoys.next();
+            let mut meter = CostMeter::new();
+            let mut sets = GappedSets::compute(&lossy, upstream, relay, &mut meter);
             let _ = sets.tighten(&mut meter);
             sets
         })

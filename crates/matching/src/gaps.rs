@@ -29,12 +29,25 @@ use crate::sets::{Matcher, MatchingSets};
 /// The representation is that of [`MatchingSets`]: every slot is a run
 /// of one candidate column, and an erased slot is an empty run. The
 /// erased slots are counted as they appear: the empty runs of the scan,
-/// then the slots [`tighten`](Self::tighten) drains.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// then the slots [`tighten`](Self::tighten) drains. The range from the
+/// first live slot to the last is kept too: only it is tightened.
+#[derive(Debug, Clone)]
 pub struct GappedSets {
     sets: MatchingSets,
     erased: usize,
+    /// Every slot outside this range is erased.
+    live: Range<usize>,
 }
+
+/// Two gapped sets are equal when their slots are: the live range only
+/// bounds where tightening looks.
+impl PartialEq for GappedSets {
+    fn eq(&self, other: &Self) -> bool {
+        self.sets == other.sets && self.erased == other.erased
+    }
+}
+
+impl Eq for GappedSets {}
 
 impl GappedSets {
     /// Computes gap-tolerant matching sets with the same scan as
@@ -45,14 +58,19 @@ impl GappedSets {
     ///
     /// Never fails: any pair of flows, however damaged, yields a
     /// structure (possibly with every slot erased).
+    ///
+    /// Only the upstream packets that overlap the suspicious flow in
+    /// time are scanned: the others' slots are erased by the timing
+    /// constraint alone.
     pub fn compute(
         matcher: &Matcher,
         upstream: &Flow,
         suspicious: &Flow,
         meter: &mut CostMeter,
     ) -> Self {
-        let (sets, erased) = matcher.scan(upstream, suspicious, meter, false);
-        GappedSets { sets, erased }
+        let (sets, erased, overlap) = matcher.gapped_scan(upstream, suspicious, meter);
+        let live = live_range(&sets, overlap);
+        GappedSets { sets, erased, live }
     }
 
     /// Builds gapped sets directly from index ranges (tests and
@@ -76,10 +94,9 @@ impl GappedSets {
                 (r.start, r.end)
             })
             .collect();
-        GappedSets {
-            sets: MatchingSets::from_runs(runs, suspicious_len),
-            erased,
-        }
+        let sets = MatchingSets::from_runs(runs, suspicious_len);
+        let live = live_range(&sets, 0..sets.len());
+        GappedSets { sets, erased, live }
     }
 
     /// Number of upstream packets `n` (erased slots included).
@@ -160,11 +177,29 @@ impl GappedSets {
     ///
     /// Charges `meter` per dropped candidate, as the strict rule does.
     /// Returns the number of slots newly erased by this call.
+    ///
+    /// The passes run from the first live slot to the last only. That
+    /// is exact: an erased slot cuts to itself, is charged nothing,
+    /// passes the bound on unchanged and never drains.
     pub fn tighten(&mut self, meter: &mut CostMeter) -> usize {
-        let drained = self.sets.tighten_over(0..self.len(), false, meter);
+        let drained = self.sets.tighten_over(self.live.clone(), false, meter);
         self.erased += drained;
         drained
     }
+}
+
+/// The slots of `within` from the first non-empty one to the last; an
+/// empty range when all are empty. Walks only the empty slots at either
+/// end.
+fn live_range(sets: &MatchingSets, within: Range<usize>) -> Range<usize> {
+    let start = within
+        .clone()
+        .find(|&i| !sets.set(i).is_empty())
+        .unwrap_or(within.end);
+    let end = (start..within.end)
+        .rfind(|&i| !sets.set(i).is_empty())
+        .map_or(start, |i| i + 1);
+    start..end
 }
 
 #[cfg(test)]

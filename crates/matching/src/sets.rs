@@ -1,5 +1,7 @@
 //! Matching-set computation and the Greedy+ phase-1 simplification.
 
+use std::ops::Range;
+
 use stepstone_flow::{Flow, Packet, TimeDelta};
 
 use crate::cost::CostMeter;
@@ -60,85 +62,163 @@ impl Matcher {
     ///
     /// Returns `None` as soon as any matching set is empty — the flows
     /// cannot be in the same connection chain (paper §3.2), and the
-    /// caller reports a negative correlation immediately.
+    /// caller reports a negative correlation immediately. The candidate
+    /// column is built only when the scan returns sets.
     pub fn matching_sets(
         &self,
         upstream: &Flow,
         suspicious: &Flow,
         meter: &mut CostMeter,
     ) -> Option<MatchingSets> {
-        let (sets, _) = self.scan(upstream, suspicious, meter, true);
-        let aborted = sets.runs.last().is_some_and(|&(start, end)| start == end);
-        (!aborted).then_some(sets)
+        let mut scan = Scan::new(self, suspicious);
+        let mut runs = Vec::with_capacity(upstream.len());
+        for packet in upstream.iter() {
+            let run = scan.step(packet);
+            runs.push(run);
+            if run.0 == run.1 {
+                meter.charge(scan.charged);
+                return None;
+            }
+        }
+        meter.charge(scan.charged);
+        Some(scan.into_sets(runs))
     }
 
-    /// The scan behind both kinds of set: strict sets stop at the first
-    /// empty set (`stop_at_empty`, which is then the last run), gapped
-    /// sets record it as an empty run and go on. Without a size quantum
-    /// the column is the identity and the window `[lo, hi)` is the run;
-    /// with one, the window's class entries are a run of the class's
-    /// group, which [`Classes::run`] tracks.
+    /// The scan behind gapped sets: every empty set is recorded as an
+    /// empty run and the scan goes on. Returns the sets, how many of
+    /// them are empty, and the overlap: the upstream packets that can
+    /// have a candidate at all.
     ///
-    /// The pointers move over a contiguous copy of the suspicious
-    /// timestamps ([`TimeColumn`]) by [`gallop`], without a
-    /// data-dependent branch per packet examined. The meter is still
-    /// charged the two-pointer scan's accesses, summed and applied once:
-    /// per upstream packet, `lo`'s advance, `hi`'s advance past
-    /// `max(hi, lo)`, and `hi − lo`.
-    /// `t + Δ` saturates, so a window reaching past the last
-    /// representable instant holds every packet from `lo` on.
-    /// Returns the sets and how many of them are empty.
-    pub(crate) fn scan(
+    /// Under `0 ≤ t′ − t ≤ Δ` an upstream packet whose `t + Δ` is
+    /// before the suspicious flow's first packet, or whose `t` is after
+    /// its last, has an empty set. Two binary searches find that head
+    /// and tail, and only the packets between them are scanned. The
+    /// head's runs are `(0, 0)` and charge nothing, as the scan leaves
+    /// both pointers at 0 there; the tail's runs are `(m, m)`, and the
+    /// tail charges `lo`'s advance to `m` once, as its first packet
+    /// would. With a size quantum the bulk slots take the class runs of
+    /// those same windows.
+    pub(crate) fn gapped_scan(
         &self,
         upstream: &Flow,
         suspicious: &Flow,
         meter: &mut CostMeter,
-        stop_at_empty: bool,
-    ) -> (MatchingSets, usize) {
+    ) -> (MatchingSets, usize, Range<usize>) {
+        let packets = upstream.packets();
+        let n = packets.len();
         let m = suspicious.len();
-        let (column, mut classes) = match self.size_quantum {
-            None => ((0..m as u32).collect(), None),
-            Some(q) => {
-                let (column, classes) = Classes::group(suspicious, q);
-                (column, Some(classes))
-            }
+        let (head, tail) = match (suspicious.first(), suspicious.last()) {
+            (Some(first), Some(last)) => (
+                packets.partition_point(|p| {
+                    p.timestamp().saturating_add(self.delta) < first.timestamp()
+                }),
+                packets.partition_point(|p| p.timestamp() <= last.timestamp()),
+            ),
+            // No candidates at all: every slot is a head slot.
+            _ => (n, n),
         };
-        let mut times = TimeColumn::new(suspicious.packets());
-        let mut runs = Vec::with_capacity(upstream.len());
-        let (mut lo, mut hi, mut charged, mut empty) = (0usize, 0usize, 0u64, 0usize);
-        for packet in upstream.iter() {
-            let t = packet.timestamp().as_micros();
-            let latest = packet.timestamp().saturating_add(self.delta).as_micros();
-            let times = times.reach(latest);
-            let from = lo;
-            lo = gallop(times, lo, |x| x < t);
-            let start = hi.max(lo);
-            // The sentinels fail `x <= latest` unless `latest` saturated,
-            // and then every packet from `start` on is in the window.
-            hi = if latest == i64::MAX {
-                m
-            } else {
-                gallop(times, start, |x| x <= latest)
-            };
-            charged += (lo - from + hi - start + hi - lo) as u64;
-            let run = match &mut classes {
-                None => (lo as u32, hi as u32),
-                Some(classes) => classes.run(&column, packet.size(), lo, hi),
-            };
+        let mut scan = Scan::new(self, suspicious);
+        let mut runs = Vec::with_capacity(n);
+        scan.fill(&mut runs, &packets[..head], 0);
+        let mut empty = head + (n - tail);
+        for packet in &packets[head..tail] {
+            let run = scan.step(packet);
             runs.push(run);
             empty += usize::from(run.0 == run.1);
-            if stop_at_empty && run.0 == run.1 {
-                break;
-            }
         }
-        meter.charge(charged);
-        let sets = MatchingSets {
-            identity: classes.is_none(),
-            column,
-            runs,
-            suspicious_len: m,
+        if tail < n {
+            scan.charged += (m - scan.lo) as u64;
+        }
+        scan.fill(&mut runs, &packets[tail..], m);
+        meter.charge(scan.charged);
+        (scan.into_sets(runs), empty, head..tail)
+    }
+}
+
+/// One scan's state. Without a size quantum the candidate column is the
+/// identity and the window `[lo, hi)` is the run; with one, the
+/// window's class entries are a run of the class's group, which
+/// [`Classes::run`] tracks.
+///
+/// The pointers move over a contiguous copy of the suspicious
+/// timestamps ([`TimeColumn`]) by [`gallop`], without a data-dependent
+/// branch per packet examined. The meter is still charged the
+/// two-pointer scan's accesses, summed in `charged`: per upstream
+/// packet, `lo`'s advance, `hi`'s advance past `max(hi, lo)`, and
+/// `hi − lo`. `t + Δ` saturates, so a window reaching past the last
+/// representable instant holds every packet from `lo` on.
+struct Scan<'a> {
+    delta: TimeDelta,
+    times: TimeColumn<'a>,
+    classes: Option<Classes>,
+    m: usize,
+    lo: usize,
+    hi: usize,
+    charged: u64,
+}
+
+impl<'a> Scan<'a> {
+    fn new(matcher: &Matcher, suspicious: &'a Flow) -> Self {
+        Scan {
+            delta: matcher.delta,
+            times: TimeColumn::new(suspicious.packets()),
+            classes: matcher.size_quantum.map(|q| Classes::group(suspicious, q)),
+            m: suspicious.len(),
+            lo: 0,
+            hi: 0,
+            charged: 0,
+        }
+    }
+
+    /// Moves the window to upstream `packet` and returns its run.
+    #[inline(always)]
+    fn step(&mut self, packet: &Packet) -> (u32, u32) {
+        let t = packet.timestamp().as_micros();
+        let latest = packet.timestamp().saturating_add(self.delta).as_micros();
+        let times = self.times.reach(latest);
+        let from = self.lo;
+        let lo = gallop(times, from, |x| x < t);
+        let start = self.hi.max(lo);
+        // The sentinels fail `x <= latest` unless `latest` saturated,
+        // and then every packet from `start` on is in the window.
+        let hi = if latest == i64::MAX {
+            self.m
+        } else {
+            gallop(times, start, |x| x <= latest)
         };
-        (sets, empty)
+        self.charged += (lo - from + hi - start + hi - lo) as u64;
+        (self.lo, self.hi) = (lo, hi);
+        self.run(packet, lo, hi)
+    }
+
+    /// Appends the runs of `packets` whose windows are all `[at, at)`.
+    fn fill(&mut self, runs: &mut Vec<(u32, u32)>, packets: &[Packet], at: usize) {
+        match self.classes {
+            None => runs.resize(runs.len() + packets.len(), (at as u32, at as u32)),
+            Some(_) => runs.extend(packets.iter().map(|p| self.run(p, at, at))),
+        }
+    }
+
+    /// The run of `packet`'s window `[lo, hi)`.
+    #[inline(always)]
+    fn run(&mut self, packet: &Packet, lo: usize, hi: usize) -> (u32, u32) {
+        match &mut self.classes {
+            None => (lo as u32, hi as u32),
+            Some(classes) => classes.run(packet.size(), lo, hi),
+        }
+    }
+
+    /// The scan's runs as sets of its column.
+    fn into_sets(self, runs: Vec<(u32, u32)>) -> MatchingSets {
+        match self.classes {
+            None => MatchingSets::from_runs(runs, self.m),
+            Some(classes) => MatchingSets {
+                column: classes.column,
+                runs,
+                identity: false,
+                suspicious_len: self.m,
+            },
+        }
     }
 }
 
@@ -161,6 +241,9 @@ impl<'a> TimeColumn<'a> {
     /// Packets copied per block.
     const BLOCK: usize = 256;
 
+    /// An empty column with room for every packet. Reserving it whole
+    /// touches no memory, and costs less than growing it block by
+    /// block, which reallocates and copies the prefix.
     fn new(packets: &'a [Packet]) -> Self {
         let mut times = Vec::with_capacity(packets.len() + GALLOP_PAD);
         times.extend([i64::MAX; GALLOP_PAD]);
@@ -200,18 +283,20 @@ fn gallop(times: &[i64], mut at: usize, below: impl Fn(i64) -> bool) -> usize {
     at + usize::from(below(times[at]))
 }
 
-/// The size-class groups of a scan's column: `(class, start, end)` of
-/// each group, ascending by class, and the group's cursor pair.
+/// The size-class groups of a scan: its column of the suspicious
+/// indices grouped by size class, in index order within each class,
+/// `(class, start, end)` of each group, ascending by class, and the
+/// group's cursor pair.
 struct Classes {
+    column: Vec<u32>,
     quantum: u32,
     groups: Vec<(u32, usize, usize)>,
     cursors: Vec<(usize, usize)>,
 }
 
 impl Classes {
-    /// The column of `suspicious`' indices grouped by size class, in
-    /// index order within each class, and its groups.
-    fn group(suspicious: &Flow, quantum: u32) -> (Vec<u32>, Self) {
+    /// The column and groups of `suspicious` at `quantum`.
+    fn group(suspicious: &Flow, quantum: u32) -> Self {
         let class = |j: &u32| suspicious[*j as usize].size().div_ceil(quantum);
         let mut column: Vec<u32> = (0..suspicious.len() as u32).collect();
         column.sort_by_key(class);
@@ -221,26 +306,25 @@ impl Classes {
             groups.push((class(&chunk[0]), start, start + chunk.len()));
         }
         let cursors = groups.iter().map(|&(_, start, _)| (start, start)).collect();
-        (
+        Classes {
             column,
-            Classes {
-                quantum,
-                groups,
-                cursors,
-            },
-        )
+            quantum,
+            groups,
+            cursors,
+        }
     }
 
     /// The run of the scan window `[lo, hi)` within the group of an
     /// upstream packet of `size`. The window only moves forward, so the
     /// group's cursors only move forward too: over a whole scan they
     /// cross each group once.
-    fn run(&mut self, column: &[u32], size: u32, lo: usize, hi: usize) -> (u32, u32) {
+    fn run(&mut self, size: u32, lo: usize, hi: usize) -> (u32, u32) {
         let class = size.div_ceil(self.quantum);
         let Ok(g) = self.groups.binary_search_by_key(&class, |&(c, _, _)| c) else {
             return (0, 0);
         };
         let end = self.groups[g].2;
+        let column = &self.column;
         let (from, to) = &mut self.cursors[g];
         while *from < end && (column[*from] as usize) < lo {
             *from += 1;

@@ -205,7 +205,9 @@ struct Case {
 ///   are clamped there, so some sit exactly at `i64::MAX`;
 /// - the relay is sometimes shifted wholly before the upstream flow
 ///   (only chaff can match; without chaff every slot is erased) or
-///   wholly after it;
+///   wholly after it, and sometimes by a random fraction of the span
+///   either way, so that it straddles the upstream's start or its end
+///   and the gapped scan's head or tail holds some packets;
 /// - either flow may be empty; one case in four has up to 600
 ///   upstream packets, so the suspicious flow spans several of the
 ///   blocks the scan copies its timestamps in;
@@ -223,7 +225,15 @@ fn cases_up_to(n: usize) -> impl Strategy<Value = Case> {
     let span = 40_000 * n as i64;
     let packet = (0i64..span, 1u32..80);
     let relay = (0u8..5, 0i64..500_000);
-    let shape = (0u8..2, 0u8..2, 0u8..6, 0u8..3, 0i64..1_000_000, 0u32..24);
+    let shape = (
+        0u8..2,
+        0u8..2,
+        0u8..8,
+        0i64..span,
+        0u8..3,
+        0i64..1_000_000,
+        0u32..24,
+    );
     (
         proptest::collection::vec(packet.clone(), 0..n),
         proptest::collection::vec(relay, n),
@@ -232,13 +242,15 @@ fn cases_up_to(n: usize) -> impl Strategy<Value = Case> {
         proptest::collection::vec(proptest::bool::ANY, n),
     )
         .prop_map(move |(mut up, relay, chaff, shape, mask)| {
-            let (near_max, coarse, shift, delta_kind, delta_micros, quantum) = shape;
+            let (near_max, coarse, shift, part, delta_kind, delta_micros, quantum) = shape;
             let base = if near_max == 1 { NEAR_MAX } else { 0 };
             let grain = if coarse == 1 { 100_000 } else { 1 };
             let lossy = relay[0].0 % 2 == 0;
             let offset = match shift {
                 0 => -span - 8_000_000,
                 1 => span + 8_000_000,
+                2 => -part,
+                3 => part,
                 _ => 0,
             };
             up.sort_unstable();
@@ -389,11 +401,18 @@ fn same_gapped(sets: &GappedSets, model: &Model) -> Result<(), TestCaseError> {
 }
 
 /// Hand-picked edges the random cases reach only by chance, each at
-/// Δ = 0, 10 µs and `TimeDelta::MAX`.
+/// Δ = 0, 10 µs and `TimeDelta::MAX`, without a size quantum and with
+/// one (the packets' sizes cycle through several classes).
 #[test]
 fn edges_match_the_two_pointer_model() {
     let flow = |stamps: &[i64]| {
-        Flow::from_timestamps(stamps.iter().map(|&t| Timestamp::from_micros(t))).unwrap()
+        Flow::from_packets(
+            stamps
+                .iter()
+                .enumerate()
+                .map(|(k, &t)| Packet::new(Timestamp::from_micros(t), 1 + (k as u32 * 7) % 40)),
+        )
+        .unwrap()
     };
     let max = i64::MAX;
     let every_ms: Vec<i64> = (0..600).map(|k| k * 1_000).collect();
@@ -426,17 +445,45 @@ fn edges_match_the_two_pointer_model() {
             down.remove(500);
             flow(&down)
         }),
+        // Partial overlap. The suspicious flow spans [20, 40]: at
+        // Δ = 10 µs the packet at 10 has `t + Δ` exactly at its first
+        // timestamp, at Δ = 0 the packet at 20 does, and the packet at
+        // 40 has `t` exactly at its last; those before lie in the
+        // gapped scan's head, those after in its tail.
+        (
+            flow(&[0, 5, 9, 10, 20, 30, 40, 41, 50, 60]),
+            flow(&[20, 25, 30, 30, 40]),
+        ),
+        // Only one end of the overlap bounds the scan.
+        (flow(&[0, 10, 20, 30]), flow(&[20, 30, 40, 50])),
+        (flow(&[20, 30, 40, 50]), flow(&[0, 10, 20, 30])),
+        // An upstream wholly inside the suspicious flow, and one
+        // wholly around it.
+        (
+            flow(&[300, 420, 500, 500, 610]),
+            flow(&(0..40).map(|k| k * 25).collect::<Vec<_>>()),
+        ),
+        (
+            flow(&(0..40).map(|k| k * 25).collect::<Vec<_>>()),
+            flow(&[300, 420, 500, 500, 610]),
+        ),
     ];
     for (upstream, suspicious) in pairs {
         for delta in [TimeDelta::ZERO, TimeDelta::from_micros(10), TimeDelta::MAX] {
-            let case = Case {
-                subset: (0..upstream.len()).step_by(2).collect(),
-                upstream: upstream.clone(),
-                suspicious: suspicious.clone(),
-                matcher: Matcher::new(delta),
-            };
-            if let Err(e) = strict_agrees(&case).and_then(|()| gapped_agrees(&case)) {
-                panic!("{case:?}: {e:?}");
+            for quantum in [None, Some(8)] {
+                let mut matcher = Matcher::new(delta);
+                if let Some(q) = quantum {
+                    matcher = matcher.with_size_quantum(q);
+                }
+                let case = Case {
+                    subset: (0..upstream.len()).step_by(2).collect(),
+                    upstream: upstream.clone(),
+                    suspicious: suspicious.clone(),
+                    matcher,
+                };
+                if let Err(e) = strict_agrees(&case).and_then(|()| gapped_agrees(&case)) {
+                    panic!("{case:?}: {e:?}");
+                }
             }
         }
     }

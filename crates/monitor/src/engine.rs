@@ -20,6 +20,10 @@ use crate::verdict::{DegradeReason, Verdict};
 /// this many accepted packets the engine sweeps for idle flows.
 const EVICT_SWEEP_EVERY: u64 = 1024;
 
+/// Accepted packets counted locally before they are added to the
+/// `packets_ingested` counter in one step.
+const PUBLISH_INGESTED_EVERY: u64 = 256;
+
 /// Per-pair decode bookkeeping.
 #[derive(Debug, Clone, Default)]
 struct PairState {
@@ -264,14 +268,18 @@ pub struct Monitor {
     clock: Option<Timestamp>,
     /// Engine counters live in the telemetry registry; the engine
     /// increments these pre-resolved handles and [`Monitor::stats`]
-    /// reads them back, so the stats snapshot and the `/metrics`
-    /// endpoint share one source of truth.
+    /// reads them back. `packets_ingested` is the one exception on the
+    /// per-packet path: it is published every
+    /// [`PUBLISH_INGESTED_EVERY`] accepted packets and in `finish`, so
+    /// mid-run `/metrics` may lag the stats by fewer than that many
+    /// packets; [`Monitor::stats`] adds the unpublished ones.
     metrics: EngineMetrics,
     /// Decodes run so far: the sequence number the fault hook sees.
     decode_seq: u64,
-    /// Accepted packets since start, kept as a plain integer purely to
-    /// pace the idle-eviction sweep without summing counter stripes.
+    /// Accepted packets since start: paces the idle-eviction sweep.
     sweep_tick: u64,
+    /// Accepted packets not yet added to `packets_ingested`.
+    unpublished: u64,
 }
 
 impl Monitor {
@@ -295,13 +303,16 @@ impl Monitor {
             metrics: EngineMetrics::new(registry),
             decode_seq: 0,
             sweep_tick: 0,
+            unpublished: 0,
         }
     }
 
     /// The telemetry registry this engine publishes into — hand it to a
     /// [`MetricsServer`](stepstone_telemetry::MetricsServer) to expose
     /// the engine's counters, gauges, and decode-latency histogram over
-    /// HTTP.
+    /// HTTP. `monitor_packets_ingested_total` is published every 256
+    /// accepted packets and in [`finish`](Self::finish), so mid-run it
+    /// may lag [`stats`](Self::stats) by fewer than 256 packets.
     #[must_use]
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.metrics.registry)
@@ -369,10 +380,13 @@ impl Monitor {
             return false;
         }
         let due = suspect.window.pushed() >= suspect.next_due;
-        self.metrics.packets_ingested.inc();
-        // A plain local tick, not `packets_ingested.get()`: summing the
-        // counter stripes on every packet is measurable at line rate.
+        // Plain local counts: an atomic add on every packet is
+        // measurable at line rate.
         self.sweep_tick = self.sweep_tick.wrapping_add(1);
+        self.unpublished += 1;
+        if self.unpublished == PUBLISH_INGESTED_EVERY {
+            self.publish_ingested();
+        }
         if due {
             self.decode_due(flow);
         }
@@ -382,6 +396,12 @@ impl Monitor {
             }
         }
         true
+    }
+
+    /// Adds the accepted packets not yet counted to `packets_ingested`.
+    fn publish_ingested(&mut self) {
+        self.metrics.packets_ingested.add(self.unpublished);
+        self.unpublished = 0;
     }
 
     /// Moves verdicts emitted since the last drain to the caller,
@@ -443,7 +463,8 @@ impl Monitor {
 
     /// A point-in-time snapshot of the engine counters, assembled by
     /// reading the telemetry registry handles back — the same values
-    /// `/metrics` renders.
+    /// `/metrics` renders, but for the accepted packets not yet
+    /// published, which `packets_ingested` counts.
     pub fn stats(&self) -> MonitorStats {
         let m = &self.metrics;
         let flows_active = usize::try_from(m.flows_active.get()).unwrap_or(0);
@@ -468,7 +489,7 @@ impl Monitor {
                 .sum::<usize>()
         );
         MonitorStats {
-            packets_ingested: m.packets_ingested.get(),
+            packets_ingested: m.packets_ingested.get() + self.unpublished,
             packets_rejected: m.packets_rejected.get(),
             flows_active,
             flows_evicted: m.flows_evicted.get(),
@@ -551,6 +572,8 @@ impl Monitor {
         for (_, verdict) in remaining {
             self.emit(verdict);
         }
+        // Without this the registry would end short of the stats.
+        self.publish_ingested();
         let stats = self.stats();
         MonitorReport {
             verdicts: self.verdicts.drain(..).collect(),

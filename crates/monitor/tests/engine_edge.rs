@@ -304,6 +304,26 @@ fn finish_on_idle_engines_is_empty_and_consistent() {
     assert_eq!(report.stats.pairs_active, 0);
 }
 
+/// The ingested-packet counter is published in batches: mid-run the
+/// registry lags the stats by fewer than 256 packets, and `finish`
+/// publishes the rest.
+#[test]
+fn packets_ingested_is_exact_in_stats_and_published_by_finish() {
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    let registry = monitor.registry();
+    let published = || registry.counter("monitor_packets_ingested_total", "").get();
+    for i in 0..600 {
+        assert!(monitor.ingest(FlowId(1), Packet::new(Timestamp::from_millis(i), 64)));
+        let exact = i as u64 + 1;
+        assert_eq!(monitor.stats().packets_ingested, exact);
+        assert!(published() <= exact && exact - published() < 256);
+    }
+    assert!(published() > 0, "published while ingesting");
+    let report = monitor.finish();
+    assert_eq!(report.stats.packets_ingested, 600);
+    assert_eq!(published(), 600, "finish publishes the rest");
+}
+
 /// A flow far shorter than the upstream can never host a complete
 /// matching; the engine must not decode it, yet its pair still
 /// resolves to `Cleared { decodes: 0 }` at shutdown.

@@ -4,8 +4,8 @@
 //!
 //! Three layers, each usable alone:
 //!
-//! * **Metrics** — [`Counter`] (striped, cache-line-padded; an
-//!   increment is a single relaxed atomic add with zero allocation),
+//! * **Metrics** — [`Counter`] (one atomic; an increment is a single
+//!   relaxed atomic add with zero allocation),
 //!   [`Gauge`], and [`Histogram`] (log-bucketed with p50/p95/p99
 //!   estimation). Handles are interned by a [`Registry`] once at
 //!   construction; instrumented code never touches the registry on a

@@ -1,60 +1,23 @@
 //! Lock-free counter and gauge primitives.
 //!
-//! A [`Counter`] is striped across cache-line-padded atomic cells so
-//! concurrent writers on different threads do not bounce one cache
-//! line between cores: each thread hashes to a fixed stripe at first
-//! use and every increment afterwards is a single relaxed
-//! `fetch_add` on that stripe — no allocation, no locks, no fences.
-//! Reads sum the stripes; a read racing an increment may or may not
-//! observe it, which is the usual (and sufficient) contract for
-//! monitoring data.
+//! A [`Counter`] is one relaxed atomic: every increment is a single
+//! `fetch_add` — no allocation, no locks, no fences. A read racing an
+//! increment may or may not observe it, which is the usual (and
+//! sufficient) contract for monitoring data. The monitor runs on one
+//! thread, and its one per-packet counter is published in batches, so
+//! no writers contend for a counter's cache line.
 //!
-//! A [`Gauge`] is a single signed atomic: gauges need exact `set`
-//! semantics, which striping cannot provide.
+//! A [`Gauge`] is a single signed atomic with exact `set` semantics.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-/// Stripes per counter. Power of two so the thread-slot hash is a
-/// mask; 8 covers the worker counts the monitor runs while keeping a
-/// counter at one cache line per stripe.
-pub(crate) const STRIPES: usize = 8;
-
-/// Monotonically assigns each thread a small slot number at first use;
-/// the slot picks the stripe every counter on that thread writes.
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    // ordering: slot assignment is an independent ticket draw; no
-    // memory is published through the counter.
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The calling thread's stripe index.
-#[inline]
-fn stripe() -> usize {
-    THREAD_SLOT
-        .try_with(|slot| *slot & (STRIPES - 1))
-        // Thread-local storage can be gone during thread teardown;
-        // falling back to stripe 0 only skews which cell absorbs the
-        // write, never the sum.
-        .unwrap_or(0)
-}
-
-/// One cache-line-padded atomic cell. The alignment keeps adjacent
-/// stripes of the same counter (and adjacent counters in an array) off
-/// each other's cache lines.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
-
-/// A monotonically increasing counter, striped for write scalability.
+/// A monotonically increasing counter.
 ///
 /// The hot path ([`inc`](Counter::inc)/[`add`](Counter::add)) is a
-/// single relaxed atomic add with zero allocation. [`get`](Counter::get)
-/// sums the stripes.
+/// single relaxed atomic add with zero allocation.
 #[derive(Debug, Default)]
 pub struct Counter {
-    stripes: [PaddedCell; STRIPES],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -75,20 +38,16 @@ impl Counter {
     pub fn add(&self, n: u64) {
         // ordering: monotonic stat counter; no memory is published
         // through it.
-        self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The counter's current value: the sum over all stripes. Reads
-    /// racing writers may miss in-flight increments; the value is
-    /// always a value the counter actually passed through.
+    /// The counter's current value. Reads racing writers may miss
+    /// in-flight increments; the value is always a value the counter
+    /// actually passed through.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.stripes
-            .iter()
-            // ordering: stat read; stripes are independent monotonic
-            // cells, no synchronization implied.
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
+        // ordering: stat read, no synchronization implied.
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -145,7 +104,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn counter_sums_across_threads_and_stripes() {
+    fn counter_sums_across_threads() {
         let counter = Arc::new(Counter::new());
         let threads: Vec<_> = (0..8)
             .map(|_| {
