@@ -105,6 +105,7 @@ pub fn read_capture<R: Read>(mut reader: R) -> Result<Vec<CaptureRecord>, Ingest
 impl Iterator for Capture<'_> {
     type Item = Result<CaptureRecord, IngestError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
             return None;

@@ -12,6 +12,17 @@ pub(crate) enum Endian {
     Big,
 }
 
+impl Endian {
+    /// Reads one 32-bit word in this byte order.
+    #[inline]
+    pub(crate) fn u32(self, bytes: [u8; 4]) -> u32 {
+        match self {
+            Endian::Little => u32::from_le_bytes(bytes),
+            Endian::Big => u32::from_be_bytes(bytes),
+        }
+    }
+}
+
 /// A forward-only reader over an in-memory capture.
 #[derive(Debug, Clone)]
 pub(crate) struct Cursor<'a> {
@@ -40,15 +51,28 @@ impl<'a> Cursor<'a> {
 
     /// Takes the next `n` bytes, or reports where the input ended.
     pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], IngestError> {
-        if self.remaining() < n {
-            return Err(IngestError::Truncated {
-                offset: self.pos,
-                what,
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
+        self.bytes(n).ok_or(IngestError::Truncated {
+            offset: self.pos,
+            what,
+        })
+    }
+
+    /// Takes the next `n` bytes; `None`, consuming nothing, when fewer
+    /// are left.
+    #[inline]
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let out = self.buf.get(self.pos..)?.get(..n)?;
         self.pos += n;
-        Ok(out)
+        Some(out)
+    }
+
+    /// Takes the next `N` bytes as an array, with one bounds check;
+    /// `None`, consuming nothing, when fewer are left.
+    #[inline]
+    pub(crate) fn array<const N: usize>(&mut self) -> Option<&'a [u8; N]> {
+        let (out, _) = self.buf.get(self.pos..)?.split_first_chunk::<N>()?;
+        self.pos += N;
+        Some(out)
     }
 
     /// Skips `n` bytes.
@@ -66,12 +90,11 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn u32(&mut self, endian: Endian, what: &'static str) -> Result<u32, IngestError> {
-        let b = self.take(4, what)?;
-        let arr = [b[0], b[1], b[2], b[3]];
-        Ok(match endian {
-            Endian::Little => u32::from_le_bytes(arr),
-            Endian::Big => u32::from_be_bytes(arr),
-        })
+        let offset = self.pos;
+        let word = self
+            .array::<4>()
+            .ok_or(IngestError::Truncated { offset, what })?;
+        Ok(endian.u32(*word))
     }
 }
 

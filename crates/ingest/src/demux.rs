@@ -30,9 +30,13 @@
 //! The trade buys per-packet cost: routing a parsed record took 49.7 ns
 //! under SipHash-1-3 and 35.0 ns under the folded multiply (the ingest
 //! bench's `route_200k`; EXPERIMENTS.md, "Multiply-cost tuple hash,
-//! seeking frontier"). The
-//! [`FlowId`]s it hands out are dense and in first-seen order, so
-//! everything downstream may index them without a keyed hash.
+//! seeking frontier"). More than half of what remained was copying
+//! the 40-byte tuple out of the record, not hashing it: `push` reads
+//! the tuple in place and copies it only when the tuple opens a flow,
+//! and `route_200k` fell from 30.1 to 13.4 ns in one interleaved run
+//! (EXPERIMENTS.md, "Records routed by reference"). The [`FlowId`]s
+//! it hands out are dense and in first-seen order, so everything
+//! downstream may index them without a keyed hash.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -196,23 +200,29 @@ impl FlowDemux {
     /// flow's last timestamp (and counted) so the non-decreasing `Flow`
     /// invariant always holds.
     pub fn push(&mut self, record: &CaptureRecord) -> Option<(FlowId, Packet)> {
-        let Some(tuple) = record.tuple else {
+        // The tuple is read in place: copying its 40 bytes out of the
+        // record on every packet cost more than the lookup itself.
+        let Some(tuple) = record.tuple.as_ref() else {
             self.stats.ignored += 1;
             if let Some(m) = &self.metrics {
                 m.ignored.inc();
             }
             return None;
         };
-        let (stats, metrics, tuples) = (&mut self.stats, &self.metrics, &mut self.tuples);
-        let (id, last) = self.open.entry(tuple).or_insert_with(|| {
-            stats.flows_opened += 1;
-            if let Some(m) = metrics {
-                m.flows_opened.inc();
-                m.flows_live.inc();
+        let (stats, metrics) = (&mut self.stats, &self.metrics);
+        let (id, last) = match self.open.get_mut(tuple) {
+            Some(slot) => slot,
+            None => {
+                stats.flows_opened += 1;
+                if let Some(m) = metrics {
+                    m.flows_opened.inc();
+                    m.flows_live.inc();
+                }
+                self.tuples.push(*tuple);
+                let id = FlowId(self.tuples.len() as u64 - 1);
+                self.open.entry(*tuple).or_insert((id, record.timestamp))
             }
-            tuples.push(tuple);
-            (FlowId(tuples.len() as u64 - 1), record.timestamp)
-        });
+        };
         if record.timestamp < *last {
             stats.clamped += 1;
             if let Some(m) = metrics {

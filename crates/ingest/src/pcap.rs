@@ -66,6 +66,7 @@ impl<'a> PcapParser<'a> {
     }
 
     /// Parses the next packet record, `None` at a clean end of file.
+    #[inline]
     pub(crate) fn next_record(&mut self) -> Option<Result<CaptureRecord, IngestError>> {
         if self.cur.is_empty() {
             return None;
@@ -73,19 +74,24 @@ impl<'a> PcapParser<'a> {
         Some(self.record())
     }
 
+    /// Parses one record: its 16-byte header in one read, then its data.
+    #[inline]
     fn record(&mut self) -> Result<CaptureRecord, IngestError> {
         let offset = self.cur.offset();
-        let sec = self.cur.u32(self.endian, "pcap record seconds")?;
-        let frac = self.cur.u32(self.endian, "pcap record sub-seconds")?;
-        let incl_len = self.cur.u32(self.endian, "pcap record captured length")?;
-        let orig_len = self.cur.u32(self.endian, "pcap record original length")?;
-        if incl_len as usize > self.cur.remaining() {
+        let Some(header) = self.cur.array::<RECORD_HEADER_LEN>() else {
+            return Err(torn_header(offset, self.cur.remaining()));
+        };
+        let word = |at: usize| {
+            self.endian
+                .u32([header[at], header[at + 1], header[at + 2], header[at + 3]])
+        };
+        let (sec, frac, incl_len, orig_len) = (word(0), word(4), word(8), word(12));
+        let Some(data) = self.cur.bytes(incl_len as usize) else {
             return Err(IngestError::Truncated {
                 offset,
                 what: "pcap record data",
             });
-        }
-        let data = self.cur.take(incl_len as usize, "pcap record data")?;
+        };
         let sub_micros = match self.resolution {
             Resolution::Micros => i64::from(frac),
             Resolution::Nanos => i64::from(frac) / 1_000,
@@ -96,6 +102,28 @@ impl<'a> PcapParser<'a> {
             wire_len: orig_len,
             tuple: decode_frame(self.link, data),
         })
+    }
+}
+
+/// Bytes in a record header: seconds, sub-seconds, captured length and
+/// original length, one 32-bit word each.
+const RECORD_HEADER_LEN: usize = 16;
+
+/// The error for a record header cut after `left` of its bytes, at
+/// `offset`: the truncation of the first field not wholly present,
+/// as reading the four words one at a time would report it.
+#[cold]
+fn torn_header(offset: usize, left: usize) -> IngestError {
+    const FIELDS: [&str; 4] = [
+        "pcap record seconds",
+        "pcap record sub-seconds",
+        "pcap record captured length",
+        "pcap record original length",
+    ];
+    let field = (left / 4).min(FIELDS.len() - 1);
+    IngestError::Truncated {
+        offset: offset + 4 * field,
+        what: FIELDS[field],
     }
 }
 
